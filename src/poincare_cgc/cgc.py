@@ -10,6 +10,7 @@ amplitudes follow from them by Wigner rotations of each spin slot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .lorentz import (
     standard_boost,
     wigner_rotation,
 )
-from .su2 import rep_matrix, spherical_harmonic, su2_cgc, wigner_d_small
+from .su2 import _check_j, _d_entry, rep_matrix, spherical_harmonic, su2_cgc
 
 SCHEMES = ("spin-orbit", "helicity")
 
@@ -261,28 +262,51 @@ def spin_orbit_com_table(
 
     with s3 = chi1 + chi2 and l3 = chi - s3.
     """
-    j, chi = _check_chi(j, chi)
-    l, s = channel.l, channel.s
-    if not (triangle_rule(spec.j1, spec.j2, s) and triangle_rule(l, s, j)):
-        raise InvalidChannel(f"channel ({channel.label()}) does not couple to spin {j}")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast(theta, phi).shape
+    l = channel.l
+    return _spin_orbit_amplitudes(
+        spec, j, channel, chi, np.broadcast(theta, phi).shape,
+        lambda l3: spherical_harmonic(l, l3, theta, phi),
+    )
+
+
+def _spin_orbit_amplitudes(spec, j, channel, chi, shape, harmonic) -> np.ndarray:
+    """Fill the table of :func:`spin_orbit_com_table` from its spin cells.
+
+    harmonic(l3) supplies Y_{l l3} at the angles, with the channel's l;
+    each slot is its cell weight times that harmonic.
+    """
+    cells = _spin_orbit_cells(spec.j1, spec.j2, j, channel.l, channel.s, chi)
     out = np.zeros(shape + spec.spin_shape, dtype=complex)
+    for a, b, l3, weight in cells:
+        out[..., a, b] = weight * harmonic(l3)
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _spin_orbit_cells(j1, j2, j, l, s, chi) -> tuple:
+    """Nonzero slots (a, b, l3, CG * CG * (-1)**chi) of an orbital/spin table.
+
+    Memoised on the spin labels alone; invalid labels raise (and nothing
+    is cached for them).
+    """
+    j, chi = _check_chi(j, chi)
+    if not (triangle_rule(j1, j2, s) and triangle_rule(l, s, j)):
+        raise InvalidChannel(f"channel (l={l},s={s}) does not couple to spin {j}")
     phase = _minus_one_to(chi)
-    for a, chi1 in enumerate(components(spec.j1)):
-        for b, chi2 in enumerate(components(spec.j2)):
+    cells = []
+    for a, chi1 in enumerate(components(j1)):
+        for b, chi2 in enumerate(components(j2)):
             s3 = chi1 + chi2
             l3 = chi - s3
             if abs(s3) > s or abs(l3) > l:
                 continue
-            weight = su2_cgc(s, spec.j1, spec.j2, s3, chi1, chi2) * su2_cgc(
-                j, l, s, chi, l3, s3
-            )
+            weight = su2_cgc(s, j1, j2, s3, chi1, chi2) * su2_cgc(j, l, s, chi, l3, s3)
             if weight == 0.0:
                 continue
-            out[..., a, b] = weight * phase * spherical_harmonic(l, l3, theta, phi)
-    return out
+            cells.append((a, b, l3, weight * phase))
+    return tuple(cells)
 
 
 def angular_spin_orbit_com(spec: TwoParticleSpec, j, l, s, chi, chi1, chi2, theta, phi):
@@ -314,7 +338,10 @@ def helicity_com_scalar(
     mu = channel.mu
     if abs(mu) > j:
         return np.zeros(shape, dtype=complex)
-    d = wigner_d_small(j, theta)[..., component_index(j, chi), component_index(j, mu)]
+    if (j.twice - mu.twice) % 2 != 0:
+        raise ValueError(f"component {mu} invalid for j={j}")
+    # d^j_{chi mu} alone, not the whole (2j+1)^2 matrix
+    d = _d_entry(_check_j(j).twice, chi.twice, mu.twice, theta)
     norm = np.sqrt((j.twice + 1.0) / (4.0 * np.pi))
     return norm * np.exp(-1j * float(chi) * phi) * d * np.exp(1j * float(mu) * phi) + np.zeros(shape)
 

@@ -25,6 +25,7 @@ from .cgc import (
     TwoParticleSpec,
     _check_above_threshold,
     _check_scheme,
+    _spin_orbit_amplitudes,
     com_normalization,
     coupling_channels,
     helicity_com_table,
@@ -33,7 +34,7 @@ from .cgc import (
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel
 from .halfint import HalfInt, components
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import rep_matrix, spherical_harmonic, wigner_d_small
+from .su2 import _MAX_J, rep_matrix, spherical_harmonic, wigner_d_small
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -160,6 +161,11 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
         raise InvalidChannel(f"not a channel label: {channel!r}")
     if channel not in coupling_channels(spec, j, scheme):
         raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
+    return _basis_state(grid, spec, s, scheme, j, channel, component)
+
+
+def _basis_state(grid, spec, s, scheme, j, channel, component, amplitudes=None):
+    """A basis state of valid labels; amplitudes, when given, are its grid table."""
     fn = _angular_function(scheme)
 
     def evaluate(theta, phi):
@@ -173,7 +179,7 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
         j=j,
         channel=channel,
         component=component,
-        amplitudes=evaluate(grid.theta, grid.phi),
+        amplitudes=evaluate(grid.theta, grid.phi) if amplitudes is None else amplitudes,
         norm_prefactor=com_normalization(s, spec.s1, spec.s2),
         evaluator=evaluate,
     )
@@ -184,15 +190,79 @@ def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
 
     Order: j ascending, then channel enumeration order, then components
     descending. This is also the row order used by the decomposition and
-    the command-line emitters.
+    the command-line emitters. j_max must be nonnegative and small enough
+    that no evaluated spin exceeds the supported maximum (ValueError).
     """
     scheme = _check_scheme(scheme)
-    out = []
-    for j in _total_j_values(spec, HalfInt.of(j_max)):
-        for channel in coupling_channels(spec, j, scheme):
-            for chi in components(j):
-                out.append(build_com_basis_state(grid, spec, s, j, channel, chi))
-    return out
+    labels = _basis_labels(spec, j_max, scheme)
+    _check_above_threshold(s, spec.s1, spec.s2)
+    amplitude = _amplitude_source(spec, scheme, labels, grid.theta, grid.phi)
+    return [
+        _basis_state(grid, spec, s, scheme, j, channel, chi, amplitude(j, channel, chi))
+        for j, channel, chi in labels
+    ]
+
+
+def _basis_labels(spec: TwoParticleSpec, j_max, scheme: str) -> list[tuple]:
+    """(j, channel, chi) of every basis state with j <= j_max, in basis order.
+
+    Rejects a negative j_max, and one whose largest evaluated spin (j_max
+    itself for helicity d^j, l = j + j1 + j2 for spin-orbit) would exceed
+    the supported maximum, before any amplitude is computed.
+    """
+    j_max = HalfInt.of(j_max)
+    if j_max < HalfInt(0):
+        raise ValueError(f"j_max must be nonnegative, got {j_max}")
+    start = (spec.j1.twice + spec.j2.twice) % 2
+    j_values = [HalfInt(t) for t in range(start, j_max.twice + 1, 2)]
+    if j_values:
+        top = j_values[-1] + (spec.j1 + spec.j2 if scheme == "spin-orbit" else 0)
+        if top > _MAX_J:
+            raise ValueError(
+                f"j_max={j_max} needs spin {top} in the {scheme} scheme, "
+                f"above the supported maximum {_MAX_J}"
+            )
+    return [
+        (j, channel, chi)
+        for j in j_values
+        for channel in coupling_channels(spec, j, scheme)
+        for chi in components(j)
+    ]
+
+
+def _amplitude_source(spec, scheme, labels, theta, phi) -> Callable:
+    """amplitude(j, channel, chi): a label's angular table at fixed angles.
+
+    Equal bit for bit to the scheme's angular function at (theta, phi).
+    Spin-orbit tables read every Y_{lm} from one harmonic table built here
+    once, up to the largest l among the labels, instead of evaluating a
+    harmonic per table cell.
+    """
+    if scheme == "helicity":
+        return lambda j, channel, chi: _helicity_wavefunction(spec, j, channel, chi, theta, phi)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast(theta, phi).shape
+    harmonics = _harmonic_table(
+        max((int(channel.l) for _, channel, _ in labels), default=-1), theta, phi
+    )
+
+    def amplitude(j, channel, chi):
+        row = int(channel.l) * (int(channel.l) + 1)
+        return _spin_orbit_amplitudes(
+            spec, j, channel, chi, shape, lambda l3: harmonics[row - int(l3)]
+        )
+
+    return amplitude
+
+
+def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
+    if not a.grid.matches(b.grid):
+        raise GridMismatch("states live on different quadrature grids")
+    if a.s != b.s:
+        raise ValueError("states live at different invariant masses")
+    if a.scheme != b.scheme:
+        raise ValueError("states carry slots in different schemes")
 
 
 def inner_product(a: ComBasisState, b: ComBasisState) -> complex:
@@ -201,26 +271,34 @@ def inner_product(a: ComBasisState, b: ComBasisState) -> complex:
     Both states must live on matching grids (GridMismatch otherwise), at
     the same s, and in the same scheme (ValueError otherwise).
     """
-    if not a.grid.matches(b.grid):
-        raise GridMismatch("states live on different quadrature grids")
-    if a.s != b.s:
-        raise ValueError("states live at different invariant masses")
-    if a.scheme != b.scheme:
-        raise ValueError("states carry slots in different schemes")
-    return complex(
-        np.einsum("n,ncd,ncd->", a.grid.weights, a.amplitudes.conj(), b.amplitudes)
-    )
+    _check_same_space(a, b)
+    return complex(np.vdot(_weighted(a), b.amplitudes))
+
+
+def _weighted(a: ComBasisState) -> np.ndarray:
+    return a.grid.weights[:, None, None] * a.amplitudes
 
 
 def gram_matrix(states) -> np.ndarray:
-    """Hermitian matrix of pairwise inner products."""
+    """Hermitian matrix of pairwise inner products.
+
+    Entry (i, k) equals inner_product(states[i], states[k]) exactly for
+    i <= k and is mirrored below the diagonal. The states are checked
+    once, raising what inner_product raises for the first state that does
+    not share grid, s and scheme with the first one. Each row weights its
+    state once; the states are never stacked, so no copy of the basis is
+    made.
+    """
     states = list(states)
+    for b in states:
+        _check_same_space(states[0], b)
     out = np.empty((len(states), len(states)), dtype=complex)
     for i, a in enumerate(states):
+        weighted = _weighted(a)
         for k in range(i, len(states)):
-            val = inner_product(a, states[k])
-            out[i, k] = val
+            val = np.vdot(weighted, states[k].amplitudes)
             out[k, i] = np.conj(val)
+            out[i, k] = val
     return out
 
 
@@ -289,8 +367,8 @@ def _preimage_angles(theta, phi, rot3):
     return polar_angles(dirs @ rot3)
 
 
-def _rotated_evaluator(state: ComBasisState, u: np.ndarray) -> Callable:
-    """Exact evaluator for the rotated state.
+def _rotated_evaluator(spec, scheme, base: Callable, u: np.ndarray) -> Callable:
+    """Exact evaluator of a rotated state whose evaluator is base.
 
     The rotated amplitude at direction n is the original amplitude at the
     preimage direction u^-1 n, with each particle's spin slots mixed by its
@@ -300,9 +378,7 @@ def _rotated_evaluator(state: ComBasisState, u: np.ndarray) -> Callable:
     helicity slots.
     """
     rot3 = spinor_to_lorentz(u)[1:, 1:]
-    base = state.evaluator
-    spec = state.spec
-    if state.scheme == "spin-orbit":
+    if scheme == "spin-orbit":
         d1 = rep_matrix(spec.j1, u)
         d2 = rep_matrix(spec.j2, u)
 
@@ -322,6 +398,36 @@ def _rotated_evaluator(state: ComBasisState, u: np.ndarray) -> Callable:
             return amp * d1[..., :, None] * d2[..., None, :]
 
     return evaluate
+
+
+def _rotated_table_evaluator(state: ComBasisState, u: np.ndarray) -> Callable:
+    """Evaluator of a rotated state that carries only its grid table.
+
+    Interpolates in fixed-axis slots (see :func:`apply_rotation`): helicity
+    slots are not band-limited where the frames turn, since a cell
+    e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south pole.
+    """
+    spec = state.spec
+    fixed = state if state.scheme == "spin-orbit" else convert_slots_to_canonical(state)
+    base = _band_limited_evaluator(state.grid, fixed.amplitudes)
+    rotated = _rotated_evaluator(spec, "spin-orbit", base, u)
+    if state.scheme == "spin-orbit":
+        return rotated
+
+    def evaluate(theta, phi):
+        return _fixed_to_helicity_slots(spec, theta, phi, rotated(theta, phi))
+
+    return evaluate
+
+
+def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
+    """Fixed-axis spin slots re-expressed in the helicity frames at (theta, phi).
+
+    The inverse of :func:`convert_slots_to_canonical`'s map; broadcasts
+    over the angles, with the spin axes of slots trailing.
+    """
+    f1, f2 = _helicity_frames(theta, phi, spec.j1, spec.j2)
+    return np.einsum("...ca,...db,...cd->...ab", f1.conj(), f2.conj(), slots)
 
 
 def _band_limited_evaluator(grid: QuadratureGrid, amplitudes: np.ndarray) -> Callable:
@@ -345,11 +451,18 @@ def _band_limited_evaluator(grid: QuadratureGrid, amplitudes: np.ndarray) -> Cal
 
 
 def _harmonic_table(lmax: int, theta, phi) -> np.ndarray:
-    """Rows of spherical harmonics, l ascending and m descending within l."""
+    """Rows of spherical harmonics, l ascending and m descending within l.
+
+    Row l(l+1) - m holds Y_{lm}. Each m >= 0 row is one spherical_harmonic
+    call; the m < 0 rows follow from Y_{l,-m} = (-1)^m conj(Y_{lm}), the
+    same arithmetic spherical_harmonic uses for them, so every row equals
+    spherical_harmonic(l, m, theta, phi) bit for bit.
+    """
     rows = []
     for l in range(lmax + 1):
-        for m in components(HalfInt(2 * l)):
-            rows.append(spherical_harmonic(HalfInt(2 * l), m, theta, phi))
+        top = [spherical_harmonic(HalfInt(2 * l), HalfInt(2 * m), theta, phi)
+               for m in range(l, -1, -1)]
+        rows += top + [(-1.0) ** m * np.conj(top[l - m]) for m in range(1, l + 1)]
     return np.array(rows)
 
 
@@ -360,23 +473,30 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     by evaluating the state at preimage nodes, so no interpolation error
     enters while a closed-form evaluator is available. Each particle's spin
     slots are mixed by its little-group representation matrix in the
-    state's scheme. States without an evaluator (loaded tables) fall back
-    to spherical-harmonic interpolation truncated at l = n_theta - 1.
+    state's scheme.
 
     Helicity little-group elements are taken between the Jacob-Wick frames
     of :func:`_helicity_frames` at each node and at its preimage. Those
     frames are single valued on SU(2), so the phases are continuous across
     the phi = 0 seam and need no choice of branch there.
 
+    States without an evaluator (loaded tables) are interpolated by a
+    spherical-harmonic series truncated at l = n_theta - 1, always in
+    fixed-axis slots: a loaded helicity state is converted to fixed axes
+    with its frames at the grid nodes, interpolated at the preimage nodes,
+    mixed by D^{j1}(u) (x) D^{j2}(u), and converted back with the frames at
+    the image nodes. This is exact for tables band-limited below the grid
+    resolution; in fixed-axis slots a basis state is when j + j1 + j2 does
+    not exceed n_theta - 1.
+
     Only rotations are accepted: they preserve the fixed-s sphere the
     states live on. Anything outside SU(2) raises NotARotation.
     """
     u = require_su2(u)
     if state.evaluator is None:
-        state = dataclasses.replace(
-            state, evaluator=_band_limited_evaluator(state.grid, state.amplitudes)
-        )
-    evaluate = _rotated_evaluator(state, u)
+        evaluate = _rotated_table_evaluator(state, u)
+    else:
+        evaluate = _rotated_evaluator(state.spec, state.scheme, state.evaluator, u)
     return dataclasses.replace(
         state,
         amplitudes=evaluate(state.grid.theta, state.grid.phi),
@@ -514,17 +634,6 @@ class Decomposition:
     truncation_residual: float
 
 
-def _total_j_values(spec: TwoParticleSpec, j_max: HalfInt) -> list[HalfInt]:
-    start = (spec.j1.twice + spec.j2.twice) % 2
-    return [HalfInt(t) for t in range(start, j_max.twice + 1, 2)]
-
-
-def _delta_slots_to_helicity(psi: DeltaProductState) -> np.ndarray:
-    """Fixed-axis spin slots re-expressed in helicity frames at the state's direction."""
-    f1, f2 = _helicity_frames(psi.theta, psi.phi, psi.spec.j1, psi.spec.j2)
-    return np.einsum("ca,db,cd->ab", f1.conj(), f2.conj(), psi.coefficients)
-
-
 def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decomposition:
     """Partial-wave coefficients of a product state, for every j <= j_max.
 
@@ -534,18 +643,19 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
     Delta-state spin slots are fixed-axis components and are converted to
     the local helicity frames first when decomposing in the helicity
     scheme; grid states must already carry slots in the requested scheme.
+    j_max is checked as in :func:`all_basis_states`.
     """
     scheme = _check_scheme(scheme)
     j_max = HalfInt.of(j_max)
+    labels = _basis_labels(spec, j_max, scheme)
     _check_above_threshold(s, spec.s1, spec.s2)
-    fn = _angular_function(scheme)
     if isinstance(psi, DeltaProductState):
         slots = psi.coefficients
         if scheme == "helicity":
-            slots = _delta_slots_to_helicity(psi)
+            slots = _fixed_to_helicity_slots(spec, psi.theta, psi.phi, slots)
+        amplitude = _amplitude_source(spec, scheme, labels, psi.theta, psi.phi)
 
-        def coefficient(j, channel, chi):
-            amp = fn(spec, j, channel, chi, psi.theta, psi.phi)
+        def overlap(amp):
             return complex(np.sum(amp.conj() * slots))
 
         psi_norm2 = math.inf
@@ -555,9 +665,9 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
                 f"grid state carries {psi.scheme!r} slots; cannot decompose in {scheme!r}"
             )
         grid = psi.grid
+        amplitude = _amplitude_source(spec, scheme, labels, grid.theta, grid.phi)
 
-        def coefficient(j, channel, chi):
-            amp = fn(spec, j, channel, chi, grid.theta, grid.phi)
+        def overlap(amp):
             return complex(
                 np.einsum("n,ncd,ncd->", grid.weights, amp.conj(), psi.amplitudes)
             )
@@ -566,13 +676,10 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
     else:
         raise ValueError(f"not a product state: {psi!r}")
 
-    entries = []
-    for j in _total_j_values(spec, j_max):
-        for channel in coupling_channels(spec, j, scheme):
-            for chi in components(j):
-                entries.append(
-                    DecompositionEntry(j, channel, chi, coefficient(j, channel, chi))
-                )
+    entries = [
+        DecompositionEntry(j, channel, chi, overlap(amplitude(j, channel, chi)))
+        for j, channel, chi in labels
+    ]
     coeff_norm2 = float(sum(abs(e.coefficient) ** 2 for e in entries))
     residual = math.inf if math.isinf(psi_norm2) else psi_norm2 - coeff_norm2
     return Decomposition(
@@ -589,10 +696,14 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
 def reconstruct(decomposition: Decomposition, grid: QuadratureGrid,
                 spec: TwoParticleSpec) -> GridProductState:
     """Sum coefficient times basis amplitude over all entries of a decomposition."""
-    fn = _angular_function(decomposition.scheme)
+    entries = decomposition.entries
+    amplitude = _amplitude_source(
+        spec, decomposition.scheme, [(e.j, e.channel, e.component) for e in entries],
+        grid.theta, grid.phi,
+    )
     total = np.zeros((grid.size,) + spec.spin_shape, dtype=complex)
-    for e in decomposition.entries:
-        total += e.coefficient * fn(spec, e.j, e.channel, e.component, grid.theta, grid.phi)
+    for e in entries:
+        total += e.coefficient * amplitude(e.j, e.channel, e.component)
     return GridProductState(grid=grid, spec=spec, amplitudes=total,
                             scheme=decomposition.scheme)
 

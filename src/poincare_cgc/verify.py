@@ -40,7 +40,7 @@ from .lorentz import (
 from .reference_tables import CHANNEL_ROWS, reference_cells, variant_cells
 from .states import (
     MEASURED_GRAM_DIAGONAL,
-    _helicity_frames,
+    _fixed_to_helicity_slots,
     all_basis_states,
     apply_rotation,
     bell_state,
@@ -496,14 +496,9 @@ def _check_helicity_roundtrip() -> float:
         for channel in coupling_channels(_SPEC, j, "helicity"):
             state = build_com_basis_state(grid, _SPEC, _PAIR_S, j, channel, j)
             converted = convert_slots_to_canonical(state)
-            back = _canonical_slots_to_helicity(converted)
+            back = _fixed_to_helicity_slots(_SPEC, grid.theta, grid.phi, converted.amplitudes)
             worst = max(worst, float(np.abs(back - state.amplitudes).max()))
     return worst
-
-
-def _canonical_slots_to_helicity(state) -> np.ndarray:
-    f1, f2 = _helicity_frames(state.grid.theta, state.grid.phi, _SPEC.j1, _SPEC.j2)
-    return np.einsum("nca,ndb,ncd->nab", f1.conj(), f2.conj(), state.amplitudes)
 
 
 def _check_json_roundtrip() -> float:

@@ -35,9 +35,11 @@ from poincare_cgc import (
     rep_matrix,
     spin_orbit_com_table,
     spin_orbit_general_table,
+    wigner_d_small,
     wigner_rotation,
 )
 from poincare_cgc.cgc import inverse_com_wigner, triangle
+from poincare_cgc.states import build_grid
 from poincare_cgc.lorentz import direction_rotation, polar_angles, spinor_to_lorentz
 from poincare_cgc.reference_tables import CHANNEL_ROWS, reference_cells, variant_cells
 
@@ -283,6 +285,48 @@ def test_amplitude_argument_validation():
         spin_orbit_com_table(FERMION_PAIR, 1, SpinOrbitChannel(0, 0), 0, 0.1, 0.2)
     with pytest.raises(InvalidChannel):
         helicity_com_scalar(FERMION_PAIR, 1, HelicityChannel(1.5, 0.5), 1, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("angles", ["scalar", "grid"])
+def test_helicity_scalar_is_the_wigner_d_entry(angles):
+    """helicity_com_scalar reads d^j_{chi mu} alone; it must equal, bit for
+    bit, the entry of the whole wigner_d_small matrix it replaces, for
+    every j <= 6, chi and mu."""
+    if angles == "scalar":
+        theta, phi = np.asarray(1.1), np.asarray(2.2)
+    else:
+        grid = build_grid(16, 33)
+        theta, phi = grid.theta, grid.phi
+    shape = np.broadcast(theta, phi).shape
+    # lam2 fixed, so lam1 = mu + lam2 runs over every mu with |mu| <= j
+    for spec, lam2 in (
+        (TwoParticleSpec(1.0, 1.0, 6, 0), HalfInt(0)),
+        (TwoParticleSpec(1.0, 1.0, 6, 0.5), HalfInt(1)),
+    ):
+        start = (spec.j1.twice + spec.j2.twice) % 2
+        for j in (HalfInt(t) for t in range(start, 13, 2)):
+            d = wigner_d_small(j, theta)
+            norm = np.sqrt((j.twice + 1.0) / (4.0 * np.pi))
+            for chi in components(j):
+                for mu in components(j):
+                    got = helicity_com_scalar(
+                        spec, j, HelicityChannel(mu + lam2, lam2), chi, theta, phi
+                    )
+                    entry = d[..., component_index(j, chi), component_index(j, mu)]
+                    want = (
+                        norm * np.exp(-1j * float(chi) * phi) * entry
+                        * np.exp(1j * float(mu) * phi) + np.zeros(shape)
+                    )
+                    np.testing.assert_array_equal(got, want)
+
+
+def test_helicity_scalar_keeps_the_spin_limit():
+    with pytest.raises(ValueError, match="supported maximum"):
+        helicity_com_scalar(FERMION_PAIR, 11, HelicityChannel(0.5, 0.5), 0, 0.1, 0.2)
+    # a component of the wrong parity for j is rejected, not evaluated
+    spec = TwoParticleSpec(1.0, 1.0, 0.5, 1)
+    with pytest.raises(ValueError, match="invalid"):
+        helicity_com_scalar(spec, 1, HelicityChannel(0.5, 1), 0, 0.1, 0.2)
 
 
 def test_table_broadcasting_and_slots(rng):

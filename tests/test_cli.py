@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from poincare_cgc import HalfInt
 from poincare_cgc.cli import main, records_from_csv, records_from_json
 
 SQRT_QUARTER_PI = 0.28209479177387814  # sqrt(1/(4 pi)) == 1/(2 sqrt(pi))
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +106,7 @@ def test_symbolic_check_round_trips_with_expressions(capsys):
         ["decompose", "psi22"],
         ["nonsense"],
         [],
+        ["decompose", "psi11", "--j-max", "-1"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -134,6 +138,28 @@ def test_output_is_byte_identical_across_runs(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("table_j1_symbolic.csv",
+         ["table", "--j", "1", "--symbolic-check", "--theta", "1.1", "--phi", "2.2"]),
+        ("table_helicity_j2.json",
+         ["table", "--scheme", "helicity", "--j", "2", "--format", "json",
+          "--theta", "0.7", "--phi", "5.1"]),
+        ("decompose_psi11_helicity_j6.csv",
+         ["decompose", "psi11", "--j-max", "6", "--scheme", "helicity"]),
+        ("decompose_psi01_j6.csv",
+         ["decompose", "psi01", "--j-max", "6", "--theta", "1.3", "--phi", "0.4"]),
+    ],
+)
+def test_output_matches_golden_file(capsys, name, argv):
+    """Output is pinned across changes, byte for byte, by files under
+    tests/data written with the same command line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 def test_verify_fast_passes(capsys):
