@@ -415,16 +415,44 @@ def inverse_com_wigner(
     return wigner_rotation(binv, p_i, convention).inverse()
 
 
+# Frames kept by _frame. Enough for the tables built at one frame to share
+# it (both conventions, a rest frame beside a boosted one); too few to
+# remember the frames of a sweep.
+_FRAME_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
+def _frame(j1, j2, convention, key) -> tuple:
+    """Per-frame part of a general-frame table: (theta, phi, D^{j1}, D^{j2}).
+
+    key is the exact bytes of (E1, p1, E2, p2), so frames are told apart
+    bit for bit (0.0 and -0.0 included). theta and phi are the polar
+    angles of the rest-frame relative direction; the D matrices rotate
+    the rest-frame spin slots to the frame of the momenta. They depend on
+    the momenta and the boost convention only, not on j, channel or chi,
+    and are returned read-only because they are shared.
+    """
+    values = np.frombuffer(key, dtype=float)
+    p1 = FourMomentum(values[0], values[1:4])
+    p2 = FourMomentum(values[4], values[5:8])
+    p = p1 + p2
+    theta, phi = polar_angles(relative_direction(p1, p2, convention))
+    d1 = rep_matrix(j1, inverse_com_wigner(p, p1, convention).matrix)
+    d2 = rep_matrix(j2, inverse_com_wigner(p, p2, convention).matrix)
+    d1.flags.writeable = False
+    d2.flags.writeable = False
+    return theta, phi, d1, d2
+
+
 def _angular_general(spec, j, channel, chi, p1, p2, scheme, com_fn):
-    p, s, s1, s2 = _pair_kinematics(p1, p2)
+    _, _, s1, s2 = _pair_kinematics(p1, p2)
     for name, want, got in (("first", spec.s1, s1), ("second", spec.s2, s2)):
         if abs(want - got) > 1e-6 * max(1.0, abs(want)):
             raise ValueError(f"{name} momentum is off shell for the pair spec: {got} vs {want}")
     convention = "canonical" if scheme == "spin-orbit" else "helicity"
-    theta, phi = polar_angles(relative_direction(p1, p2, convention))
+    key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
+    theta, phi, d1, d2 = _frame(spec.j1, spec.j2, convention, key)
     a_com = com_fn(spec, j, channel, chi, theta, phi)
-    d1 = rep_matrix(spec.j1, inverse_com_wigner(p, p1, convention).matrix)
-    d2 = rep_matrix(spec.j2, inverse_com_wigner(p, p2, convention).matrix)
     return np.einsum("ac,bd,cd->ab", d1, d2, a_com)
 
 

@@ -25,12 +25,15 @@ class HalfInt:
 
     @classmethod
     def of(cls, value) -> "HalfInt":
-        """Coerce an int, float, Fraction or HalfInt to a HalfInt."""
+        """Coerce an int, float, Fraction or HalfInt to a HalfInt.
+
+        The value must be a half-integer exactly; nothing is rounded.
+        """
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, Integral):
             return cls(2 * int(value))
-        doubled = Fraction(value).limit_denominator(10**6) * 2
+        doubled = Fraction(value) * 2
         if doubled.denominator != 1:
             raise ValueError(f"{value!r} is not a half-integer")
         return cls(int(doubled))

@@ -8,6 +8,7 @@ boosts along n with rapidity eta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,7 @@ def compose(g1: SpinorTransform, g2: SpinorTransform) -> SpinorTransform:
 
 @dataclass(frozen=True)
 class FourMomentum:
-    """On- or off-shell four-momentum (E, p)."""
+    """On- or off-shell four-momentum (E, p) with finite components."""
 
     energy: float
     p: np.ndarray
@@ -96,7 +97,10 @@ class FourMomentum:
         vec = np.asarray(self.p, dtype=float)
         if vec.shape != (3,):
             raise ValueError("p must be a 3-vector")
-        object.__setattr__(self, "energy", float(self.energy))
+        energy = float(self.energy)
+        if not (math.isfinite(energy) and np.isfinite(vec).all()):
+            raise ValueError(f"four-momentum must be finite, got E = {energy}, p = {vec}")
+        object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "p", vec)
 
     @classmethod

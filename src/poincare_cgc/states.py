@@ -643,9 +643,17 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
     Delta-state spin slots are fixed-axis components and are converted to
     the local helicity frames first when decomposing in the helicity
     scheme; grid states must already carry slots in the requested scheme.
-    j_max is checked as in :func:`all_basis_states`.
+    j_max is checked as in :func:`all_basis_states`, and the state's
+    constituent spins must be those of spec.
     """
     scheme = _check_scheme(scheme)
+    if not isinstance(psi, (DeltaProductState, GridProductState)):
+        raise ValueError(f"not a product state: {psi!r}")
+    if (psi.spec.j1, psi.spec.j2) != (spec.j1, spec.j2):
+        raise ValueError(
+            f"product state has spins ({psi.spec.j1}, {psi.spec.j2}); "
+            f"the spec has ({spec.j1}, {spec.j2})"
+        )
     j_max = HalfInt.of(j_max)
     labels = _basis_labels(spec, j_max, scheme)
     _check_above_threshold(s, spec.s1, spec.s2)
@@ -659,7 +667,7 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
             return complex(np.sum(amp.conj() * slots))
 
         psi_norm2 = math.inf
-    elif isinstance(psi, GridProductState):
+    else:
         if psi.scheme != scheme:
             raise ValueError(
                 f"grid state carries {psi.scheme!r} slots; cannot decompose in {scheme!r}"
@@ -673,8 +681,6 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
             )
 
         psi_norm2 = psi.norm2()
-    else:
-        raise ValueError(f"not a product state: {psi!r}")
 
     entries = [
         DecompositionEntry(j, channel, chi, overlap(amplitude(j, channel, chi)))
@@ -735,24 +741,59 @@ def state_to_json(state: ComBasisState) -> str:
     return json.dumps(payload)
 
 
+def _json_field(data: dict, name: str, kind=(int, float)):
+    """The named field of a state's JSON object, checked against kind.
+
+    A dotted name ("grid.n_theta") reaches into nested objects. A missing
+    or ill-typed field raises ValueError naming it; booleans are not
+    numbers here.
+    """
+    value = data
+    path = name.split(".")
+    for depth, key in enumerate(path, 1):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"state JSON lacks the field {'.'.join(path[:depth])!r}")
+        value = value[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"state JSON field {name!r} has the wrong type {type(value).__name__}")
+    return value
+
+
+def _json_half(name: str, value) -> HalfInt:
+    """A half-integer label read from the named field of a state's JSON."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return HalfInt.of(value)
+        except ValueError:
+            pass
+    raise ValueError(f"state JSON field {name!r} must hold half-integers, got {value!r}")
+
+
 def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
     """Rebuild a grid state from its JSON form.
 
     The schema does not carry the particle spins or masses, so the matching
     spec must be supplied. Loaded states carry the stored table verbatim
     and no closed-form evaluator; rotating them uses spherical-harmonic
-    interpolation.
+    interpolation. Malformed JSON, and a missing or ill-typed field, raise
+    ValueError.
     """
     data = json.loads(text)
-    scheme = _check_scheme(data["scheme"])
-    grid = build_grid(int(data["grid"]["n_theta"]), int(data["grid"]["n_phi"]))
-    eta = data["eta"]
-    if scheme == "spin-orbit":
-        channel = SpinOrbitChannel(HalfInt.of(eta[0]), HalfInt.of(eta[1]))
-    else:
-        channel = HelicityChannel(HalfInt.of(eta[0]), HalfInt.of(eta[1]))
-    s = float(data["s"])
-    flat = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    if not isinstance(data, dict):
+        raise ValueError("state JSON must be an object")
+    scheme = _check_scheme(_json_field(data, "scheme", str))
+    grid = build_grid(_json_field(data, "grid.n_theta", int), _json_field(data, "grid.n_phi", int))
+    eta = _json_field(data, "eta", list)
+    if len(eta) != 2:
+        raise ValueError(f"state JSON field 'eta' must hold two labels, got {len(eta)}")
+    labels = [_json_half("eta", x) for x in eta]
+    channel = (SpinOrbitChannel if scheme == "spin-orbit" else HelicityChannel)(*labels)
+    s = float(_json_field(data, "s"))
+    pairs = _json_field(data, "amplitudes", list)
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError):
+        raise ValueError("state JSON field 'amplitudes' must hold [re, im] number pairs") from None
     want = (grid.size,) + spec.spin_shape
     if flat.size != math.prod(want):
         raise ValueError(
@@ -763,9 +804,9 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
         spec=spec,
         s=s,
         scheme=scheme,
-        j=HalfInt.of(data["j"]),
+        j=_json_half("j", _json_field(data, "j")),
         channel=channel,
-        component=HalfInt.of(data["component"]),
+        component=_json_half("component", _json_field(data, "component")),
         amplitudes=flat.reshape(want),
         norm_prefactor=com_normalization(s, spec.s1, spec.s2),
         evaluator=None,

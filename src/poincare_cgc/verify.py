@@ -400,6 +400,8 @@ def _check_gram_fast() -> float:
 
 
 def _rotation_fixture():
+    """j <= 1 orbital/spin states on 16x33, a seeded rotation u and the
+    overlaps <state | u state>; built once per :func:`run`."""
     rng = np.random.default_rng(112)
     grid = build_grid(16, 33)
     states = all_basis_states(grid, _SPEC, _PAIR_S, 1, "spin-orbit")
@@ -411,8 +413,8 @@ def _rotation_fixture():
     return states, u, overlap
 
 
-def _check_rotation_channel_preservation() -> float:
-    states, _, overlap = _rotation_fixture()
+def _check_rotation_channel_preservation(fixture) -> float:
+    states, _, overlap = fixture
     worst = 0.0
     for i, a in enumerate(states):
         for k, b in enumerate(states):
@@ -421,9 +423,9 @@ def _check_rotation_channel_preservation() -> float:
     return worst
 
 
-def _check_rotation_mixing_law() -> float:
+def _check_rotation_mixing_law(fixture) -> float:
     """Within a channel the mixing is the sign-conjugated rotation matrix."""
-    states, u, overlap = _rotation_fixture()
+    states, u, overlap = fixture
     worst = 0.0
     for j, channel in {(st.j, st.channel) for st in states}:
         idx = [i for i, st in enumerate(states) if (st.j, st.channel) == (j, channel)]
@@ -435,8 +437,8 @@ def _check_rotation_mixing_law() -> float:
     return worst
 
 
-def _bare_mixing_note() -> str:
-    states, u, overlap = _rotation_fixture()
+def _bare_mixing_note(fixture) -> str:
+    states, u, overlap = fixture
     worst = 0.0
     for j, channel in {(st.j, st.channel) for st in states}:
         idx = [i for i, st in enumerate(states) if (st.j, st.channel) == (j, channel)]
@@ -648,31 +650,39 @@ def _helicity_structure_notes() -> list:
     ]
 
 
-_FAST_CHECKS = (
-    ("sl2c-homomorphism", _check_sl2c_homomorphism, 1e-10),
-    ("metric-preservation", _check_metric_preservation, 1e-10),
-    ("standard-boosts-restore-momentum", _check_boosts_restore_momentum, 1e-10),
-    ("wigner-rotations-in-su2", _check_wigner_in_su2, 1e-10),
-    ("canonical-rotation-wigner-identity", _check_canonical_rotation_identity, 1e-10),
-    ("helicity-rotation-wigner-z-axis", _check_helicity_rotation_axis, 1e-10),
-    ("rep-matrix-homomorphism", _check_rep_homomorphism, 1e-10),
-    ("su2-cgc-orthogonality", _check_cgc_orthogonality, 1e-10),
-    ("spherical-harmonic-identities", _check_spherical_harmonics, 1e-12),
-    ("quadrature-harmonic-orthonormality", _check_quadrature_orthonormality, 1e-10),
-    ("reference-table-reproduction", _check_reference_tables, 1e-12),
-    ("channel-table-reproduction", _check_channel_table, 0.0),
-    ("com-reduction-general-frame", _check_com_reduction, 1e-12),
-    ("relative-momentum-normalization", _check_relative_momentum, 1e-10),
-    ("boosted-pair-covariance-spin-orbit", _check_boosted_covariance, 1e-10),
-    ("gram-diagonal", _check_gram_fast, 1e-8),
-    ("rotation-channel-preservation", _check_rotation_channel_preservation, 1e-8),
-    ("rotation-mixing-sign-conjugated", _check_rotation_mixing_law, 1e-8),
-    ("singlet-rotation-invariance", _check_singlet_invariance, 1e-10),
-    ("bell-state-projection", _check_bell_projection, 1e-12),
-    ("parseval-round-trip", _check_parseval, 1e-6),
-    ("helicity-slot-round-trip", _check_helicity_roundtrip, 1e-12),
-    ("json-round-trip", _check_json_roundtrip, 0.0),
-)
+def _fast_checks(rotation) -> list:
+    """(name, check, tolerance) of the fast level; rotation is the
+    :func:`_rotation_fixture` shared by the rotation checks."""
+    return [
+        ("sl2c-homomorphism", _check_sl2c_homomorphism, 1e-10),
+        ("metric-preservation", _check_metric_preservation, 1e-10),
+        ("standard-boosts-restore-momentum", _check_boosts_restore_momentum, 1e-10),
+        ("wigner-rotations-in-su2", _check_wigner_in_su2, 1e-10),
+        ("canonical-rotation-wigner-identity", _check_canonical_rotation_identity, 1e-10),
+        ("helicity-rotation-wigner-z-axis", _check_helicity_rotation_axis, 1e-10),
+        ("rep-matrix-homomorphism", _check_rep_homomorphism, 1e-10),
+        ("su2-cgc-orthogonality", _check_cgc_orthogonality, 1e-10),
+        ("spherical-harmonic-identities", _check_spherical_harmonics, 1e-12),
+        ("quadrature-harmonic-orthonormality", _check_quadrature_orthonormality, 1e-10),
+        ("reference-table-reproduction", _check_reference_tables, 1e-12),
+        ("channel-table-reproduction", _check_channel_table, 0.0),
+        ("com-reduction-general-frame", _check_com_reduction, 1e-12),
+        ("relative-momentum-normalization", _check_relative_momentum, 1e-10),
+        ("boosted-pair-covariance-spin-orbit", _check_boosted_covariance, 1e-10),
+        ("gram-diagonal", _check_gram_fast, 1e-8),
+        (
+            "rotation-channel-preservation",
+            lambda: _check_rotation_channel_preservation(rotation),
+            1e-8,
+        ),
+        ("rotation-mixing-sign-conjugated", lambda: _check_rotation_mixing_law(rotation), 1e-8),
+        ("singlet-rotation-invariance", _check_singlet_invariance, 1e-10),
+        ("bell-state-projection", _check_bell_projection, 1e-12),
+        ("parseval-round-trip", _check_parseval, 1e-6),
+        ("helicity-slot-round-trip", _check_helicity_roundtrip, 1e-12),
+        ("json-round-trip", _check_json_roundtrip, 0.0),
+    ]
+
 
 def run(level: str = "fast", gram_grid: tuple[int, int] | None = None) -> VerifyReport:
     """Run the verification suite and return the structured report.
@@ -683,7 +693,8 @@ def run(level: str = "fast", gram_grid: tuple[int, int] | None = None) -> Verify
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    specs = list(_FAST_CHECKS)
+    rotation = _rotation_fixture()
+    specs = _fast_checks(rotation)
     if level == "full":
         n_theta, n_phi = gram_grid if gram_grid is not None else (32, 64)
         specs.append(
@@ -692,7 +703,7 @@ def run(level: str = "fast", gram_grid: tuple[int, int] | None = None) -> Verify
     checks = tuple(
         CheckResult(name, float(fn()), tol) for name, fn, tol in specs
     )
-    notes = [_canonical_identity_note(), _phase_summary_note(), _bare_mixing_note()]
+    notes = [_canonical_identity_note(), _phase_summary_note(), _bare_mixing_note(rotation)]
     notes.extend(_variant_notes())
     notes.extend(_structure_notes())
     if level == "full":

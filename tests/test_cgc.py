@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_momentum, random_su2
+from conftest import random_momentum, random_sl2c, random_su2
+
+import poincare_cgc.cgc as cgc_module
 
 from poincare_cgc import (
     BelowThreshold,
@@ -362,6 +364,97 @@ def test_general_frame_reduces_to_rest_frame(scheme, rng):
                     general = helicity_general_table(FERMION_PAIR, 1, channel, chi, p1, p2)
                     com = helicity_com_table(FERMION_PAIR, 1, channel, chi, theta, phi)
                 assert np.abs(general - com).max() < 1e-12
+
+
+def _general_labels():
+    """(scheme, j, channel, chi) of every general-frame table for j <= 2."""
+    return [
+        (scheme, j, channel, chi)
+        for scheme in ("spin-orbit", "helicity")
+        for j in range(3)
+        for channel in coupling_channels(FERMION_PAIR, j, scheme)
+        for chi in components(j)
+    ]
+
+
+def _general_table(scheme, j, channel, chi, p1, p2):
+    table_fn = spin_orbit_general_table if scheme == "spin-orbit" else helicity_general_table
+    return table_fn(FERMION_PAIR, j, channel, chi, p1, p2)
+
+
+def _uncached_general_table(scheme, j, channel, chi, p1, p2):
+    """The general-frame table from its definition, with every frame
+    quantity computed afresh for this one table."""
+    convention, com_fn = {
+        "spin-orbit": ("canonical", spin_orbit_com_table),
+        "helicity": ("helicity", helicity_com_table),
+    }[scheme]
+    p = p1 + p2
+    theta, phi = polar_angles(relative_direction(p1, p2, convention))
+    a_com = com_fn(FERMION_PAIR, j, channel, chi, theta, phi)
+    d1 = rep_matrix(FERMION_PAIR.j1, inverse_com_wigner(p, p1, convention).matrix)
+    d2 = rep_matrix(FERMION_PAIR.j2, inverse_com_wigner(p, p2, convention).matrix)
+    return np.einsum("ac,bd,cd->ab", d1, d2, a_com)
+
+
+def test_general_tables_share_a_frame_bit_for_bit(rng):
+    """Every table equals its uncached definition bit for bit, whether its
+    frame is computed afresh, taken from the cache, or computed again after
+    more frames than the cache holds went through it."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    frames = [kin.momenta([0.0, 0.0, 1.0])]
+    for _ in range(3):
+        p1, p2 = kin.momenta(rng.normal(size=3))
+        alpha = random_sl2c(rng)
+        frames.append((apply_lorentz(alpha, p1), apply_lorentz(alpha, p2)))
+    labels = _general_labels()
+    assert len(labels) == 68
+    want = [[_uncached_general_table(*label, *frame) for label in labels] for frame in frames]
+    fresh = []
+    for frame in frames:
+        for label in labels:
+            cgc_module._frame.cache_clear()
+            fresh.append(_general_table(*label, *frame))
+    warm = [_general_table(*label, *frame) for frame in frames for label in labels]
+    maxsize = cgc_module._frame.cache_info().maxsize
+    for _ in range(maxsize + 1):
+        p1, p2 = kin.momenta(rng.normal(size=3))
+        spin_orbit_general_table(FERMION_PAIR, 0, SpinOrbitChannel(0, 0), 0, p1, p2)
+    assert cgc_module._frame.cache_info().currsize <= maxsize
+    evicted = [_general_table(*label, *frame) for frame in frames for label in labels]
+    want = [table for per_frame in want for table in per_frame]
+    for tables in (fresh, warm, evicted):
+        for got, expected in zip(tables, want, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_frame_cache_tells_signed_zeros_apart():
+    """Momenta that differ only in the sign of a zero component are two frames."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    _, p2 = kin.momenta([0.0, 0.0, 1.0])
+    k = float(-p2.p[2])
+    plus = FourMomentum(kin.e1, [0.0, 0.0, k])
+    minus = FourMomentum(kin.e1, [-0.0, 0.0, k])
+    channel = SpinOrbitChannel(1, 1)
+    cgc_module._frame.cache_clear()
+    spin_orbit_general_table(FERMION_PAIR, 1, channel, 0, plus, p2)
+    spin_orbit_general_table(FERMION_PAIR, 1, channel, 0, minus, p2)
+    info = cgc_module._frame.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    spin_orbit_general_table(FERMION_PAIR, 1, channel, 1, plus, p2)
+    assert cgc_module._frame.cache_info().hits == 1
+
+
+def test_cached_frame_matrices_are_read_only():
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    p1, p2 = kin.momenta([0.3, -0.2, 0.9])
+    key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
+    for convention in ("canonical", "helicity"):
+        _, _, d1, d2 = cgc_module._frame(FERMION_PAIR.j1, FERMION_PAIR.j2, convention, key)
+        for d in (d1, d2):
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[0, 0] = 0.0
 
 
 def test_general_frame_off_shell_guard():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import poincare_cgc.su2 as su2
+import poincare_cgc.verify as verify
 from poincare_cgc import HalfInt
 from poincare_cgc.cli import main, records_from_csv, records_from_json
 
@@ -222,6 +223,20 @@ def test_verify_catches_coupling_sign_mutation(capsys, monkeypatch):
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1
     assert "su2-cgc-orthogonality" in fails[0]
+
+
+def test_verify_builds_the_rotation_fixture_once(monkeypatch):
+    """The rotation checks and the bare-mixing note share one fixture per run."""
+    real = verify._rotation_fixture
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(verify, "_rotation_fixture", counted)
+    assert verify.run("fast").ok
+    assert len(calls) == 1
 
 
 def test_decompose_antialigned_state(capsys):

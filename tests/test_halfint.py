@@ -1,5 +1,8 @@
 """Exact half-integer label arithmetic."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from poincare_cgc.halfint import (
@@ -26,6 +29,21 @@ def test_twice_storage_and_of():
 def test_of_rejects_non_half_integers(bad):
     with pytest.raises(ValueError):
         HalfInt.of(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5000001, 1e-7, 1 / 3])
+def test_of_does_not_round(bad):
+    """Values within a rounding distance of a half-integer are rejected, not snapped."""
+    with pytest.raises(ValueError, match="not a half-integer"):
+        HalfInt.of(bad)
+
+
+@pytest.mark.parametrize(
+    "value, twice",
+    [(1.5, 3), (-0.5, -1), (Fraction(3, 2), 3), (np.float64(2.5), 5), (np.int64(2), 4)],
+)
+def test_of_converts_exact_half_integers(value, twice):
+    assert HalfInt.of(value) == HalfInt(twice)
 
 
 def test_twice_must_be_integral():

@@ -34,6 +34,16 @@ def test_four_momentum_basics():
     assert r.energy == 3.0 and r.pabs == 0.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_four_momentum_rejects_non_finite_components(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FourMomentum(bad, [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        FourMomentum(1.0, [0.0, bad, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        FourMomentum.on_shell(1.0, [bad, 0.0, 0.0])
+
+
 def test_spinor_transform_group_law(rng):
     a, b = random_sl2c(rng), random_sl2c(rng)
     ta = SpinorTransform(a.matrix, translation=np.array([1.0, 2.0, 3.0, 4.0]))

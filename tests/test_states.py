@@ -575,6 +575,72 @@ def test_json_rejects_truncated_payload():
         state_from_json(json.dumps(payload), FERMION_PAIR)
 
 
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("scheme", None),
+        ("scheme", 3),
+        ("s", None),
+        ("s", "9"),
+        ("j", None),
+        ("j", 0.3),
+        ("eta", None),
+        ("eta", [1.0]),
+        ("eta", [1.0, "1"]),
+        ("component", True),
+        ("grid", None),
+        ("grid.n_theta", None),
+        ("grid.n_phi", 16.0),
+        ("amplitudes", None),
+        ("amplitudes", [["1", 0.0]]),
+    ],
+)
+def test_json_rejects_missing_or_ill_typed_fields(field, change):
+    """A missing field (None here) or one of the wrong type raises ValueError naming it."""
+    grid = build_grid(8, 16)
+    state = build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 1, SpinOrbitChannel(1, 1), 0)
+    payload = json.loads(state_to_json(state))
+    *outer, name = field.split(".")
+    target = payload[outer[0]] if outer else payload
+    if change is None:
+        del target[name]
+    else:
+        target[name] = change
+    with pytest.raises(ValueError, match=repr(field)):
+        state_from_json(json.dumps(payload), FERMION_PAIR)
+
+
+def test_json_rejects_an_empty_or_non_object_payload():
+    with pytest.raises(ValueError, match="'scheme'"):
+        state_from_json("{}", FERMION_PAIR)
+    with pytest.raises(ValueError, match="object"):
+        state_from_json("[]", FERMION_PAIR)
+
+
+@pytest.mark.parametrize("kind", ["delta", "grid"])
+def test_decompose_rejects_a_state_of_other_spins(kind, monkeypatch):
+    """A product state whose constituent spins differ from the spec's raises
+    ValueError before any amplitude is computed."""
+    vector_pair = TwoParticleSpec(s1=1.0, s2=1.0, j1=1, j2=1)
+    grid = build_grid(4, 8)
+    if kind == "delta":
+        coefficients = np.zeros(vector_pair.spin_shape)
+        coefficients[0, 0] = 1.0
+        psi = DeltaProductState(spec=vector_pair, theta=0.3, phi=0.2, coefficients=coefficients)
+    else:
+        psi = GridProductState(
+            grid=grid, spec=vector_pair,
+            amplitudes=np.ones((grid.size,) + vector_pair.spin_shape, dtype=complex),
+        )
+
+    def no_work(*args):
+        raise AssertionError("amplitudes were computed for a mismatched state")
+
+    monkeypatch.setattr(states_module, "_amplitude_source", no_work)
+    with pytest.raises(ValueError, match="spins"):
+        decompose_product_state(psi, FERMION_PAIR, PAIR_S, 1)
+
+
 def test_product_state_validation():
     with pytest.raises(ValueError, match="shape"):
         DeltaProductState(spec=FERMION_PAIR, theta=0.0, phi=0.0,
