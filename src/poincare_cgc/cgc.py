@@ -11,6 +11,7 @@ amplitudes follow from them by Wigner rotations of each spin slot.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +243,20 @@ def discrete_symmetry_labels(l, s) -> tuple[int, int]:
     return (-1) ** (li + 1), (-1) ** (li + si)
 
 
+def _finite_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """theta and phi as float arrays; ValueError unless theta + phi is finite.
+
+    One test per call, a plain float test for scalar angles: the
+    general-frame tables call this for every cell.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    total = theta + phi
+    if not (math.isfinite(total) if total.ndim == 0 else np.isfinite(total).all()):
+        raise ValueError("angles theta and phi must be finite")
+    return theta, phi
+
+
 def _check_chi(j, chi) -> tuple[HalfInt, HalfInt]:
     j, chi = HalfInt.of(j), HalfInt.of(chi)
     if (j.twice - chi.twice) % 2 != 0 or abs(chi) > j:
@@ -260,10 +275,10 @@ def spin_orbit_com_table(
 
         <j1 chi1 j2 chi2 | s s3> <l l3 s s3 | j chi> (-1)**chi Y_{l l3}
 
-    with s3 = chi1 + chi2 and l3 = chi - s3.
+    with s3 = chi1 + chi2 and l3 = chi - s3. Non-finite angles raise
+    ValueError.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = _finite_angles(theta, phi)
     l = channel.l
     return _spin_orbit_amplitudes(
         spec, j, channel, chi, np.broadcast(theta, phi).shape,
@@ -327,13 +342,13 @@ def helicity_com_scalar(
     """Scalar rest-frame amplitude of a helicity channel.
 
     sqrt((2j+1)/4pi) exp(-i chi phi) d^j_{chi, mu}(theta) exp(+i mu phi)
-    with mu = lam1 - lam2; identically zero when |mu| > j.
+    with mu = lam1 - lam2; identically zero when |mu| > j. Non-finite
+    angles raise ValueError.
     """
     j, chi = _check_chi(j, chi)
     if abs(channel.lam1) > spec.j1 or abs(channel.lam2) > spec.j2:
         raise InvalidChannel(f"channel ({channel.label()}) exceeds the constituent spins")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = _finite_angles(theta, phi)
     shape = np.broadcast(theta, phi).shape
     mu = channel.mu
     if abs(mu) > j:

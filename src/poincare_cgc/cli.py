@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from . import verify as verify_suite
 from .cgc import (
     TwoParticleSpec,
-    angular_helicity_com,
-    angular_spin_orbit_com,
     coupling_channels,
+    helicity_com_scalar,
+    spin_orbit_com_table,
 )
 from .halfint import HalfInt, components
 from .reference_tables import reference_cells
@@ -198,27 +198,24 @@ def records_from_json(text: str) -> list[OutputRecord]:
 
 
 def _table_records(scheme, j, theta, phi) -> list[OutputRecord]:
+    """Rows of one table: one coupling table per (channel, chi), read slot by slot."""
     j = HalfInt.of(j)
     records = []
     for channel in coupling_channels(_SPEC, j, scheme):
         for chi in components(j):
             if scheme == "spin-orbit":
-                for c1 in components(_SPEC.j1):
-                    for c2 in components(_SPEC.j2):
-                        value = angular_spin_orbit_com(
-                            _SPEC, j, channel.l, channel.s, chi, c1, c2, theta, phi
-                        )
+                table = spin_orbit_com_table(_SPEC, j, channel, chi, theta, phi)
+                for a, c1 in enumerate(components(_SPEC.j1)):
+                    for b, c2 in enumerate(components(_SPEC.j2)):
                         records.append(
                             OutputRecord(
                                 scheme=scheme, j=j, eta=(channel.l, channel.s),
                                 component=chi, pair=(c1, c2), theta=theta,
-                                phi=phi, value=complex(value),
+                                phi=phi, value=complex(table[a, b]),
                             )
                         )
             else:
-                value = angular_helicity_com(
-                    _SPEC, j, channel.lam1, channel.lam2, chi, theta, phi
-                )
+                value = helicity_com_scalar(_SPEC, j, channel, chi, theta, phi)
                 records.append(
                     OutputRecord(
                         scheme=scheme, j=j, eta=(channel.lam1, channel.lam2),

@@ -48,7 +48,8 @@ class SpinorTransform:
         if mat.shape != (2, 2):
             raise ValueError("matrix must be 2x2")
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det - 1.0) > _DET_TOL:
+        # "not <=": a NaN or infinite entry makes det non-finite and fails too
+        if not abs(det - 1.0) <= _DET_TOL:
             raise ValueError(f"matrix must be unimodular, |det-1| = {abs(det - 1.0):.3e}")
         trans = self.translation
         trans = np.zeros(4) if trans is None else np.asarray(trans, dtype=float)
@@ -272,8 +273,10 @@ def require_su2(u, tol: float = 1e-10) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise NotARotation("rotation must be a 2x2 matrix")
-    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > tol:
-        raise NotARotation("matrix is not unitary")
+    # "not <=": a NaN or infinite entry makes the defect non-finite and fails too
+    defect = np.max(np.abs(u @ u.conj().T - np.eye(2)))
+    if not defect <= tol:
+        raise NotARotation(f"matrix is not unitary, defect {defect:.3e}")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     if abs(det - 1.0) > tol:
         raise NotARotation("matrix does not have unit determinant")

@@ -12,6 +12,7 @@ the slices decouple, so nothing here couples different values of s.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -111,9 +112,12 @@ class ComBasisState:
     the angular table in the full composite state; it is carried as a label
     and never folded into the amplitudes.
 
-    evaluator, when present, maps angle arrays to the same amplitude table
-    at arbitrary points; it is what makes rotations exact for states built
-    from closed forms. States loaded from serialized tables have none.
+    A state is plain data. When closed_form is set, the amplitudes are the
+    labels' closed form rotated by rotation, the SU(2) element applied so
+    far (None while unrotated; stored as a private read-only copy), and
+    the state can be evaluated exactly at any angles. Tables loaded from
+    JSON or produced by slot conversion are not closed-form: their
+    amplitudes are all they carry, and their rotation is None.
     """
 
     grid: QuadratureGrid
@@ -125,7 +129,23 @@ class ComBasisState:
     component: HalfInt
     amplitudes: np.ndarray
     norm_prefactor: float
-    evaluator: Callable | None = field(default=None, repr=False)
+    rotation: np.ndarray | None = field(default=None, repr=False)
+    closed_form: bool = False
+
+    def __post_init__(self):
+        if self.rotation is not None:
+            rotation = np.array(self.rotation, dtype=complex)
+            rotation.flags.writeable = False
+            object.__setattr__(self, "rotation", rotation)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    @property
+    def evaluator(self) -> Callable | None:
+        """Map of angle arrays to the amplitude table, None for a table."""
+        return functools.partial(_evaluate, self) if self.closed_form else None
 
 
 def _helicity_wavefunction(spec, j, channel, chi, theta, phi) -> np.ndarray:
@@ -139,8 +159,18 @@ def _helicity_wavefunction(spec, j, channel, chi, theta, phi) -> np.ndarray:
     return helicity_com_table(spec, j, channel, chi, theta, phi).conj()
 
 
-def _angular_function(scheme: str):
-    return spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+def _closed_form(state: ComBasisState, theta, phi) -> np.ndarray:
+    """The unrotated closed form of a state's labels at (theta, phi)."""
+    fn = spin_orbit_com_table if state.scheme == "spin-orbit" else _helicity_wavefunction
+    return fn(state.spec, state.j, state.channel, state.component, theta, phi)
+
+
+def _evaluate(state: ComBasisState, theta, phi) -> np.ndarray:
+    """A closed-form state's amplitude table at arbitrary angles."""
+    if state.rotation is None:
+        return _closed_form(state, theta, phi)
+    source = functools.partial(_closed_form, state)
+    return _rotated(state.spec, state.scheme, state.rotation, theta, phi, source)
 
 
 def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState:
@@ -161,16 +191,13 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
         raise InvalidChannel(f"not a channel label: {channel!r}")
     if channel not in coupling_channels(spec, j, scheme):
         raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
-    return _basis_state(grid, spec, s, scheme, j, channel, component)
+    label = (j, channel, component)
+    amplitude = _amplitude_source(spec, scheme, [label], grid.theta, grid.phi)
+    return _basis_state(grid, spec, s, scheme, *label, amplitude(*label))
 
 
-def _basis_state(grid, spec, s, scheme, j, channel, component, amplitudes=None):
-    """A basis state of valid labels; amplitudes, when given, are its grid table."""
-    fn = _angular_function(scheme)
-
-    def evaluate(theta, phi):
-        return fn(spec, j, channel, component, theta, phi)
-
+def _basis_state(grid, spec, s, scheme, j, channel, component, amplitudes):
+    """A closed-form basis state of valid labels with its grid table."""
     return ComBasisState(
         grid=grid,
         spec=spec,
@@ -179,9 +206,9 @@ def _basis_state(grid, spec, s, scheme, j, channel, component, amplitudes=None):
         j=j,
         channel=channel,
         component=component,
-        amplitudes=evaluate(grid.theta, grid.phi) if amplitudes is None else amplitudes,
+        amplitudes=amplitudes,
         norm_prefactor=com_normalization(s, spec.s1, spec.s2),
-        evaluator=evaluate,
+        closed_form=True,
     )
 
 
@@ -356,68 +383,56 @@ def _little_group_phase(u, r_img, r_pre):
     return val / np.abs(val)
 
 
-def _preimage_angles(theta, phi, rot3):
+def _rotated(spec, scheme, u, theta, phi, source: Callable) -> np.ndarray:
+    """Amplitude table at (theta, phi) of a state rotated by u.
+
+    The rotated amplitude at direction n is source, the unrotated state's
+    amplitude function, at the preimage direction u^-1 n, with each
+    particle's spin slots mixed by its little-group element in the
+    state's scheme: the constant matrix u itself for fixed-axis
+    (spin-orbit) slots, a direction-dependent z-rotation phase between the
+    helicity frames at the image and the preimage for helicity slots.
+    """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st = np.sin(theta)
     dirs = np.stack(
-        [st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi)],
-        axis=-1,
+        [st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi)], axis=-1
     )
-    return polar_angles(dirs @ rot3)
-
-
-def _rotated_evaluator(spec, scheme, base: Callable, u: np.ndarray) -> Callable:
-    """Exact evaluator of a rotated state whose evaluator is base.
-
-    The rotated amplitude at direction n is the original amplitude at the
-    preimage direction u^-1 n, with each particle's spin slots mixed by its
-    little-group element in the state's scheme: the constant matrix u itself
-    for fixed-axis (spin-orbit) slots, a direction-dependent z-rotation
-    phase between the helicity frames at the image and the preimage for
-    helicity slots.
-    """
-    rot3 = spinor_to_lorentz(u)[1:, 1:]
+    thp, php = polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
+    amp = source(thp, php)
     if scheme == "spin-orbit":
         d1 = rep_matrix(spec.j1, u)
         d2 = rep_matrix(spec.j2, u)
-
-        def evaluate(theta, phi):
-            thp, php = _preimage_angles(theta, phi, rot3)
-            return np.einsum("ac,bd,...cd->...ab", d1, d2, base(thp, php))
-
-    else:
-
-        def evaluate(theta, phi):
-            thp, php = _preimage_angles(theta, phi, rot3)
-            amp = base(thp, php)
-            img = _helicity_frames(theta, phi)
-            pre = _helicity_frames(thp, php)
-            d1 = _zrot_diag(spec.j1, _little_group_phase(u, img[0], pre[0]))
-            d2 = _zrot_diag(spec.j2, _little_group_phase(u, img[1], pre[1]))
-            return amp * d1[..., :, None] * d2[..., None, :]
-
-    return evaluate
+        return np.einsum("ac,bd,...cd->...ab", d1, d2, amp)
+    img = _helicity_frames(theta, phi)
+    pre = _helicity_frames(thp, php)
+    d1 = _zrot_diag(spec.j1, _little_group_phase(u, img[0], pre[0]))
+    d2 = _zrot_diag(spec.j2, _little_group_phase(u, img[1], pre[1]))
+    return amp * d1[..., :, None] * d2[..., None, :]
 
 
-def _rotated_table_evaluator(state: ComBasisState, u: np.ndarray) -> Callable:
-    """Evaluator of a rotated state that carries only its grid table.
+def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
+    """A table's amplitudes at arbitrary angles, from a harmonic fit.
 
-    Interpolates in fixed-axis slots (see :func:`apply_rotation`): helicity
-    slots are not band-limited where the frames turn, since a cell
-    e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south pole.
+    The table is projected onto scalar harmonics with l <= n_theta - 1
+    slot by slot, in fixed-axis slots: helicity slots are not band-limited
+    where the frames turn, since a cell e^{2i chi phi} d^j_{chi,-chi}(theta)
+    stays nonzero at the south pole. A helicity table is therefore
+    converted before the fit, and its helicity slots are restored by the
+    frames at (theta, phi). Exact for tables band-limited below the grid
+    resolution, an approximation otherwise.
     """
-    spec = state.spec
+    grid = state.grid
     fixed = state if state.scheme == "spin-orbit" else convert_slots_to_canonical(state)
-    base = _band_limited_evaluator(state.grid, fixed.amplitudes)
-    rotated = _rotated_evaluator(spec, "spin-orbit", base, u)
+    table = _harmonic_table(grid.n_theta - 1, grid.theta, grid.phi)
+    coeffs = np.einsum("kn,n,n...->k...", table.conj(), grid.weights, fixed.amplitudes)
+    th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    point = _harmonic_table(grid.n_theta - 1, th.ravel(), ph.ravel())
+    slots = np.einsum("km,k...->m...", point, coeffs).reshape(th.shape + coeffs.shape[1:])
     if state.scheme == "spin-orbit":
-        return rotated
-
-    def evaluate(theta, phi):
-        return _fixed_to_helicity_slots(spec, theta, phi, rotated(theta, phi))
-
-    return evaluate
+        return slots
+    return _fixed_to_helicity_slots(state.spec, theta, phi, slots)
 
 
 def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
@@ -428,26 +443,6 @@ def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
     """
     f1, f2 = _helicity_frames(theta, phi, spec.j1, spec.j2)
     return np.einsum("...ca,...db,...cd->...ab", f1.conj(), f2.conj(), slots)
-
-
-def _band_limited_evaluator(grid: QuadratureGrid, amplitudes: np.ndarray) -> Callable:
-    """Interpolating evaluator from a spherical-harmonic transform.
-
-    The stored table is projected onto scalar harmonics with l <= n_theta - 1
-    slot by slot; evaluation sums the truncated series. Exact for tables
-    band-limited below the grid resolution, an approximation otherwise.
-    """
-    table = _harmonic_table(grid.n_theta - 1, grid.theta, grid.phi)
-    coeffs = np.einsum("kn,n,n...->k...", table.conj(), grid.weights, amplitudes)
-    spin_shape = amplitudes.shape[1:]
-
-    def evaluate(theta, phi):
-        th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-        point = _harmonic_table(grid.n_theta - 1, th.ravel(), ph.ravel())
-        out = np.einsum("km,k...->m...", point, coeffs)
-        return out.reshape(th.shape + spin_shape)
-
-    return evaluate
 
 
 def _harmonic_table(lmax: int, theta, phi) -> np.ndarray:
@@ -470,38 +465,34 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     """Rotate a grid state.
 
     Node directions map forward under the rotation; the new table is built
-    by evaluating the state at preimage nodes, so no interpolation error
-    enters while a closed-form evaluator is available. Each particle's spin
+    by evaluating the state at preimage nodes, and each particle's spin
     slots are mixed by its little-group representation matrix in the
-    state's scheme.
+    state's scheme (:func:`_rotated`).
 
     Helicity little-group elements are taken between the Jacob-Wick frames
     of :func:`_helicity_frames` at each node and at its preimage. Those
     frames are single valued on SU(2), so the phases are continuous across
     the phi = 0 seam and need no choice of branch there.
 
-    States without an evaluator (loaded tables) are interpolated by a
-    spherical-harmonic series truncated at l = n_theta - 1, always in
-    fixed-axis slots: a loaded helicity state is converted to fixed axes
-    with its frames at the grid nodes, interpolated at the preimage nodes,
-    mixed by D^{j1}(u) (x) D^{j2}(u), and converted back with the frames at
-    the image nodes. This is exact for tables band-limited below the grid
-    resolution; in fixed-axis slots a basis state is when j + j1 + j2 does
-    not exceed n_theta - 1.
+    A closed-form state records u @ state.rotation and is evaluated once
+    from its labels, so no interpolation error enters and rotations
+    compose: u then v equals v @ u. A table is read at the preimage nodes
+    through :func:`_interpolated`, exact for tables band-limited below the
+    grid resolution, as a basis state is when j + j1 + j2 <= n_theta - 1.
 
     Only rotations are accepted: they preserve the fixed-s sphere the
     states live on. Anything outside SU(2) raises NotARotation.
     """
     u = require_su2(u)
-    if state.evaluator is None:
-        evaluate = _rotated_table_evaluator(state, u)
-    else:
-        evaluate = _rotated_evaluator(state.spec, state.scheme, state.evaluator, u)
-    return dataclasses.replace(
-        state,
-        amplitudes=evaluate(state.grid.theta, state.grid.phi),
-        evaluator=evaluate,
-    )
+    grid = state.grid
+    if state.closed_form:
+        rotated = dataclasses.replace(
+            state, rotation=u if state.rotation is None else u @ state.rotation
+        )
+        return dataclasses.replace(rotated, amplitudes=_evaluate(rotated, grid.theta, grid.phi))
+    source = functools.partial(_interpolated, state)
+    amplitudes = _rotated(state.spec, state.scheme, u, grid.theta, grid.phi, source)
+    return dataclasses.replace(state, amplitudes=amplitudes)
 
 
 def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
@@ -519,7 +510,7 @@ def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
     f1, f2 = _helicity_frames(state.grid.theta, state.grid.phi, state.spec.j1, state.spec.j2)
     amps = np.einsum("nac,nbd,ncd->nab", f1, f2, state.amplitudes)
     return dataclasses.replace(
-        state, scheme="spin-orbit", amplitudes=amps, evaluator=None
+        state, scheme="spin-orbit", amplitudes=amps, rotation=None, closed_form=False
     )
 
 
@@ -541,11 +532,15 @@ class DeltaProductState:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != self.spec.spin_shape:
             raise ValueError(f"coefficient table must have shape {self.spec.spin_shape}")
-        if abs(float(np.sum(np.abs(c) ** 2)) - 1.0) > 1e-8:
+        theta, phi = float(self.theta), float(self.phi)
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"angles must be finite, got theta = {theta}, phi = {phi}")
+        # "not <=" so that a NaN norm fails too
+        if not abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-8:
             raise ValueError("delta-state coefficients must satisfy sum |c|^2 = 1")
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -774,7 +769,7 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
 
     The schema does not carry the particle spins or masses, so the matching
     spec must be supplied. Loaded states carry the stored table verbatim
-    and no closed-form evaluator; rotating them uses spherical-harmonic
+    and are not closed-form; rotating them uses spherical-harmonic
     interpolation. Malformed JSON, and a missing or ill-typed field, raise
     ValueError.
     """
@@ -809,5 +804,4 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
         component=_json_half("component", _json_field(data, "component")),
         amplitudes=flat.reshape(want),
         norm_prefactor=com_normalization(s, spec.s1, spec.s2),
-        evaluator=None,
     )

@@ -176,18 +176,9 @@ def _check_wigner_in_su2() -> float:
     return worst
 
 
-def _check_canonical_rotation_identity() -> float:
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(100):
-        u = _random_su2(rng)
-        p = _random_momentum(rng, 1.0, 20.0)
-        w = wigner_rotation(SpinorTransform(u), p, "canonical")
-        worst = max(worst, float(np.abs(w.matrix - u).max()))
-    return worst
-
-
-def _canonical_identity_note() -> str:
+def _canonical_identity_draws() -> tuple[float, float]:
+    """Canonical-boost little-group elements W(u, p) of seeded rotations:
+    (max |W - u|, max |W - 1|) over 100 draws; measured once per run."""
     rng = np.random.default_rng(105)
     to_u = 0.0
     to_identity = 0.0
@@ -197,6 +188,11 @@ def _canonical_identity_note() -> str:
         w = wigner_rotation(SpinorTransform(u), p, "canonical").matrix
         to_u = max(to_u, float(np.abs(w - u).max()))
         to_identity = max(to_identity, float(np.abs(w - np.eye(2)).max()))
+    return to_u, to_identity
+
+
+def _canonical_identity_note(draws) -> str:
+    to_u, to_identity = draws
     return (
         "canonical-boost little-group elements of pure rotations equal the "
         f"rotation itself: max |W(u,p) - u| = {to_u:.3e} over 100 draws. A "
@@ -369,12 +365,15 @@ def _check_boosted_covariance() -> float:
         d2 = su2.rep_matrix(_SPEC.j2, wigner_rotation(boost, p2).matrix)
         dj = su2.rep_matrix(j, wigner_rotation(boost, FourMomentum.rest(_PAIR_S)).matrix)
         for channel in coupling_channels(_SPEC, j, "spin-orbit"):
+            tables = [
+                spin_orbit_general_table(_SPEC, j, channel, chi_p, p1, p2)
+                for chi_p in components(j)
+            ]
             for chi in components(j):
                 lhs = spin_orbit_general_table(_SPEC, j, channel, chi, q1, q2)
                 icol = component_index(j, chi)
                 rhs = np.zeros_like(lhs)
-                for chi_p in components(j):
-                    table = spin_orbit_general_table(_SPEC, j, channel, chi_p, p1, p2)
+                for chi_p, table in zip(components(j), tables):
                     rhs += dj[component_index(j, chi_p), icol] * np.einsum(
                         "ac,bd,cd->ab", d1, d2, table
                     )
@@ -399,9 +398,14 @@ def _check_gram_fast() -> float:
     return _check_gram(1, 24, 48)
 
 
-def _rotation_fixture():
-    """j <= 1 orbital/spin states on 16x33, a seeded rotation u and the
-    overlaps <state | u state>; built once per :func:`run`."""
+def _rotation_fixture() -> tuple[float, float, float]:
+    """j <= 1 orbital/spin states on 16x33 rotated by a seeded u, measured
+    in one walk over their (j, channel) blocks; built once per :func:`run`.
+
+    Returns the largest overlap <state | u state> across blocks and the
+    worst deviation of a block from the sign-conjugated law S D(u) S,
+    S = diag((-1)^chi), and from the bare D(u).
+    """
     rng = np.random.default_rng(112)
     grid = build_grid(16, 33)
     states = all_basis_states(grid, _SPEC, _PAIR_S, 1, "spin-orbit")
@@ -410,45 +414,25 @@ def _rotation_fixture():
     overlap = np.array(
         [[complex(inner_product(a, b)) for b in rotated] for a in states]
     )
-    return states, u, overlap
+    labels = [(st.j, st.channel) for st in states]
+    cross = law = bare = 0.0
+    for j, channel in set(labels):
+        inside = np.array([label == (j, channel) for label in labels])
+        block = overlap[np.ix_(inside, inside)]
+        xi = np.diag([(-1.0) ** int(c) for c in components(j)])
+        dj = su2.rep_matrix(j, u)
+        law = max(law, float(np.abs(block - MEASURED_GRAM_DIAGONAL * (xi @ dj @ xi)).max()))
+        bare = max(bare, float(np.abs(block - dj).max()))
+        cross = max(cross, float(np.abs(overlap[np.ix_(inside, ~inside)]).max()))
+    return cross, law, bare
 
 
-def _check_rotation_channel_preservation(fixture) -> float:
-    states, _, overlap = fixture
-    worst = 0.0
-    for i, a in enumerate(states):
-        for k, b in enumerate(states):
-            if (a.j, a.channel) != (b.j, b.channel):
-                worst = max(worst, float(abs(overlap[i, k])))
-    return worst
-
-
-def _check_rotation_mixing_law(fixture) -> float:
-    """Within a channel the mixing is the sign-conjugated rotation matrix."""
-    states, u, overlap = fixture
-    worst = 0.0
-    for j, channel in {(st.j, st.channel) for st in states}:
-        idx = [i for i, st in enumerate(states) if (st.j, st.channel) == (j, channel)]
-        block = overlap[np.ix_(idx, idx)]
-        comps = components(j)
-        xi = np.diag([(-1.0) ** int(c) for c in comps])
-        law = xi @ su2.rep_matrix(j, u) @ xi
-        worst = max(worst, float(np.abs(block - MEASURED_GRAM_DIAGONAL * law).max()))
-    return worst
-
-
-def _bare_mixing_note(fixture) -> str:
-    states, u, overlap = fixture
-    worst = 0.0
-    for j, channel in {(st.j, st.channel) for st in states}:
-        idx = [i for i, st in enumerate(states) if (st.j, st.channel) == (j, channel)]
-        block = overlap[np.ix_(idx, idx)]
-        worst = max(worst, float(np.abs(block - su2.rep_matrix(j, u)).max()))
+def _bare_mixing_note(bare: float) -> str:
     return (
         "orbital/spin basis states mix under a rotation u by S D(u) S with "
         "S = diag((-1)^chi), a relabeling forced by the (-1)^chi phase in "
         "the coupling amplitude; the bare D(u) mixing law misses by "
-        f"{worst:.3e} on the same draws that pass the conjugated law."
+        f"{bare:.3e} on the same draws that pass the conjugated law."
     )
 
 
@@ -561,8 +545,7 @@ def _helicity_phase_residuals() -> list:
     return rows
 
 
-def _phase_summary_note() -> str:
-    rows = _helicity_phase_residuals()
+def _phase_summary_note(rows) -> str:
     plus = max(r[1] for r in rows)
     minus = max(r[2] for r in rows)
     return (
@@ -573,8 +556,7 @@ def _phase_summary_note() -> str:
     )
 
 
-def _phase_table_notes() -> list:
-    rows = _helicity_phase_residuals()
+def _phase_table_notes(rows) -> list:
     notes = ["residual table, trailing phase exp(+i(lam1-lam2)phi):"]
     for cell, plus, _ in rows:
         notes.append(
@@ -650,15 +632,16 @@ def _helicity_structure_notes() -> list:
     ]
 
 
-def _fast_checks(rotation) -> list:
-    """(name, check, tolerance) of the fast level; rotation is the
-    :func:`_rotation_fixture` shared by the rotation checks."""
+def _fast_checks(canonical, rotation) -> list:
+    """(name, check, tolerance) of the fast level; canonical and rotation
+    are the :func:`_canonical_identity_draws` and :func:`_rotation_fixture`
+    measurements that checks and notes share."""
     return [
         ("sl2c-homomorphism", _check_sl2c_homomorphism, 1e-10),
         ("metric-preservation", _check_metric_preservation, 1e-10),
         ("standard-boosts-restore-momentum", _check_boosts_restore_momentum, 1e-10),
         ("wigner-rotations-in-su2", _check_wigner_in_su2, 1e-10),
-        ("canonical-rotation-wigner-identity", _check_canonical_rotation_identity, 1e-10),
+        ("canonical-rotation-wigner-identity", lambda: canonical[0], 1e-10),
         ("helicity-rotation-wigner-z-axis", _check_helicity_rotation_axis, 1e-10),
         ("rep-matrix-homomorphism", _check_rep_homomorphism, 1e-10),
         ("su2-cgc-orthogonality", _check_cgc_orthogonality, 1e-10),
@@ -670,12 +653,8 @@ def _fast_checks(rotation) -> list:
         ("relative-momentum-normalization", _check_relative_momentum, 1e-10),
         ("boosted-pair-covariance-spin-orbit", _check_boosted_covariance, 1e-10),
         ("gram-diagonal", _check_gram_fast, 1e-8),
-        (
-            "rotation-channel-preservation",
-            lambda: _check_rotation_channel_preservation(rotation),
-            1e-8,
-        ),
-        ("rotation-mixing-sign-conjugated", lambda: _check_rotation_mixing_law(rotation), 1e-8),
+        ("rotation-channel-preservation", lambda: rotation[0], 1e-8),
+        ("rotation-mixing-sign-conjugated", lambda: rotation[1], 1e-8),
         ("singlet-rotation-invariance", _check_singlet_invariance, 1e-10),
         ("bell-state-projection", _check_bell_projection, 1e-12),
         ("parseval-round-trip", _check_parseval, 1e-6),
@@ -693,8 +672,9 @@ def run(level: str = "fast", gram_grid: tuple[int, int] | None = None) -> Verify
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    canonical = _canonical_identity_draws()
     rotation = _rotation_fixture()
-    specs = _fast_checks(rotation)
+    specs = _fast_checks(canonical, rotation)
     if level == "full":
         n_theta, n_phi = gram_grid if gram_grid is not None else (32, 64)
         specs.append(
@@ -703,9 +683,14 @@ def run(level: str = "fast", gram_grid: tuple[int, int] | None = None) -> Verify
     checks = tuple(
         CheckResult(name, float(fn()), tol) for name, fn, tol in specs
     )
-    notes = [_canonical_identity_note(), _phase_summary_note(), _bare_mixing_note(rotation)]
+    phase_rows = _helicity_phase_residuals()
+    notes = [
+        _canonical_identity_note(canonical),
+        _phase_summary_note(phase_rows),
+        _bare_mixing_note(rotation[2]),
+    ]
     notes.extend(_variant_notes())
     notes.extend(_structure_notes())
     if level == "full":
-        notes.extend(_phase_table_notes())
+        notes.extend(_phase_table_notes(phase_rows))
     return VerifyReport(level=level, checks=checks, notes=tuple(notes))

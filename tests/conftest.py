@@ -12,16 +12,22 @@ def rng():
     return np.random.default_rng(20260814)
 
 
-def random_su2(rng, n=1):
-    """Haar-distributed SU(2) matrices from normalized quaternions."""
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a = q[:, 0] + 1j * q[:, 1]
-    b = q[:, 2] + 1j * q[:, 3]
-    u = np.stack(
+def quaternion_su2(q):
+    """SU(2) matrices of the unit quaternions along q (nonzero 4-vectors,
+    the last axis)."""
+    q = np.asarray(q, dtype=float)
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    a = q[..., 0] + 1j * q[..., 1]
+    b = q[..., 2] + 1j * q[..., 3]
+    return np.stack(
         [np.stack([a, -np.conj(b)], axis=-1), np.stack([b, np.conj(a)], axis=-1)],
         axis=-2,
     )
+
+
+def random_su2(rng, n=1):
+    """Haar-distributed SU(2) matrices from normalized quaternions."""
+    u = quaternion_su2(rng.normal(size=(n, 4)))
     return u[0] if n == 1 else u
 
 

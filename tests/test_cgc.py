@@ -289,6 +289,15 @@ def test_amplitude_argument_validation():
         helicity_com_scalar(FERMION_PAIR, 1, HelicityChannel(1.5, 0.5), 1, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rest_frame_amplitudes_reject_non_finite_angles(bad):
+    for theta, phi in ((bad, 0.2), (0.1, bad), (np.array([0.1, bad]), 0.2)):
+        with pytest.raises(ValueError, match="finite"):
+            spin_orbit_com_table(FERMION_PAIR, 1, SpinOrbitChannel(1, 1), 0, theta, phi)
+        with pytest.raises(ValueError, match="finite"):
+            helicity_com_scalar(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, theta, phi)
+
+
 @pytest.mark.parametrize("angles", ["scalar", "grid"])
 def test_helicity_scalar_is_the_wigner_d_entry(angles):
     """helicity_com_scalar reads d^j_{chi mu} alone; it must equal, bit for

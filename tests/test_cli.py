@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import poincare_cgc.cli as cli_module
 import poincare_cgc.su2 as su2
 import poincare_cgc.verify as verify
 from poincare_cgc import HalfInt
@@ -114,6 +115,38 @@ def test_usage_errors_exit_2(capsys, argv):
     code = main(argv)
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "psi11", "--theta", "nan", "--j-max", "0"],
+        ["decompose", "psi00", "--phi", "inf"],
+        ["table", "--j", "0", "--theta", "inf"],
+        ["table", "--j", "1", "--scheme", "helicity", "--phi", "nan"],
+    ],
+)
+def test_non_finite_angles_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_table_builds_one_table_per_channel_and_component(capsys, monkeypatch):
+    """table --j 1 reads its 48 spin-orbit rows from 12 tables."""
+    real = cli_module.spin_orbit_com_table
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "spin_orbit_com_table", counted)
+    code, out, _ = run_cli(capsys, "table", "--j", "1")
+    assert code == 0
+    assert len(records_from_csv(out)) == 48
+    assert len(calls) == 12
 
 
 def test_symbolic_check_names_available_tables(capsys):
@@ -237,6 +270,45 @@ def test_verify_builds_the_rotation_fixture_once(monkeypatch):
     monkeypatch.setattr(verify, "_rotation_fixture", counted)
     assert verify.run("fast").ok
     assert len(calls) == 1
+
+
+def test_boosted_covariance_builds_each_table_once(monkeypatch):
+    """10 draws x 4 channels x 3 components: one rest-frame table per
+    (draw, channel, chi') and one boosted table per (draw, channel, chi)."""
+    real = verify.spin_orbit_general_table
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "spin_orbit_general_table", counted)
+    assert verify._check_boosted_covariance() <= 1e-10
+    assert len(calls) == 240
+
+
+def test_verify_measures_shared_draws_once(monkeypatch):
+    """The canonical-identity draws and the helicity phase residuals feed a
+    check and a note, or two notes; each is measured once per full run."""
+    calls = []
+    for name in ("_canonical_identity_draws", "_helicity_phase_residuals"):
+        real = getattr(verify, name)
+
+        def counted(real=real, name=name):
+            calls.append(name)
+            return real()
+
+        monkeypatch.setattr(verify, name, counted)
+    # leave out the expensive checks and notes; only the wiring is counted
+    monkeypatch.setattr(verify, "_rotation_fixture", lambda: (0.0, 0.0, 0.0))
+    monkeypatch.setattr(verify, "_structure_notes", lambda: [])
+    monkeypatch.setattr(
+        verify, "_fast_checks",
+        lambda canonical, rotation: [("canonical", lambda: canonical[0], 1e-10)],
+    )
+    report = verify.run("full", gram_grid=(4, 8))
+    assert report.checks[0].passed
+    assert sorted(calls) == ["_canonical_identity_draws", "_helicity_phase_residuals"]
 
 
 def test_decompose_antialigned_state(capsys):

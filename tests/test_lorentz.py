@@ -212,3 +212,15 @@ def test_require_su2(rng):
         require_su2(canonical_boost(random_momentum(rng, 1.0, 5.0)))
     with pytest.raises(NotARotation):
         require_su2(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_group_element_checks_reject_non_finite_entries(bad):
+    """A NaN entry makes every "residual > tol" comparison False; the checks
+    must reject it rather than pass it on (inf * 0 warns on the way)."""
+    for m in ([[bad, 0.0], [0.0, 1.0]], [[0.0, 1j * bad], [1.0, 0.0]]):
+        with pytest.raises(NotARotation, match="not unitary"):
+            require_su2(np.array(m))
+        with pytest.raises(ValueError, match="unimodular"):
+            SpinorTransform(np.array(m))
