@@ -186,6 +186,18 @@ def test_output_is_byte_identical_across_runs(capsys):
          ["decompose", "psi11", "--j-max", "6", "--scheme", "helicity"]),
         ("decompose_psi01_j6.csv",
          ["decompose", "psi01", "--j-max", "6", "--theta", "1.3", "--phi", "0.4"]),
+        ("table_helicity_j1.csv",
+         ["table", "--scheme", "helicity", "--j", "1", "--theta", "2.2",
+          "--phi", "4.4"]),
+        ("table_j1_symbolic.json",
+         ["table", "--j", "1", "--symbolic-check", "--format", "json",
+          "--theta", "1.1", "--phi", "2.2"]),
+        ("decompose_psi10_j2.json",
+         ["decompose", "psi10", "--j-max", "2", "--theta", "0.8", "--phi", "3.9",
+          "--format", "json"]),
+        ("decompose_psi10_helicity_j2.json",
+         ["decompose", "psi10", "--j-max", "2", "--theta", "0.8", "--phi", "3.9",
+          "--format", "json", "--scheme", "helicity"]),
     ],
 )
 def test_output_matches_golden_file(capsys, name, argv):
