@@ -77,7 +77,7 @@ class TwoParticleSpec:
 
 @dataclass(frozen=True)
 class SpinOrbitChannel:
-    """Orbital angular momentum l coupled with total constituent spin s."""
+    """Orbital angular momentum l coupled with total constituent spin s; eta = (l, s)."""
 
     l: HalfInt
     s: HalfInt
@@ -90,13 +90,17 @@ class SpinOrbitChannel:
         if self.s < HalfInt(0):
             raise InvalidChannel(f"total spin must be nonnegative, got {self.s}")
 
+    @property
+    def eta(self) -> tuple[HalfInt, HalfInt]:
+        return (self.l, self.s)
+
     def label(self) -> str:
         return f"l={self.l},s={self.s}"
 
 
 @dataclass(frozen=True)
 class HelicityChannel:
-    """Rest-frame helicity labels of the two constituents."""
+    """Rest-frame helicity labels of the two constituents; eta = (lam1, lam2)."""
 
     lam1: HalfInt
     lam2: HalfInt
@@ -108,6 +112,10 @@ class HelicityChannel:
     @property
     def mu(self) -> HalfInt:
         return self.lam1 - self.lam2
+
+    @property
+    def eta(self) -> tuple[HalfInt, HalfInt]:
+        return (self.lam1, self.lam2)
 
     def label(self) -> str:
         return f"lam1={self.lam1},lam2={self.lam2}"

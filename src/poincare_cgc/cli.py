@@ -19,8 +19,6 @@ All commands are deterministic: identical flags produce byte-identical
 output. Angles are radians. Numbers are printed with 17 significant
 digits ("." decimal separator, no locale), which round-trips IEEE doubles
 losslessly. Exit codes: 0 success, 1 verification failure, 2 usage error.
-The environment variable POINCARE_CGC_GRID="n_theta,n_phi" overrides the
-32,64 quadrature used by the full-level Gram check.
 """
 
 from __future__ import annotations
@@ -29,12 +27,15 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import verify as verify_suite
 from .cgc import (
+    SCHEMES,
     TwoParticleSpec,
     coupling_channels,
     helicity_com_scalar,
@@ -59,24 +60,54 @@ _SPEC = TwoParticleSpec.fermion_pair(1.0)
 # coefficients do not depend on it.
 _DECOMPOSE_S = 9.0
 
-_TABLE_COLUMNS = (
-    "scheme", "j", "eta1", "eta2", "component", "chi1", "chi2",
-    "theta", "phi", "value_re", "value_im",
+
+class _Field(NamedTuple):
+    """One output field: its JSON key, its CSV column or the two columns of
+    a pair, the type its text parses back to (str, float, HalfInt, or
+    complex for a re/im pair) and the attribute it renders, dotted paths
+    allowed, when that is not the key."""
+
+    key: str
+    columns: tuple
+    kind: type = HalfInt
+    attr: str = ""
+
+    def get(self, row):
+        return attrgetter(self.attr or self.key)(row)
+
+
+_TABLE_FIELDS = (
+    _Field("scheme", ("scheme",), str),
+    _Field("j", ("j",)),
+    _Field("eta", ("eta1", "eta2")),
+    _Field("component", ("component",)),
+    _Field("pair", ("chi1", "chi2")),
+    _Field("theta", ("theta",), float),
+    _Field("phi", ("phi",), float),
+    _Field("value", ("value_re", "value_im"), complex),
 )
-_SYMBOLIC_COLUMNS = _TABLE_COLUMNS + ("expression", "residual")
-_DECOMPOSE_COLUMNS = ("j", "eta1", "eta2", "component", "coeff_re", "coeff_im")
+_SYMBOLIC_FIELDS = _TABLE_FIELDS + (
+    _Field("expression", ("expression",), str),
+    _Field("residual", ("residual",), float),
+)
+_DECOMPOSE_FIELDS = (
+    _Field("j", ("j",)),
+    _Field("eta", ("eta1", "eta2"), attr="channel.eta"),
+    _Field("component", ("component",)),
+    _Field("coefficient", ("coeff_re", "coeff_im"), complex),
+)
 
 
 @dataclass(frozen=True)
 class OutputRecord:
     """Self-describing row of the table emitters.
 
-    eta holds the channel degeneracy pair: (l, s) for spin-orbit rows,
-    (lambda1, lambda2) for helicity rows. pair holds the spin slot the
-    value belongs to; for helicity rows it repeats the channel pair, since
-    those amplitudes live on the channel's own helicity slot. value is the
-    coefficient at (theta, phi). expression and residual are set only by
-    --symbolic-check.
+    eta holds the channel degeneracy pair ``channel.eta``: (l, s) for
+    spin-orbit rows, (lambda1, lambda2) for helicity rows. pair holds the
+    spin slot the value belongs to; for helicity rows it repeats the
+    channel pair, since those amplitudes live on the channel's own helicity
+    slot. value is the coefficient at (theta, phi). expression and residual
+    are set only by --symbolic-check.
     """
 
     scheme: str
@@ -96,133 +127,108 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _record_csv_row(rec: OutputRecord) -> list[str]:
-    row = [
-        rec.scheme, _fmt(rec.j), _fmt(rec.eta[0]), _fmt(rec.eta[1]),
-        _fmt(rec.component), _fmt(rec.pair[0]), _fmt(rec.pair[1]),
-        _fmt(rec.theta), _fmt(rec.phi), _fmt(rec.value.real), _fmt(rec.value.imag),
-    ]
-    if rec.expression is not None:
-        row += [rec.expression, _fmt(rec.residual)]
-    return row
+def _parts(value) -> tuple:
+    """A field's value as its cells: a pair or a complex number fills two."""
+    if isinstance(value, complex):
+        return value.real, value.imag
+    return value if isinstance(value, tuple) else (value,)
 
 
-def _record_json_pairs(rec: OutputRecord) -> list[tuple[str, str]]:
-    pairs = [
-        ("scheme", json.dumps(rec.scheme)),
-        ("j", _fmt(rec.j)),
-        ("eta", f"[{_fmt(rec.eta[0])}, {_fmt(rec.eta[1])}]"),
-        ("component", _fmt(rec.component)),
-        ("pair", f"[{_fmt(rec.pair[0])}, {_fmt(rec.pair[1])}]"),
-        ("theta", _fmt(rec.theta)),
-        ("phi", _fmt(rec.phi)),
-        ("value", f"[{_fmt(rec.value.real)}, {_fmt(rec.value.imag)}]"),
-    ]
-    if rec.expression is not None:
-        pairs.append(("expression", json.dumps(rec.expression)))
-        pairs.append(("residual", _fmt(rec.residual)))
-    return pairs
+def _cell(part, fmt: str) -> str:
+    if not isinstance(part, str):
+        return _fmt(part)
+    return part if fmt == "csv" else json.dumps(part)
 
 
-def _emit_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _render(fields, rows, fmt: str) -> str:
+    """CSV, or a JSON array with one object per row, of the fields of rows.
 
-
-def _emit_json(objects) -> str:
-    """Serialize rows of (key, rendered-value) pairs as a JSON array.
-
-    Rendering is done by hand so numbers keep the same 17-digit form as
-    the CSV emitter; json.dumps would reformat floats.
+    JSON is rendered by hand so numbers keep the same 17-digit form as the
+    CSV; json.dumps would reformat floats.
     """
-    objects = list(objects)
-    if not objects:
+    table = [[[_cell(p, fmt) for p in _parts(f.get(row))] for f in fields] for row in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [_columns(fields)] + [[t for texts in row for t in texts] for row in table]
+        )
+        return buf.getvalue()
+    if not table:
         return "[]\n"
-    lines = []
-    for pairs in objects:
-        body = ", ".join(f'"{key}": {value}' for key, value in pairs)
-        lines.append("{" + body + "}")
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+    def value(texts):
+        return texts[0] if len(texts) == 1 else "[" + ", ".join(texts) + "]"
+
+    objects = [
+        "{" + ", ".join(f'"{f.key}": {value(texts)}' for f, texts in zip(fields, row)) + "}"
+        for row in table
+    ]
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _halfint_field(text: str) -> HalfInt:
-    return HalfInt.of(float(text))
+def _parse(field, parts):
+    """A field's value from its CSV cells or the parts of its JSON value."""
+    if field.kind is str:
+        return parts[0]
+    numbers = [float(x) for x in parts]
+    if field.kind is complex:
+        return complex(*numbers)
+    if field.kind is HalfInt:
+        numbers = [HalfInt.of(x) for x in numbers]
+    return numbers[0] if len(numbers) == 1 else tuple(numbers)
+
+
+def _record(fields, parts_of) -> OutputRecord:
+    """The record whose fields hold the cells parts_of(field) hands over."""
+    return OutputRecord(**{f.key: _parse(f, parts_of(f)) for f in fields})
+
+
+def _columns(fields) -> tuple:
+    return tuple(c for f in fields for c in f.columns)
 
 
 def records_from_csv(text: str) -> list[OutputRecord]:
     """Parse table-command CSV output back into records."""
     rows = list(csv.reader(io.StringIO(text)))
-    header, body = tuple(rows[0]), rows[1:]
-    if header not in (_TABLE_COLUMNS, _SYMBOLIC_COLUMNS):
+    header = tuple(rows[0])
+    fields = {_columns(f): f for f in (_TABLE_FIELDS, _SYMBOLIC_FIELDS)}.get(header)
+    if fields is None:
         raise ValueError(f"unrecognized table header: {header!r}")
-    out = []
-    for row in body:
-        rec = OutputRecord(
-            scheme=row[0],
-            j=_halfint_field(row[1]),
-            eta=(_halfint_field(row[2]), _halfint_field(row[3])),
-            component=_halfint_field(row[4]),
-            pair=(_halfint_field(row[5]), _halfint_field(row[6])),
-            theta=float(row[7]),
-            phi=float(row[8]),
-            value=complex(float(row[9]), float(row[10])),
-            expression=row[11] if len(row) > 11 else None,
-            residual=float(row[12]) if len(row) > 11 else None,
-        )
-        out.append(rec)
-    return out
+    return [
+        _record(fields, lambda f: [cell[c] for c in f.columns])
+        for cell in (dict(zip(header, row)) for row in rows[1:])
+    ]
 
 
 def records_from_json(text: str) -> list[OutputRecord]:
     """Parse table-command JSON output back into records."""
-    out = []
-    for obj in json.loads(text):
-        out.append(
-            OutputRecord(
-                scheme=obj["scheme"],
-                j=HalfInt.of(obj["j"]),
-                eta=tuple(HalfInt.of(x) for x in obj["eta"]),
-                component=HalfInt.of(obj["component"]),
-                pair=tuple(HalfInt.of(x) for x in obj["pair"]),
-                theta=float(obj["theta"]),
-                phi=float(obj["phi"]),
-                value=complex(*obj["value"]),
-                expression=obj.get("expression"),
-                residual=obj.get("residual"),
-            )
+    return [
+        _record(
+            _SYMBOLIC_FIELDS if "expression" in obj else _TABLE_FIELDS,
+            lambda f: obj[f.key] if len(f.columns) == 2 else [obj[f.key]],
         )
-    return out
+        for obj in json.loads(text)
+    ]
 
 
 def _table_records(scheme, j, theta, phi) -> list[OutputRecord]:
-    """Rows of one table: one coupling table per (channel, chi), read slot by slot."""
+    """Rows of one table: one coupling table per (channel, chi), read slot
+    by slot; a helicity amplitude lives on the channel's own slot only."""
     j = HalfInt.of(j)
     records = []
     for channel in coupling_channels(_SPEC, j, scheme):
         for chi in components(j):
-            if scheme == "spin-orbit":
-                table = spin_orbit_com_table(_SPEC, j, channel, chi, theta, phi)
-                for a, c1 in enumerate(components(_SPEC.j1)):
-                    for b, c2 in enumerate(components(_SPEC.j2)):
-                        records.append(
-                            OutputRecord(
-                                scheme=scheme, j=j, eta=(channel.l, channel.s),
-                                component=chi, pair=(c1, c2), theta=theta,
-                                phi=phi, value=complex(table[a, b]),
-                            )
-                        )
-            else:
+            if scheme == "helicity":
                 value = helicity_com_scalar(_SPEC, j, channel, chi, theta, phi)
-                records.append(
-                    OutputRecord(
-                        scheme=scheme, j=j, eta=(channel.lam1, channel.lam2),
-                        component=chi, pair=(channel.lam1, channel.lam2),
-                        theta=theta, phi=phi, value=complex(value),
-                    )
-                )
+                slots = [(channel.eta, value)]
+            else:
+                table = spin_orbit_com_table(_SPEC, j, channel, chi, theta, phi)
+                pairs = product(components(_SPEC.j1), components(_SPEC.j2))
+                slots = zip(pairs, table.ravel())
+            records += [
+                OutputRecord(scheme, j, channel.eta, chi, pair, theta, phi, complex(value))
+                for pair, value in slots
+            ]
     return records
 
 
@@ -235,26 +241,13 @@ def _with_symbolic(records, scheme, j, theta, phi) -> list[OutputRecord]:
         )
     out = []
     for rec, cell in zip(records, cells):
-        if (rec.eta, rec.component, rec.pair) != (
-            (cell.channel.l, cell.channel.s)
-            if scheme == "spin-orbit"
-            else (cell.channel.lam1, cell.channel.lam2),
-            cell.component,
-            cell.pair,
-        ):
+        if (rec.eta, rec.component, rec.pair) != (cell.channel.eta, cell.component, cell.pair):
             raise ValueError(
                 f"stored cell order diverged from the generator at "
                 f"{rec.eta}, {rec.component}, {rec.pair}"
             )
         residual = abs(rec.value - complex(cell.value(theta, phi)))
-        out.append(
-            OutputRecord(
-                scheme=rec.scheme, j=rec.j, eta=rec.eta,
-                component=rec.component, pair=rec.pair, theta=rec.theta,
-                phi=rec.phi, value=rec.value,
-                expression=cell.expression, residual=float(residual),
-            )
-        )
+        out.append(replace(rec, expression=cell.expression, residual=float(residual)))
     return out
 
 
@@ -262,21 +255,16 @@ def cmd_table(args) -> int:
     if args.j < 0:
         raise ValueError("total spin --j must be a nonnegative integer")
     records = _table_records(args.scheme, args.j, args.theta, args.phi)
+    fields = _TABLE_FIELDS
     if args.symbolic_check:
         records = _with_symbolic(records, args.scheme, args.j, args.theta, args.phi)
-        columns = _SYMBOLIC_COLUMNS
-    else:
-        columns = _TABLE_COLUMNS
-    if args.format == "csv":
-        text = _emit_csv(columns, (_record_csv_row(r) for r in records))
-    else:
-        text = _emit_json(_record_json_pairs(r) for r in records)
-    sys.stdout.write(text)
+        fields = _SYMBOLIC_FIELDS
+    sys.stdout.write(_render(fields, records, args.format))
     return 0
 
 
 def cmd_verify(args) -> int:
-    report = verify_suite.run(args.level, gram_grid=_gram_grid_from_env())
+    report = verify_suite.run(args.level)
     print(report.format())
     return 0 if report.ok else 1
 
@@ -286,56 +274,8 @@ def cmd_decompose(args) -> int:
     decomposition = decompose_product_state(
         state, _SPEC, _DECOMPOSE_S, args.j_max, args.scheme
     )
-    if args.format == "csv":
-        rows = []
-        for e in decomposition.entries:
-            eta = _entry_eta(e, args.scheme)
-            rows.append(
-                [
-                    _fmt(e.j), _fmt(eta[0]), _fmt(eta[1]), _fmt(e.component),
-                    _fmt(e.coefficient.real), _fmt(e.coefficient.imag),
-                ]
-            )
-        text = _emit_csv(_DECOMPOSE_COLUMNS, rows)
-    else:
-        objects = []
-        for e in decomposition.entries:
-            eta = _entry_eta(e, args.scheme)
-            objects.append(
-                [
-                    ("j", _fmt(e.j)),
-                    ("eta", f"[{_fmt(eta[0])}, {_fmt(eta[1])}]"),
-                    ("component", _fmt(e.component)),
-                    (
-                        "coefficient",
-                        f"[{_fmt(e.coefficient.real)}, {_fmt(e.coefficient.imag)}]",
-                    ),
-                ]
-            )
-        text = _emit_json(objects)
-    sys.stdout.write(text)
+    sys.stdout.write(_render(_DECOMPOSE_FIELDS, decomposition.entries, args.format))
     return 0
-
-
-def _entry_eta(entry, scheme) -> tuple:
-    channel = entry.channel
-    if scheme == "spin-orbit":
-        return (channel.l, channel.s)
-    return (channel.lam1, channel.lam2)
-
-
-def _gram_grid_from_env() -> tuple[int, int] | None:
-    raw = os.environ.get("POINCARE_CGC_GRID")
-    if raw is None or not raw.strip():
-        return None
-    parts = raw.split(",")
-    try:
-        n_theta, n_phi = (int(part) for part in parts)
-    except ValueError:
-        raise ValueError(
-            f"POINCARE_CGC_GRID must be 'n_theta,n_phi' integers, got {raw!r}"
-        ) from None
-    return n_theta, n_phi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,14 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser(
         "table", help="emit one generated coefficient table at a direction"
     )
-    table.add_argument(
-        "--scheme", choices=("spin-orbit", "helicity"), default="spin-orbit"
-    )
+    table.add_argument("--scheme", choices=SCHEMES, default="spin-orbit")
     table.add_argument("--j", type=int, required=True, help="total spin")
     table.add_argument("--theta", type=float, default=0.0, help="polar angle, radians")
-    table.add_argument(
-        "--phi", type=float, default=0.0, help="azimuthal angle, radians"
-    )
+    table.add_argument("--phi", type=float, default=0.0, help="azimuthal angle, radians")
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument(
         "--symbolic-check",
@@ -378,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--theta", type=float, default=0.0)
     decompose.add_argument("--phi", type=float, default=0.0)
     decompose.add_argument("--j-max", type=int, default=1, dest="j_max")
-    decompose.add_argument(
-        "--scheme", choices=("spin-orbit", "helicity"), default="spin-orbit"
-    )
+    decompose.add_argument("--scheme", choices=SCHEMES, default="spin-orbit")
     decompose.add_argument("--format", choices=("csv", "json"), default="csv")
     decompose.set_defaults(func=cmd_decompose)
     return parser

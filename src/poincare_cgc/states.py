@@ -715,20 +715,16 @@ def state_to_json(state: ComBasisState) -> str:
     Schema: {scheme, s, j, eta, component, grid: {n_theta, n_phi},
     amplitudes: [[re, im], ...]} with amplitudes flattened in node-major,
     chi1-then-chi2-minor order (C-order raveling of the stored table).
-    eta holds the degeneracy pair: (l, s) for spin-orbit channels,
-    (lambda1, lambda2) for helicity channels. Half-integers are stored as
-    exact binary floats, so the text round-trips bit-exactly.
+    eta is ``channel.eta``: (l, s) for spin-orbit, (lambda1, lambda2) for
+    helicity channels. Half-integers are stored as exact binary floats, so
+    the text round-trips bit-exactly.
     """
-    if isinstance(state.channel, SpinOrbitChannel):
-        eta = [float(state.channel.l), float(state.channel.s)]
-    else:
-        eta = [float(state.channel.lam1), float(state.channel.lam2)]
     flat = state.amplitudes.ravel()
     payload = {
         "scheme": state.scheme,
         "s": float(state.s),
         "j": float(state.j),
-        "eta": eta,
+        "eta": [float(x) for x in state.channel.eta],
         "component": float(state.component),
         "grid": {"n_theta": state.grid.n_theta, "n_phi": state.grid.n_phi},
         "amplitudes": [[float(z.real), float(z.imag)] for z in flat],

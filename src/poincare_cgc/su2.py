@@ -7,6 +7,9 @@ m = +j, j-1, ..., -j, matching :func:`poincare_cgc.halfint.components`.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 from scipy.special import lpmv
 
@@ -16,22 +19,12 @@ from .lorentz import require_su2
 
 _MAX_J = HalfInt(20)
 
-_Factlist = [1.0]
 
-
-def _calc_factlist(nn):
-    """Grow the cached factorial table through nn! and return it."""
-    if nn >= len(_Factlist):
-        for ii in range(len(_Factlist), nn + 1):
-            _Factlist.append(_Factlist[ii - 1] * ii)
-    return _Factlist[: nn + 1]
-
-
-def _fact(n):
-    if n < 0:
-        raise ValueError("factorial of a negative number")
-    _calc_factlist(int(n))
-    return _Factlist[int(n)]
+@functools.cache
+def _fact(n) -> float:
+    """n! as a float: exact through 22!, correctly rounded beyond; a
+    negative n raises ValueError."""
+    return float(math.factorial(n))
 
 
 def _check_j(j) -> HalfInt:
@@ -186,7 +179,7 @@ def spherical_harmonic(l, m, theta, phi):
     if not m.is_integer:
         raise InvalidOrbitalLabel(f"orbital component must be an integer, got {m}")
     if int(l) > 85:
-        raise InvalidOrbitalLabel(f"orbital label {l} overflows the float factorial table")
+        raise InvalidOrbitalLabel(f"orbital label {l} overflows a float factorial")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     li, mi = int(l), int(m)

@@ -29,6 +29,7 @@ from .cgc import (
 )
 from .halfint import HalfInt, component_index, components, hrange
 from .lorentz import (
+    METRIC,
     FourMomentum,
     SpinorTransform,
     apply_lorentz,
@@ -59,7 +60,6 @@ __all__ = ["CheckResult", "VerifyReport", "run", "LEVELS"]
 
 LEVELS = ("fast", "full")
 
-_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 _SPEC = TwoParticleSpec.fermion_pair(1.0)
 _PAIR_S = 9.0
 # Fixed probe angles for the deterministic variant-residual notes.
@@ -105,16 +105,15 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _random_su2(rng, n=1) -> np.ndarray:
-    """Haar-ish random SU(2) matrices from normalized quaternions."""
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a = q[:, 0] + 1j * q[:, 1]
-    b = q[:, 2] + 1j * q[:, 3]
-    row0 = np.stack([a, -np.conj(b)], axis=-1)
-    row1 = np.stack([b, np.conj(a)], axis=-1)
-    u = np.stack([row0, row1], axis=-2)
-    return u[0] if n == 1 else u
+def _random_su2(rng) -> np.ndarray:
+    """A Haar-random SU(2) matrix from a normalized quaternion. The norm sums
+    along the axis in order; a BLAS dot, numpy's default, may round apart."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q, axis=0)
+    a = q[0] + 1j * q[1]
+    b = q[2] + 1j * q[3]
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
 
 def _random_momentum(rng, s=1.0, scale=10.0) -> FourMomentum:
     n = rng.normal(size=3)
@@ -143,7 +142,7 @@ def _check_metric_preservation() -> float:
     worst = 0.0
     for _ in range(100):
         lam = spinor_to_lorentz(_random_sl2c(rng).matrix)
-        worst = max(worst, float(np.abs(lam.T @ _METRIC @ lam - _METRIC).max()))
+        worst = max(worst, float(np.abs(lam.T @ METRIC @ lam - METRIC).max()))
     return worst
 
 
@@ -398,32 +397,37 @@ def _check_gram_fast() -> float:
     return _check_gram(1, 24, 48)
 
 
+def _rotation_blocks(states, u) -> tuple[float, list]:
+    """Overlaps <state | u state'> of states with their rotations by u, cut
+    into (j, channel) blocks: the largest overlap across blocks and the
+    (j, D^j(u), block) of every block."""
+    rotated = [apply_rotation(st, u) for st in states]
+    overlap = np.array([[complex(inner_product(a, b)) for b in rotated] for a in states])
+    labels = [(st.j, st.channel) for st in states]
+    cross, blocks = 0.0, []
+    for j, channel in set(labels):
+        inside = np.array([label == (j, channel) for label in labels])
+        blocks.append((j, su2.rep_matrix(j, u), overlap[np.ix_(inside, inside)]))
+        cross = max(cross, float(np.abs(overlap[np.ix_(inside, ~inside)]).max()))
+    return cross, blocks
+
+
 def _rotation_fixture() -> tuple[float, float, float]:
-    """j <= 1 orbital/spin states on 16x33 rotated by a seeded u, measured
-    in one walk over their (j, channel) blocks; built once per :func:`run`.
+    """j <= 1 orbital/spin states on 16x33 rotated by a seeded u; built
+    once per :func:`run`.
 
     Returns the largest overlap <state | u state> across blocks and the
     worst deviation of a block from the sign-conjugated law S D(u) S,
     S = diag((-1)^chi), and from the bare D(u).
     """
-    rng = np.random.default_rng(112)
     grid = build_grid(16, 33)
     states = all_basis_states(grid, _SPEC, _PAIR_S, 1, "spin-orbit")
-    u = _random_su2(rng)
-    rotated = [apply_rotation(st, u) for st in states]
-    overlap = np.array(
-        [[complex(inner_product(a, b)) for b in rotated] for a in states]
-    )
-    labels = [(st.j, st.channel) for st in states]
-    cross = law = bare = 0.0
-    for j, channel in set(labels):
-        inside = np.array([label == (j, channel) for label in labels])
-        block = overlap[np.ix_(inside, inside)]
+    cross, blocks = _rotation_blocks(states, _random_su2(np.random.default_rng(112)))
+    law = bare = 0.0
+    for j, dj, block in blocks:
         xi = np.diag([(-1.0) ** int(c) for c in components(j)])
-        dj = su2.rep_matrix(j, u)
         law = max(law, float(np.abs(block - MEASURED_GRAM_DIAGONAL * (xi @ dj @ xi)).max()))
         bare = max(bare, float(np.abs(block - dj).max()))
-        cross = max(cross, float(np.abs(overlap[np.ix_(inside, ~inside)]).max()))
     return cross, law, bare
 
 
@@ -591,19 +595,10 @@ def _structure_notes() -> list:
 
 def _helicity_structure_notes() -> list:
     """Measured spin-j structure of the helicity basis on a probe grid."""
-    rng = np.random.default_rng(114)
     grid = build_grid(12, 25)
     helicity = all_basis_states(grid, _SPEC, _PAIR_S, 1, "helicity")
-    u = _random_su2(rng)
-    rotated = [apply_rotation(st, u) for st in helicity]
-    overlap = np.array([[inner_product(a, b) for b in rotated] for a in helicity])
-    labels = [(st.j, st.channel) for st in helicity]
-    cross = bare = 0.0
-    for label in set(labels):
-        inside = np.array([other == label for other in labels])
-        block = overlap[np.ix_(inside, inside)]
-        bare = max(bare, float(np.abs(block - su2.rep_matrix(label[0], u)).max()))
-        cross = max(cross, float(np.abs(overlap[np.ix_(inside, ~inside)]).max()))
+    cross, blocks = _rotation_blocks(helicity, _random_su2(np.random.default_rng(114)))
+    bare = max(float(np.abs(block - dj).max()) for _, dj, block in blocks)
     spin_orbit = all_basis_states(grid, _SPEC, _PAIR_S, 1, "spin-orbit")
     span = 0.0
     for st in helicity:
@@ -663,23 +658,15 @@ def _fast_checks(canonical, rotation) -> list:
     ]
 
 
-def run(level: str = "fast", gram_grid: tuple[int, int] | None = None) -> VerifyReport:
-    """Run the verification suite and return the structured report.
-
-    gram_grid overrides the quadrature used by the full-level Gram check
-    (default 32 x 64); the fast-level checks keep their fixed grids so
-    their residuals are reproducible.
-    """
+def run(level: str = "fast") -> VerifyReport:
+    """Run the verification suite and return the structured report."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     canonical = _canonical_identity_draws()
     rotation = _rotation_fixture()
     specs = _fast_checks(canonical, rotation)
     if level == "full":
-        n_theta, n_phi = gram_grid if gram_grid is not None else (32, 64)
-        specs.append(
-            ("gram-orthonormality-full", lambda: _check_gram(2, n_theta, n_phi), 1e-8)
-        )
+        specs.append(("gram-orthonormality-full", lambda: _check_gram(2, 32, 64), 1e-8))
     checks = tuple(
         CheckResult(name, float(fn()), tol) for name, fn, tol in specs
     )

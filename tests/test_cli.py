@@ -20,11 +20,6 @@ SQRT_QUARTER_PI = 0.28209479177387814  # sqrt(1/(4 pi)) == 1/(2 sqrt(pi))
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.fixture(autouse=True)
-def clean_grid_env(monkeypatch):
-    monkeypatch.delenv("POINCARE_CGC_GRID", raising=False)
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -229,24 +224,13 @@ def test_verify_fast_passes(capsys):
     assert any(line.startswith("INFO") for line in lines)
 
 
-def test_verify_full_prints_phase_residual_tables(capsys, monkeypatch):
-    # shrink the full-level Gram grid so the test stays quick; the override
-    # is exactly what the environment variable is for
-    monkeypatch.setenv("POINCARE_CGC_GRID", "16,33")
+def test_verify_full_prints_phase_residual_tables(capsys):
     code, out, _ = run_cli(capsys, "verify", "--level", "full")
     assert code == 0
     assert "gram-orthonormality-full" in out
     # both trailing-phase residual tables appear, one per sign convention
     assert "residual table, trailing phase exp(+i(lam1-lam2)phi)" in out
     assert "residual table, trailing phase exp(-i(lam1-lam2)phi)" in out
-
-
-def test_verify_grid_env_malformed(capsys, monkeypatch):
-    for bad in ("16,banana", "16", "a,b"):
-        monkeypatch.setenv("POINCARE_CGC_GRID", bad)
-        code, _, err = run_cli(capsys, "verify", "--level", "fast")
-        assert code == 2
-        assert "POINCARE_CGC_GRID" in err
 
 
 def test_verify_catches_coupling_sign_mutation(capsys, monkeypatch):
@@ -318,7 +302,7 @@ def test_verify_measures_shared_draws_once(monkeypatch):
         verify, "_fast_checks",
         lambda canonical, rotation: [("canonical", lambda: canonical[0], 1e-10)],
     )
-    report = verify.run("full", gram_grid=(4, 8))
+    report = verify.run("full")
     assert report.checks[0].passed
     assert sorted(calls) == ["_canonical_identity_draws", "_helicity_phase_residuals"]
 
