@@ -22,13 +22,12 @@ from .lorentz import (
     FourMomentum,
     SpinorTransform,
     apply_lorentz,
-    direction_rotation,
     polar_angles,
     spinor_to_lorentz,
     standard_boost,
     wigner_rotation,
 )
-from .su2 import _check_j, _d_entry, rep_matrix, spherical_harmonic, su2_cgc
+from .su2 import _check_j, _d_entry, _harmonic_rows, _wigner_D, rep_matrix, su2_cgc
 
 SCHEMES = ("spin-orbit", "helicity")
 
@@ -158,21 +157,32 @@ def coupling_channels(spec: TwoParticleSpec, j, scheme: str = "spin-orbit") -> l
 def triangle(s, s1, s2) -> float:
     """Symmetric triangle function s^2 + s1^2 + s2^2 - 2(s s1 + s s2 + s1 s2).
 
-    Arguments are sorted first so the value is exactly permutation
-    invariant in floating point.
+    Evaluated exactly, as (x - y - z)^2 - 4yz in integers over the inputs'
+    common power-of-two denominator, and rounded once: correctly rounded,
+    so permutation invariant, also just above threshold, where the expanded
+    terms cancel. Non-finite arguments raise ValueError, and a value beyond
+    the float range raises OverflowError.
     """
-    x, y, z = sorted((float(s), float(s1), float(s2)))
-    return x * x + y * y + z * z - 2.0 * (x * y + y * z + z * x)
+    try:
+        (a, da), (b, db), (c, dc) = (float(v).as_integer_ratio() for v in (s, s1, s2))
+    except (OverflowError, ValueError):
+        raise ValueError(f"triangle needs finite arguments, got {(s, s1, s2)}") from None
+    den = max(da, db, dc)
+    x, y, z = a * (den // da), b * (den // db), c * (den // dc)
+    return ((x - y - z) ** 2 - 4 * y * z) / (den * den)
 
 
 def _check_above_threshold(s, s1, s2) -> float:
+    """triangle(s, s1, s2) after an exact test of sqrt(s) > sqrt(s1) + sqrt(s2),
+    which holds if and only if s > max(s1, s2) and the triangle is positive."""
     if s1 <= 0.0 or s2 <= 0.0:
         raise MasslessUnsupported("constituent mass squared must be positive")
-    if s <= 0.0 or np.sqrt(s) <= np.sqrt(s1) + np.sqrt(s2):
+    delta = triangle(s, s1, s2)
+    if not (s > max(s1, s2) and delta > 0.0):
         raise BelowThreshold(
             f"pair mass sqrt({s}) does not exceed threshold sqrt({s1}) + sqrt({s2})"
         )
-    return triangle(s, s1, s2)
+    return delta
 
 
 def com_momentum(s, s1, s2) -> float:
@@ -287,32 +297,31 @@ def spin_orbit_com_table(
     ValueError.
     """
     theta, phi = _finite_angles(theta, phi)
-    l = channel.l
-    return _spin_orbit_amplitudes(
-        spec, j, channel, chi, np.broadcast(theta, phi).shape,
-        lambda l3: spherical_harmonic(l, l3, theta, phi),
-    )
+    rows = _harmonic_rows(int(channel.l), theta, phi)
+    return _spin_orbit_amplitudes(spec, j, channel, chi, rows)
 
 
-def _spin_orbit_amplitudes(spec, j, channel, chi, shape, harmonic) -> np.ndarray:
+def _spin_orbit_amplitudes(spec, j, channel, chi, rows) -> np.ndarray:
     """Fill the table of :func:`spin_orbit_com_table` from its spin cells.
 
-    harmonic(l3) supplies Y_{l l3} at the angles, with the channel's l;
-    each slot is its cell weight times that harmonic.
+    rows are the channel's harmonics Y_{l l3} at the angles, l3 = l ... -l
+    (:func:`poincare_cgc.su2._harmonic_rows`); each slot is its cell
+    weight times one row.
     """
     cells = _spin_orbit_cells(spec.j1, spec.j2, j, channel.l, channel.s, chi)
-    out = np.zeros(shape + spec.spin_shape, dtype=complex)
-    for a, b, l3, weight in cells:
-        out[..., a, b] = weight * harmonic(l3)
+    out = np.zeros(rows.shape[1:] + spec.spin_shape, dtype=complex)
+    for a, b, row, weight in cells:
+        out[..., a, b] = weight * rows[row]
     return out
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _spin_orbit_cells(j1, j2, j, l, s, chi) -> tuple:
-    """Nonzero slots (a, b, l3, CG * CG * (-1)**chi) of an orbital/spin table.
+    """Nonzero slots (a, b, l - l3, CG * CG * (-1)**chi) of an orbital/spin table.
 
-    Memoised on the spin labels alone; invalid labels raise (and nothing
-    is cached for them).
+    l - l3 is the row of Y_{l l3} in the channel's harmonic rows. Memoised
+    on the spin labels alone, which _MAX_J bounds; invalid labels raise
+    (and nothing is cached for them).
     """
     j, chi = _check_chi(j, chi)
     if not (triangle_rule(j1, j2, s) and triangle_rule(l, s, j)):
@@ -328,7 +337,7 @@ def _spin_orbit_cells(j1, j2, j, l, s, chi) -> tuple:
             weight = su2_cgc(s, j1, j2, s3, chi1, chi2) * su2_cgc(j, l, s, chi, l3, s3)
             if weight == 0.0:
                 continue
-            cells.append((a, b, l3, weight * phase))
+            cells.append((a, b, int(l - l3), weight * phase))
     return tuple(cells)
 
 
@@ -531,10 +540,10 @@ def angular_helicity_general(
 def helicity_to_wigner(j, p) -> np.ndarray:
     """Matrix converting helicity components at momentum p to canonical ones.
 
-    Returns M = D^j(rho(p)^-1) where rho(p) is the rotation carrying +z to
-    the direction of p. A helicity amplitude vector c_h (descending
-    components) maps to the canonical amplitude vector c_w through
-    c_w = M† c_h, and back through c_h = M c_w.
+    Returns M = D^j(rho(p)^-1) = D^j(0, -theta, -phi), where rho(p) =
+    Rz(phi) Ry(theta) carries +z to the direction of p. A helicity amplitude
+    vector c_h (descending components) maps to the canonical amplitude
+    vector c_w through c_w = M† c_h, and back through c_h = M c_w.
     """
-    j = HalfInt.of(j)
-    return rep_matrix(j, direction_rotation(p).inverse().matrix)
+    theta, phi = polar_angles(p.p if isinstance(p, FourMomentum) else p)
+    return _wigner_D(j, 0.0, -theta, -phi)

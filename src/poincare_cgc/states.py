@@ -35,7 +35,7 @@ from .cgc import (
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel
 from .halfint import HalfInt, components
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import _MAX_J, rep_matrix, spherical_harmonic, wigner_d_small
+from .su2 import _MAX_J, _harmonic_rows, _wigner_D, rep_matrix, wigner_d_small
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -44,6 +44,8 @@ from .su2 import _MAX_J, rep_matrix, spherical_harmonic, wigner_d_small
 MEASURED_GRAM_DIAGONAL = 1.0
 
 BELL_LABELS = ("psi00", "psi01", "psi10", "psi11")
+
+_CHANNEL_TYPES = {"spin-orbit": SpinOrbitChannel, "helicity": HelicityChannel}
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,27 +262,15 @@ def _basis_labels(spec: TwoParticleSpec, j_max, scheme: str) -> list[tuple]:
 def _amplitude_source(spec, scheme, labels, theta, phi) -> Callable:
     """amplitude(j, channel, chi): a label's angular table at fixed angles.
 
-    Equal bit for bit to the scheme's angular function at (theta, phi).
-    Spin-orbit tables read every Y_{lm} from one harmonic table built here
-    once, up to the largest l among the labels, instead of evaluating a
-    harmonic per table cell.
+    Equal bit for bit to the scheme's angular function at (theta, phi);
+    spin-orbit tables share one set of harmonic rows per l among the labels.
     """
     if scheme == "helicity":
         return lambda j, channel, chi: _helicity_wavefunction(spec, j, channel, chi, theta, phi)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast(theta, phi).shape
-    harmonics = _harmonic_table(
-        max((int(channel.l) for _, channel, _ in labels), default=-1), theta, phi
+    rows = {l: _harmonic_rows(l, theta, phi) for l in {int(channel.l) for _, channel, _ in labels}}
+    return lambda j, channel, chi: _spin_orbit_amplitudes(
+        spec, j, channel, chi, rows[int(channel.l)]
     )
-
-    def amplitude(j, channel, chi):
-        row = int(channel.l) * (int(channel.l) + 1)
-        return _spin_orbit_amplitudes(
-            spec, j, channel, chi, shape, lambda l3: harmonics[row - int(l3)]
-        )
-
-    return amplitude
 
 
 def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
@@ -329,7 +319,7 @@ def gram_matrix(states) -> np.ndarray:
     return out
 
 
-def _helicity_frames(theta, phi, j1=HalfInt(1), j2=HalfInt(1)):
+def _helicity_frames(theta, phi, j1, j2):
     """Spin-j1 and spin-j2 matrices of the two helicity frames at (theta, phi).
 
     Particle 1 moves along the relative direction n = (theta, phi); its
@@ -337,20 +327,13 @@ def _helicity_frames(theta, phi, j1=HalfInt(1), j2=HalfInt(1)):
     Rz(phi) Ry(theta) Rz(-phi). Particle 2 moves along -n; its slots refer
     to R(phi, theta, -phi) Ry(pi), so slot lam2 has spin component -lam2
     along n and the pair carries mu = lam1 - lam2 along n. Both frames are
-    single valued on SU(2) for every azimuth. The default spins give the
-    SU(2) matrices themselves. Vectorized over the angles; the matrix axes
-    are the trailing two.
+    single valued on SU(2) for every azimuth. Spins 1/2 give the SU(2)
+    matrices themselves. Vectorized over the angles; the matrix axes are
+    the trailing two.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-
-    def frame(j):
-        tw = np.array([m.twice for m in components(j)])
-        zphase = np.exp(-0.5j * phi[..., None] * tw)
-        return zphase[..., :, None] * wigner_d_small(j, theta) * zphase.conj()[..., None, :]
-
-    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    f1 = frame(j1)
-    f2 = f1 if j2 == j1 else frame(j2)
+    f1 = _wigner_D(j1, phi, theta, -phi)
+    f2 = f1 if j2 == j1 else _wigner_D(j2, phi, theta, -phi)
     return f1, f2 @ wigner_d_small(j2, np.pi)
 
 
@@ -405,8 +388,8 @@ def _rotated(spec, scheme, u, theta, phi, source: Callable) -> np.ndarray:
         d1 = rep_matrix(spec.j1, u)
         d2 = rep_matrix(spec.j2, u)
         return np.einsum("ac,bd,...cd->...ab", d1, d2, amp)
-    img = _helicity_frames(theta, phi)
-    pre = _helicity_frames(thp, php)
+    img = _helicity_frames(theta, phi, HalfInt(1), HalfInt(1))
+    pre = _helicity_frames(thp, php, HalfInt(1), HalfInt(1))
     d1 = _zrot_diag(spec.j1, _little_group_phase(u, img[0], pre[0]))
     d2 = _zrot_diag(spec.j2, _little_group_phase(u, img[1], pre[1]))
     return amp * d1[..., :, None] * d2[..., None, :]
@@ -425,10 +408,14 @@ def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
     """
     grid = state.grid
     fixed = state if state.scheme == "spin-orbit" else convert_slots_to_canonical(state)
-    table = _harmonic_table(grid.n_theta - 1, grid.theta, grid.phi)
-    coeffs = np.einsum("kn,n,n...->k...", table.conj(), grid.weights, fixed.amplitudes)
+
+    def harmonics(theta, phi):
+        return np.concatenate([_harmonic_rows(l, theta, phi) for l in range(grid.n_theta)])
+
+    coeffs = np.einsum("kn,n,n...->k...", harmonics(grid.theta, grid.phi).conj(),
+                       grid.weights, fixed.amplitudes)
     th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    point = _harmonic_table(grid.n_theta - 1, th.ravel(), ph.ravel())
+    point = harmonics(th.ravel(), ph.ravel())
     slots = np.einsum("km,k...->m...", point, coeffs).reshape(th.shape + coeffs.shape[1:])
     if state.scheme == "spin-orbit":
         return slots
@@ -443,22 +430,6 @@ def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
     """
     f1, f2 = _helicity_frames(theta, phi, spec.j1, spec.j2)
     return np.einsum("...ca,...db,...cd->...ab", f1.conj(), f2.conj(), slots)
-
-
-def _harmonic_table(lmax: int, theta, phi) -> np.ndarray:
-    """Rows of spherical harmonics, l ascending and m descending within l.
-
-    Row l(l+1) - m holds Y_{lm}. Each m >= 0 row is one spherical_harmonic
-    call; the m < 0 rows follow from Y_{l,-m} = (-1)^m conj(Y_{lm}), the
-    same arithmetic spherical_harmonic uses for them, so every row equals
-    spherical_harmonic(l, m, theta, phi) bit for bit.
-    """
-    rows = []
-    for l in range(lmax + 1):
-        top = [spherical_harmonic(HalfInt(2 * l), HalfInt(2 * m), theta, phi)
-               for m in range(l, -1, -1)]
-        rows += top + [(-1.0) ** m * np.conj(top[l - m]) for m in range(1, l + 1)]
-    return np.array(rows)
 
 
 def apply_rotation(state: ComBasisState, u) -> ComBasisState:
@@ -718,7 +689,13 @@ def state_to_json(state: ComBasisState) -> str:
     eta is ``channel.eta``: (l, s) for spin-orbit, (lambda1, lambda2) for
     helicity channels. Half-integers are stored as exact binary floats, so
     the text round-trips bit-exactly.
+
+    The one scheme field names both the channel family and the slot frame,
+    so a state whose channel is of another family raises ValueError.
     """
+    if not isinstance(state.channel, _CHANNEL_TYPES[state.scheme]):
+        raise ValueError(f"a {state.scheme!r} state with the channel ({state.channel.label()}) "
+                         "has no JSON form; convert_slots_to_canonical makes such states")
     flat = state.amplitudes.ravel()
     payload = {
         "scheme": state.scheme,
@@ -778,7 +755,7 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
     if len(eta) != 2:
         raise ValueError(f"state JSON field 'eta' must hold two labels, got {len(eta)}")
     labels = [_json_half("eta", x) for x in eta]
-    channel = (SpinOrbitChannel if scheme == "spin-orbit" else HelicityChannel)(*labels)
+    channel = _CHANNEL_TYPES[scheme](*labels)
     s = float(_json_field(data, "s"))
     pairs = _json_field(data, "amplitudes", list)
     try:

@@ -105,18 +105,26 @@ def _euler_su2(alpha, beta, gamma):
     return za @ yb @ zg
 
 
+def _wigner_D(j, alpha, beta, gamma) -> np.ndarray:
+    """D^j_{m'm}(alpha, beta, gamma) = exp(-i alpha m') d^j_{m'm}(beta) exp(-i gamma m).
+
+    The one place the Euler-angle form of D^j is built. The angles
+    broadcast as arrays; the matrix axes are the trailing two.
+    """
+    j = _check_j(j)
+    ms = np.array([float(m) for m in components(j)])
+    left = np.exp(-1j * np.asarray(alpha, dtype=float)[..., None] * ms)
+    right = np.exp(-1j * np.asarray(gamma, dtype=float)[..., None] * ms)
+    return left[..., :, None] * wigner_d_small(j, beta) * right[..., None, :]
+
+
 def rep_matrix(j, u) -> np.ndarray:
     """Spin-j representation matrix D^j(u) of an SU(2) element.
 
-    Computed through the zyz Euler decomposition,
-    D^j_{m'm} = exp(-i alpha m') d^j_{m'm}(beta) exp(-i gamma m),
+    Computed through the zyz Euler decomposition of u (:func:`_wigner_D`),
     which respects the double cover: D^{1/2}(u) = u exactly.
     """
-    j = _check_j(j)
-    alpha, beta, gamma = euler_zyz(u)
-    ms = np.array([float(m) for m in components(j)])
-    d = wigner_d_small(j, beta)
-    return np.exp(-1j * alpha * ms)[:, None] * d * np.exp(-1j * gamma * ms)[None, :]
+    return _wigner_D(j, *euler_zyz(u))
 
 
 def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:
@@ -167,6 +175,27 @@ def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:
     return float(pref * total)
 
 
+def _harmonic_rows(l: int, theta, phi) -> np.ndarray:
+    """Y_{l m}(theta, phi) for m = l, l-1, ..., -l, Condon-Shortley phase.
+
+    The one place Y_lm is evaluated: row l - m holds Y_{lm}, broadcast
+    over theta and phi. One lpmv call covers every m >= 0; the m < 0 rows
+    follow from Y_{l,-m} = (-1)^m conj(Y_{lm}). l above 85 raises
+    InvalidOrbitalLabel, since (2l)! overflows a float.
+    """
+    if l > 85:
+        raise InvalidOrbitalLabel(f"orbital label {l} overflows a float factorial")
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    shape = (-1,) + (1,) * np.broadcast(theta, phi).ndim
+    norm = np.sqrt([(2 * l + 1) / (4.0 * np.pi) * _fact(l - m) / _fact(l + m)
+                    for m in range(l, -1, -1)])
+    ms = np.arange(l, -1, -1).reshape(shape)
+    top = norm.reshape(shape) * lpmv(ms, l, np.cos(theta)) * np.exp(1j * ms * phi)
+    signs = (-1.0) ** np.arange(1, l + 1).reshape(shape)
+    return np.concatenate([top, signs * np.conj(top[:l][::-1])])
+
+
 def spherical_harmonic(l, m, theta, phi):
     """Spherical harmonic Y_{l m}(theta, phi), Condon-Shortley phase.
 
@@ -178,15 +207,7 @@ def spherical_harmonic(l, m, theta, phi):
         raise InvalidOrbitalLabel(f"orbital label must be a nonnegative integer, got {l}")
     if not m.is_integer:
         raise InvalidOrbitalLabel(f"orbital component must be an integer, got {m}")
-    if int(l) > 85:
-        raise InvalidOrbitalLabel(f"orbital label {l} overflows a float factorial")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    li, mi = int(l), int(m)
-    if abs(mi) > li:
-        return np.zeros(np.broadcast(theta, phi).shape)
-    if mi < 0:
-        return (-1.0) ** (-mi) * np.conj(spherical_harmonic(l, -mi, theta, phi))
-    norm = np.sqrt((2 * li + 1) / (4.0 * np.pi) * _fact(li - mi) / _fact(li + mi))
-    vals = norm * lpmv(mi, li, np.cos(theta)) * np.exp(1j * mi * phi)
-    return vals
+    rows = _harmonic_rows(int(l), theta, phi)
+    if abs(m) > l:
+        return np.zeros(rows.shape[1:])
+    return rows[int(l) - int(m)]

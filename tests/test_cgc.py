@@ -1,5 +1,8 @@
 """Tests for coupling channels, two-body kinematics, and coupling amplitudes."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,8 @@ from poincare_cgc import (
     angular_spin_orbit_general,
     apply_lorentz,
     canonical_boost,
+    com_momentum,
+    com_normalization,
     component_index,
     components,
     coupling_channels,
@@ -165,6 +170,43 @@ def test_triangle_function():
     for _ in range(20):
         a, b, c = rng.uniform(0.1, 30.0, size=3)
         assert triangle(a, b, c) == triangle(c, a, b) == triangle(b, c, a)
+
+
+@pytest.mark.parametrize("m1, m2", [(1.0, 1.0), (1.0, 1.5), (0.3, 2.0), (1.0, 0.001)])
+def test_triangle_is_exact_just_above_threshold(m1, m2):
+    """1e-12 above threshold the expanded terms cancel: the float expansion
+    was off by up to 11% (masses 1 and 0.001). triangle equals the exact
+    value of its float inputs rounded once, in every argument order."""
+    s, s1, s2 = (m1 + m2) ** 2 * (1.0 + 1e-12), m1 * m1, m2 * m2
+    x, y, z = Fraction(s), Fraction(s1), Fraction(s2)
+    want = float(x * x + y * y + z * z - 2 * (x * y + y * z + z * x))
+    for args in itertools.permutations((s, s1, s2)):
+        assert triangle(*args) == want
+
+
+def test_threshold_test_is_exact():
+    """Just above threshold a pair either raises BelowThreshold or has a
+    positive momentum. The float test sqrt(s) > sqrt(s1) + sqrt(s2) passed
+    points whose exact triangle is negative or zero, such as the first one
+    here, giving them a zero or NaN momentum."""
+    with pytest.raises(BelowThreshold):
+        com_momentum(15.68644945365679, 5.487025574434067, 2.6184811639817016)
+    rng = np.random.default_rng(11)
+    for m1, m2 in rng.uniform(0.01, 3.0, size=(300, 2)):
+        s = (m1 + m2) ** 2
+        for _ in range(4):
+            s = float(np.nextafter(s, np.inf))
+            try:
+                k = com_momentum(s, m1 * m1, m2 * m2)
+            except BelowThreshold:
+                continue
+            assert k > 0.0 and com_normalization(s, m1 * m1, m2 * m2) > 0.0
+
+
+def test_triangle_rejects_non_finite_arguments():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            triangle(9.0, bad, 1.0)
 
 
 def test_kinematics_hand_values():
