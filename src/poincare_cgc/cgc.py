@@ -10,9 +10,11 @@ amplitudes follow from them by Wigner rotations of each spin slot.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -154,6 +156,17 @@ def coupling_channels(spec: TwoParticleSpec, j, scheme: str = "spin-orbit") -> l
     return chans
 
 
+def _exact_triangle(s, s1, s2) -> tuple[int, int]:
+    """(t, den): the triangle of the float inputs is exactly t / den**2."""
+    try:
+        (a, da), (b, db), (c, dc) = (float(v).as_integer_ratio() for v in (s, s1, s2))
+    except (OverflowError, ValueError):
+        raise ValueError(f"triangle needs finite arguments, got {(s, s1, s2)}") from None
+    den = max(da, db, dc)
+    x, y, z = a * (den // da), b * (den // db), c * (den // dc)
+    return (x - y - z) ** 2 - 4 * y * z, den
+
+
 def triangle(s, s1, s2) -> float:
     """Symmetric triangle function s^2 + s1^2 + s2^2 - 2(s s1 + s s2 + s1 s2).
 
@@ -163,38 +176,44 @@ def triangle(s, s1, s2) -> float:
     terms cancel. Non-finite arguments raise ValueError, and a value beyond
     the float range raises OverflowError.
     """
-    try:
-        (a, da), (b, db), (c, dc) = (float(v).as_integer_ratio() for v in (s, s1, s2))
-    except (OverflowError, ValueError):
-        raise ValueError(f"triangle needs finite arguments, got {(s, s1, s2)}") from None
-    den = max(da, db, dc)
-    x, y, z = a * (den // da), b * (den // db), c * (den // dc)
-    return ((x - y - z) ** 2 - 4 * y * z) / (den * den)
+    t, den = _exact_triangle(s, s1, s2)
+    return t / (den * den)
 
 
-def _check_above_threshold(s, s1, s2) -> float:
-    """triangle(s, s1, s2) after an exact test of sqrt(s) > sqrt(s1) + sqrt(s2),
-    which holds if and only if s > max(s1, s2) and the triangle is positive."""
+def _check_above_threshold(s, s1, s2) -> tuple[float, int]:
+    """The triangle as (x, k), equal to x * 16**k, after an exact test of
+    sqrt(s) > sqrt(s1) + sqrt(s2), which holds if and only if s > max(s1, s2)
+    and the exact triangle is positive. k is 0 and x is triangle(s, s1, s2)
+    where that is a positive float; a triangle that overflows or rounds to
+    zero gives x in [1, 16) instead."""
     if s1 <= 0.0 or s2 <= 0.0:
         raise MasslessUnsupported("constituent mass squared must be positive")
-    delta = triangle(s, s1, s2)
-    if not (s > max(s1, s2) and delta > 0.0):
+    t, den = _exact_triangle(s, s1, s2)
+    if not (s > max(s1, s2) and t > 0):
         raise BelowThreshold(
             f"pair mass sqrt({s}) does not exceed threshold sqrt({s1}) + sqrt({s2})"
         )
-    return delta
+    with contextlib.suppress(OverflowError):
+        if (delta := t / (den * den)) > 0.0:
+            return delta, 0
+    k = (t.bit_length() - 2 * den.bit_length() + 1) // 4
+    return float(Fraction(t, den * den) / Fraction(16) ** k), k
 
 
 def com_momentum(s, s1, s2) -> float:
-    """Magnitude of either constituent momentum in the pair rest frame."""
-    delta = _check_above_threshold(s, s1, s2)
-    return float(np.sqrt(delta / (4.0 * s)))
+    """Magnitude of either constituent momentum in the pair rest frame.
+
+    sqrt(triangle / 4s); a triangle out of the float range and 4s are both
+    divided by the same power of two, which is exact.
+    """
+    delta, k = _check_above_threshold(s, s1, s2)
+    return float(np.sqrt(delta / math.ldexp(s, 2 - 4 * k)))
 
 
 def com_normalization(s, s1, s2) -> float:
     """Normalization prefactor (sqrt(2)/2) * triangle(s, s1, s2)^(1/4)."""
-    delta = _check_above_threshold(s, s1, s2)
-    return float(np.sqrt(0.5) * delta**0.25)
+    delta, k = _check_above_threshold(s, s1, s2)
+    return math.ldexp(float(np.sqrt(0.5) * delta**0.25), k)
 
 
 @dataclass(frozen=True)
@@ -264,8 +283,8 @@ def discrete_symmetry_labels(l, s) -> tuple[int, int]:
 def _finite_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """theta and phi as float arrays; ValueError unless theta + phi is finite.
 
-    One test per call, a plain float test for scalar angles: the
-    general-frame tables call this for every cell.
+    One test per call, a plain float test for scalar angles. The
+    general-frame tables skip it: their angles come from finite momenta.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -296,7 +315,11 @@ def spin_orbit_com_table(
     with s3 = chi1 + chi2 and l3 = chi - s3. Non-finite angles raise
     ValueError.
     """
-    theta, phi = _finite_angles(theta, phi)
+    return _spin_orbit_table(spec, j, channel, chi, *_finite_angles(theta, phi))
+
+
+def _spin_orbit_table(spec, j, channel, chi, theta, phi) -> np.ndarray:
+    """:func:`spin_orbit_com_table` at angles already known to be finite."""
     rows = _harmonic_rows(int(channel.l), theta, phi)
     return _spin_orbit_amplitudes(spec, j, channel, chi, rows)
 
@@ -362,10 +385,14 @@ def helicity_com_scalar(
     with mu = lam1 - lam2; identically zero when |mu| > j. Non-finite
     angles raise ValueError.
     """
+    return _helicity_scalar(spec, j, channel, chi, *_finite_angles(theta, phi))
+
+
+def _helicity_scalar(spec, j, channel, chi, theta, phi) -> np.ndarray:
+    """:func:`helicity_com_scalar` at angles already known to be finite."""
     j, chi = _check_chi(j, chi)
     if abs(channel.lam1) > spec.j1 or abs(channel.lam2) > spec.j2:
         raise InvalidChannel(f"channel ({channel.label()}) exceeds the constituent spins")
-    theta, phi = _finite_angles(theta, phi)
     shape = np.broadcast(theta, phi).shape
     mu = channel.mu
     if abs(mu) > j:
@@ -387,7 +414,12 @@ def helicity_com_table(
     index the constituent helicities (descending); only the slot at the
     channel's (lam1, lam2) is populated.
     """
-    scalar = helicity_com_scalar(spec, j, channel, chi, theta, phi)
+    return _helicity_table(spec, j, channel, chi, *_finite_angles(theta, phi))
+
+
+def _helicity_table(spec, j, channel, chi, theta, phi) -> np.ndarray:
+    """:func:`helicity_com_table` at angles already known to be finite."""
+    scalar = _helicity_scalar(spec, j, channel, chi, theta, phi)
     out = np.zeros(scalar.shape + spec.spin_shape, dtype=complex)
     a = component_index(spec.j1, channel.lam1)
     b = component_index(spec.j2, channel.lam2)
@@ -477,6 +509,8 @@ def _frame(j1, j2, convention, key) -> tuple:
 
 
 def _angular_general(spec, j, channel, chi, p1, p2, scheme, com_fn):
+    """A general-frame table from com_fn, a rest-frame table that takes
+    the frame's angles unchecked: _frame derives them from finite momenta."""
     _, _, s1, s2 = _pair_kinematics(p1, p2)
     for name, want, got in (("first", spec.s1, s1), ("second", spec.s2, s2)):
         if abs(want - got) > 1e-6 * max(1.0, abs(want)):
@@ -498,7 +532,7 @@ def spin_orbit_general_table(
     runs over the constituents' canonical spin components in the frame
     where p1 and p2 are given.
     """
-    return _angular_general(spec, j, channel, chi, p1, p2, "spin-orbit", spin_orbit_com_table)
+    return _angular_general(spec, j, channel, chi, p1, p2, "spin-orbit", _spin_orbit_table)
 
 
 def angular_spin_orbit_general(
@@ -522,7 +556,7 @@ def helicity_general_table(
     the frame where p1 and p2 are given; chi is relative to the rest frame
     reached by the inverse helicity boost of p1 + p2.
     """
-    return _angular_general(spec, j, channel, chi, p1, p2, "helicity", helicity_com_table)
+    return _angular_general(spec, j, channel, chi, p1, p2, "helicity", _helicity_table)
 
 
 def angular_helicity_general(

@@ -69,6 +69,12 @@ class QuadratureGrid:
         return self.theta.size
 
     @property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n_theta, 1) polar and (1, n_phi) azimuthal nodes; they broadcast
+        to the (n_theta, n_phi) nodes, which ravel to the grid's order."""
+        return self.theta[:: self.n_phi, None], self.phi[None, : self.n_phi]
+
+    @property
     def nodes(self) -> np.ndarray:
         """(N, 3) array of (theta, phi, weight) rows."""
         return np.stack([self.theta, self.phi, self.weights], axis=-1)
@@ -194,7 +200,7 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
     if channel not in coupling_channels(spec, j, scheme):
         raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
     label = (j, channel, component)
-    amplitude = _amplitude_source(spec, scheme, [label], grid.theta, grid.phi)
+    amplitude = _grid_source(spec, scheme, [label], grid)
     return _basis_state(grid, spec, s, scheme, *label, amplitude(*label))
 
 
@@ -225,7 +231,7 @@ def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
     scheme = _check_scheme(scheme)
     labels = _basis_labels(spec, j_max, scheme)
     _check_above_threshold(s, spec.s1, spec.s2)
-    amplitude = _amplitude_source(spec, scheme, labels, grid.theta, grid.phi)
+    amplitude = _grid_source(spec, scheme, labels, grid)
     return [
         _basis_state(grid, spec, s, scheme, j, channel, chi, amplitude(j, channel, chi))
         for j, channel, chi in labels
@@ -271,6 +277,12 @@ def _amplitude_source(spec, scheme, labels, theta, phi) -> Callable:
     return lambda j, channel, chi: _spin_orbit_amplitudes(
         spec, j, channel, chi, rows[int(channel.l)]
     )
+
+
+def _grid_source(spec, scheme, labels, grid) -> Callable:
+    """_amplitude_source on grid.axes, each table raveled to the grid's nodes."""
+    amplitude = _amplitude_source(spec, scheme, labels, *grid.axes)
+    return lambda *label: amplitude(*label).reshape((grid.size,) + spec.spin_shape)
 
 
 def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
@@ -328,10 +340,10 @@ def _helicity_frames(theta, phi, j1, j2):
     to R(phi, theta, -phi) Ry(pi), so slot lam2 has spin component -lam2
     along n and the pair carries mu = lam1 - lam2 along n. Both frames are
     single valued on SU(2) for every azimuth. Spins 1/2 give the SU(2)
-    matrices themselves. Vectorized over the angles; the matrix axes are
+    matrices themselves. The angles broadcast against each other, so a
+    grid's axes build d^j(theta) once per polar node; the matrix axes are
     the trailing two.
     """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     f1 = _wigner_D(j1, phi, theta, -phi)
     f2 = f1 if j2 == j1 else _wigner_D(j2, phi, theta, -phi)
     return f1, f2 @ wigner_d_small(j2, np.pi)
@@ -412,11 +424,12 @@ def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
     def harmonics(theta, phi):
         return np.concatenate([_harmonic_rows(l, theta, phi) for l in range(grid.n_theta)])
 
-    coeffs = np.einsum("kn,n,n...->k...", harmonics(grid.theta, grid.phi).conj(),
-                       grid.weights, fixed.amplitudes)
+    # conj(Y) @ (w A) as conj(Y @ conj(w A)): only the small side is conjugated
+    weighted = grid.weights[:, None] * fixed.amplitudes.reshape(grid.size, -1)
+    coeffs = (harmonics(*grid.axes).reshape(-1, grid.size) @ weighted.conj()).conj()
     th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    point = harmonics(th.ravel(), ph.ravel())
-    slots = np.einsum("km,k...->m...", point, coeffs).reshape(th.shape + coeffs.shape[1:])
+    slots = harmonics(th.ravel(), ph.ravel()).T @ coeffs
+    slots = slots.reshape(th.shape + fixed.amplitudes.shape[1:])
     if state.scheme == "spin-orbit":
         return slots
     return _fixed_to_helicity_slots(state.spec, theta, phi, slots)
@@ -478,7 +491,9 @@ def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
     """
     if state.scheme != "helicity":
         raise ValueError("slot conversion applies to helicity-scheme states")
-    f1, f2 = _helicity_frames(state.grid.theta, state.grid.phi, state.spec.j1, state.spec.j2)
+    grid = state.grid
+    f1, f2 = (f.reshape((grid.size,) + f.shape[2:])
+              for f in _helicity_frames(*grid.axes, state.spec.j1, state.spec.j2))
     amps = np.einsum("nac,nbd,ncd->nab", f1, f2, state.amplitudes)
     return dataclasses.replace(
         state, scheme="spin-orbit", amplitudes=amps, rotation=None, closed_form=False
@@ -639,7 +654,7 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
                 f"grid state carries {psi.scheme!r} slots; cannot decompose in {scheme!r}"
             )
         grid = psi.grid
-        amplitude = _amplitude_source(spec, scheme, labels, grid.theta, grid.phi)
+        amplitude = _grid_source(spec, scheme, labels, grid)
 
         def overlap(amp):
             return complex(
@@ -669,9 +684,8 @@ def reconstruct(decomposition: Decomposition, grid: QuadratureGrid,
                 spec: TwoParticleSpec) -> GridProductState:
     """Sum coefficient times basis amplitude over all entries of a decomposition."""
     entries = decomposition.entries
-    amplitude = _amplitude_source(
-        spec, decomposition.scheme, [(e.j, e.channel, e.component) for e in entries],
-        grid.theta, grid.phi,
+    amplitude = _grid_source(
+        spec, decomposition.scheme, [(e.j, e.channel, e.component) for e in entries], grid
     )
     total = np.zeros((grid.size,) + spec.spin_shape, dtype=complex)
     for e in entries:
@@ -704,7 +718,7 @@ def state_to_json(state: ComBasisState) -> str:
         "eta": [float(x) for x in state.channel.eta],
         "component": float(state.component),
         "grid": {"n_theta": state.grid.n_theta, "n_phi": state.grid.n_phi},
-        "amplitudes": [[float(z.real), float(z.imag)] for z in flat],
+        "amplitudes": np.stack([flat.real, flat.imag], axis=-1).tolist(),
     }
     return json.dumps(payload)
 

@@ -1,6 +1,7 @@
 """Tests for coupling channels, two-body kinematics, and coupling amplitudes."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -176,12 +177,16 @@ def test_triangle_function():
 def test_triangle_is_exact_just_above_threshold(m1, m2):
     """1e-12 above threshold the expanded terms cancel: the float expansion
     was off by up to 11% (masses 1 and 0.001). triangle equals the exact
-    value of its float inputs rounded once, in every argument order."""
+    value of its float inputs rounded once, in every argument order. The
+    momentum and the normalization read that float: sqrt(triangle / 4s)
+    and sqrt(1/2) triangle^(1/4), bit for bit."""
     s, s1, s2 = (m1 + m2) ** 2 * (1.0 + 1e-12), m1 * m1, m2 * m2
     x, y, z = Fraction(s), Fraction(s1), Fraction(s2)
     want = float(x * x + y * y + z * z - 2 * (x * y + y * z + z * x))
     for args in itertools.permutations((s, s1, s2)):
         assert triangle(*args) == want
+    assert com_momentum(s, s1, s2) == Kinematics(s, s1, s2).k == float(np.sqrt(want / (4.0 * s)))
+    assert com_normalization(s, s1, s2) == float(np.sqrt(0.5) * want**0.25)
 
 
 def test_threshold_test_is_exact():
@@ -201,6 +206,27 @@ def test_threshold_test_is_exact():
             except BelowThreshold:
                 continue
             assert k > 0.0 and com_normalization(s, m1 * m1, m2 * m2) > 0.0
+
+
+@pytest.mark.parametrize("s, s1, s2", [(1e200, 1.0, 1.0), (4e-170, 9e-171, 9e-171)])
+def test_threshold_quantities_beyond_the_float_triangle(s, s1, s2):
+    """These triangles are no floats: about 1e400, which overflows (triangle
+    raises OverflowError), and about 2e-340, which rounds to zero. The
+    momentum and the normalization are floats, and both are read from the
+    exact triangle."""
+    x, y, z = Fraction(s), Fraction(s1), Fraction(s2)
+    exact = x * x + y * y + z * z - 2 * (x * y + y * z + z * x)
+    if exact > 1:
+        with pytest.raises(OverflowError):
+            triangle(s, s1, s2)
+    else:
+        assert triangle(s, s1, s2) == 0.0
+    k = com_momentum(s, s1, s2)
+    assert k == pytest.approx(math.sqrt(exact / (4 * x)), rel=1e-15)
+    assert Kinematics(s, s1, s2).k == k
+    log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+    want = math.sqrt(0.5) * math.exp(log_exact / 4)
+    assert com_normalization(s, s1, s2) == pytest.approx(want, rel=1e-13)
 
 
 def test_triangle_rejects_non_finite_arguments():
@@ -338,6 +364,22 @@ def test_rest_frame_amplitudes_reject_non_finite_angles(bad):
             spin_orbit_com_table(FERMION_PAIR, 1, SpinOrbitChannel(1, 1), 0, theta, phi)
         with pytest.raises(ValueError, match="finite"):
             helicity_com_scalar(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, theta, phi)
+
+
+def test_general_tables_do_not_retest_their_angles(monkeypatch):
+    """The general-frame tables take their angles from _frame, which derives
+    them from finite momenta; only the rest-frame entry points test them."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    p1, p2 = kin.momenta([0.3, -0.2, 0.9])
+
+    def refuse(theta, phi):
+        raise AssertionError("angles tested again")
+
+    monkeypatch.setattr(cgc_module, "_finite_angles", refuse)
+    spin_orbit_general_table(FERMION_PAIR, 1, SpinOrbitChannel(1, 1), 0, p1, p2)
+    helicity_general_table(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, p1, p2)
+    with pytest.raises(AssertionError, match="tested again"):
+        helicity_com_table(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, 0.1, 0.2)
 
 
 @pytest.mark.parametrize("angles", ["scalar", "grid"])

@@ -1,5 +1,6 @@
 """Tests for grid states: quadrature, rotations, decomposition, serialization."""
 
+import dataclasses
 import json
 import math
 import pickle
@@ -163,6 +164,40 @@ def test_basis_amplitudes_equal_the_closed_forms_bit_for_bit(scheme):
         want = fn(FERMION_PAIR, st.j, st.channel, st.component, grid.theta, grid.phi)
         np.testing.assert_array_equal(st.amplitudes, want)
         np.testing.assert_array_equal(st.evaluator(grid.theta, grid.phi), want)
+
+
+GRID_SHAPES = [(16, 33), (8, 17), (32, 64)]
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_grid_axes_broadcast_to_the_nodes(shape):
+    """axes are the grid's (n_theta, 1) polar and (1, n_phi) azimuthal
+    nodes; broadcast and raveled they are the nodes themselves."""
+    grid = build_grid(*shape)
+    theta, phi = grid.axes
+    assert theta.shape == (shape[0], 1) and phi.shape == (1, shape[1])
+    th, ph = np.broadcast_arrays(theta, phi)
+    np.testing.assert_array_equal(th.ravel(), grid.theta)
+    np.testing.assert_array_equal(ph.ravel(), grid.phi)
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_grid_tables_equal_node_by_node_evaluation(shape, scheme):
+    """Basis tables and slot conversions are evaluated on the grid's axes;
+    they must equal, bit for bit, the same functions evaluated at every
+    node (grid.theta, grid.phi)."""
+    grid = build_grid(*shape)
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    f1, f2 = _helicity_frames(grid.theta, grid.phi, FERMION_PAIR.j1, FERMION_PAIR.j2)
+    for st in fermion_states(grid, 3, scheme):
+        want = fn(FERMION_PAIR, st.j, st.channel, st.component, grid.theta, grid.phi)
+        np.testing.assert_array_equal(st.amplitudes, want)
+        if scheme == "helicity":
+            np.testing.assert_array_equal(
+                convert_slots_to_canonical(st).amplitudes,
+                np.einsum("nac,nbd,ncd->nab", f1, f2, want),
+            )
 
 
 def test_gram_matrix_matches_pairwise_inner_products():
@@ -601,6 +636,21 @@ def test_json_round_trip_helicity():
     loaded = state_from_json(text, FERMION_PAIR)
     assert np.array_equal(loaded.amplitudes, state.amplitudes)
     assert loaded.channel == state.channel
+
+
+def test_json_amplitudes_render_as_the_per_element_pairs():
+    """state_to_json writes its [re, im] pairs from one array; the text must
+    be the per-element rendering's, signed zeros included."""
+    grid = build_grid(16, 33)
+    for scheme in ("spin-orbit", "helicity"):
+        for state in fermion_states(grid, 1, scheme):
+            amps = state.amplitudes.copy()
+            amps[0, 0, 0] = complex(-0.0, -0.0)
+            amps[1, 0, 1] = complex(0.0, -0.0)
+            state = dataclasses.replace(state, amplitudes=amps)
+            payload = json.loads(state_to_json(state))
+            payload["amplitudes"] = [[float(z.real), float(z.imag)] for z in amps.ravel()]
+            assert state_to_json(state) == json.dumps(payload)
 
 
 def test_json_rejects_truncated_payload():
