@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,8 +185,8 @@ def _check_above_threshold(s, s1, s2) -> tuple[float, int]:
     """The triangle as (x, k), equal to x * 16**k, after an exact test of
     sqrt(s) > sqrt(s1) + sqrt(s2), which holds if and only if s > max(s1, s2)
     and the exact triangle is positive. k is 0 and x is triangle(s, s1, s2)
-    where that is a positive float; a triangle that overflows or rounds to
-    zero gives x in [1, 16) instead."""
+    where that is a normal float; a triangle that overflows, is subnormal
+    or rounds to zero gives x in [1, 16) instead, so no bits are lost."""
     if s1 <= 0.0 or s2 <= 0.0:
         raise MasslessUnsupported("constituent mass squared must be positive")
     t, den = _exact_triangle(s, s1, s2)
@@ -194,7 +195,7 @@ def _check_above_threshold(s, s1, s2) -> tuple[float, int]:
             f"pair mass sqrt({s}) does not exceed threshold sqrt({s1}) + sqrt({s2})"
         )
     with contextlib.suppress(OverflowError):
-        if (delta := t / (den * den)) > 0.0:
+        if (delta := t / (den * den)) >= sys.float_info.min:
             return delta, 0
     k = (t.bit_length() - 2 * den.bit_length() + 1) // 4
     return float(Fraction(t, den * den) / Fraction(16) ** k), k
@@ -251,9 +252,15 @@ class Kinematics:
         return (self.s + self.s2 - self.s1) / (2.0 * np.sqrt(self.s))
 
     def momenta(self, direction) -> tuple[FourMomentum, FourMomentum]:
-        """Back-to-back constituent momenta along a rest-frame direction."""
+        """Back-to-back constituent momenta along a rest-frame direction,
+        whose norm must be finite and nonzero (ValueError). Far above both
+        masses E^2 - k^2 cancels in floats: at s = 1e200 unit masses come
+        out massless, and the general-frame tables raise MasslessUnsupported."""
         n = np.asarray(direction, dtype=float)
-        n = n / np.linalg.norm(n)
+        norm = np.linalg.norm(n)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"direction {direction!r} must have a finite, nonzero norm")
+        n = n / norm
         return (
             FourMomentum(self.e1, self.k * n),
             FourMomentum(self.e2, -self.k * n),
@@ -283,8 +290,8 @@ def discrete_symmetry_labels(l, s) -> tuple[int, int]:
 def _finite_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """theta and phi as float arrays; ValueError unless theta + phi is finite.
 
-    One test per call, a plain float test for scalar angles. The
-    general-frame tables skip it: their angles come from finite momenta.
+    One test per call, a plain float test for scalar angles. Every
+    rest-frame table runs it, also when a general-frame table calls it.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -315,11 +322,7 @@ def spin_orbit_com_table(
     with s3 = chi1 + chi2 and l3 = chi - s3. Non-finite angles raise
     ValueError.
     """
-    return _spin_orbit_table(spec, j, channel, chi, *_finite_angles(theta, phi))
-
-
-def _spin_orbit_table(spec, j, channel, chi, theta, phi) -> np.ndarray:
-    """:func:`spin_orbit_com_table` at angles already known to be finite."""
+    theta, phi = _finite_angles(theta, phi)
     rows = _harmonic_rows(int(channel.l), theta, phi)
     return _spin_orbit_amplitudes(spec, j, channel, chi, rows)
 
@@ -385,11 +388,7 @@ def helicity_com_scalar(
     with mu = lam1 - lam2; identically zero when |mu| > j. Non-finite
     angles raise ValueError.
     """
-    return _helicity_scalar(spec, j, channel, chi, *_finite_angles(theta, phi))
-
-
-def _helicity_scalar(spec, j, channel, chi, theta, phi) -> np.ndarray:
-    """:func:`helicity_com_scalar` at angles already known to be finite."""
+    theta, phi = _finite_angles(theta, phi)
     j, chi = _check_chi(j, chi)
     if abs(channel.lam1) > spec.j1 or abs(channel.lam2) > spec.j2:
         raise InvalidChannel(f"channel ({channel.label()}) exceeds the constituent spins")
@@ -414,12 +413,7 @@ def helicity_com_table(
     index the constituent helicities (descending); only the slot at the
     channel's (lam1, lam2) is populated.
     """
-    return _helicity_table(spec, j, channel, chi, *_finite_angles(theta, phi))
-
-
-def _helicity_table(spec, j, channel, chi, theta, phi) -> np.ndarray:
-    """:func:`helicity_com_table` at angles already known to be finite."""
-    scalar = _helicity_scalar(spec, j, channel, chi, theta, phi)
+    scalar = helicity_com_scalar(spec, j, channel, chi, theta, phi)
     out = np.zeros(scalar.shape + spec.spin_shape, dtype=complex)
     a = component_index(spec.j1, channel.lam1)
     b = component_index(spec.j2, channel.lam2)
@@ -436,28 +430,22 @@ def angular_helicity_com(spec: TwoParticleSpec, j, lam1, lam2, lam, theta1, phi1
     return helicity_com_scalar(spec, j, HelicityChannel(lam1, lam2), lam, theta1, phi1)
 
 
-def _pair_kinematics(p1: FourMomentum, p2: FourMomentum) -> tuple[FourMomentum, float, float, float]:
-    s1, s2 = p1.mass2, p2.mass2
-    p = p1 + p2
-    s = p.mass2
-    _check_above_threshold(s, s1, s2)
-    return p, s, s1, s2
-
-
 def relative_momentum(p1: FourMomentum, p2: FourMomentum, convention: str = "canonical") -> np.ndarray:
     """Unit spacelike relative four-vector seen from the pair rest frame.
 
     The difference p1 - p2, with its component along the pair momentum
     projected out, is carried to the rest frame by the inverse of the
     pair's standard boost (of the given convention) and normalized with
-    sqrt(s / triangle). The time component vanishes and the spatial part
-    is a unit vector.
+    sqrt(s / triangle), both scaled by 16**k as in _check_above_threshold.
+    The time component vanishes and the spatial part is a unit vector.
     """
-    p, s, s1, s2 = _pair_kinematics(p1, p2)
+    s1, s2 = p1.mass2, p2.mass2
+    p = p1 + p2
+    s = p.mass2
+    delta, k = _check_above_threshold(s, s1, s2)
     q = (p1 - p2).as_array() - ((s1 - s2) / s) * p.as_array()
     binv = standard_boost(p, s, convention).inverse()
-    e = np.sqrt(s / triangle(s, s1, s2)) * (spinor_to_lorentz(binv.matrix) @ q)
-    return e
+    return np.sqrt(math.ldexp(s, -4 * k) / delta) * (spinor_to_lorentz(binv.matrix) @ q)
 
 
 def relative_direction(p1: FourMomentum, p2: FourMomentum, convention: str = "canonical") -> np.ndarray:
@@ -486,40 +474,38 @@ _FRAME_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
-def _frame(j1, j2, convention, key) -> tuple:
+def _frame(spec, convention, key) -> tuple:
     """Per-frame part of a general-frame table: (theta, phi, D^{j1}, D^{j2}).
 
     key is the exact bytes of (E1, p1, E2, p2), so frames are told apart
-    bit for bit (0.0 and -0.0 included). theta and phi are the polar
-    angles of the rest-frame relative direction; the D matrices rotate
-    the rest-frame spin slots to the frame of the momenta. They depend on
-    the momenta and the boost convention only, not on j, channel or chi,
-    and are returned read-only because they are shared.
+    bit for bit (0.0 and -0.0 included). The pair is checked once per
+    frame: above threshold in :func:`relative_direction`, then on the mass
+    shell of spec; a bad pair raises on every call, as nothing is cached
+    for it. theta and phi are the polar angles of the rest-frame relative
+    direction; the D matrices rotate the rest-frame spin slots to the
+    frame of the momenta, and are read-only because they are shared.
     """
     values = np.frombuffer(key, dtype=float)
     p1 = FourMomentum(values[0], values[1:4])
     p2 = FourMomentum(values[4], values[5:8])
-    p = p1 + p2
     theta, phi = polar_angles(relative_direction(p1, p2, convention))
-    d1 = rep_matrix(j1, inverse_com_wigner(p, p1, convention).matrix)
-    d2 = rep_matrix(j2, inverse_com_wigner(p, p2, convention).matrix)
+    for name, want, got in (("first", spec.s1, p1.mass2), ("second", spec.s2, p2.mass2)):
+        if abs(want - got) > 1e-6 * max(1.0, abs(want)):
+            raise ValueError(f"{name} momentum is off shell for the pair spec: {got} vs {want}")
+    p = p1 + p2
+    d1 = rep_matrix(spec.j1, inverse_com_wigner(p, p1, convention).matrix)
+    d2 = rep_matrix(spec.j2, inverse_com_wigner(p, p2, convention).matrix)
     d1.flags.writeable = False
     d2.flags.writeable = False
     return theta, phi, d1, d2
 
 
-def _angular_general(spec, j, channel, chi, p1, p2, scheme, com_fn):
-    """A general-frame table from com_fn, a rest-frame table that takes
-    the frame's angles unchecked: _frame derives them from finite momenta."""
-    _, _, s1, s2 = _pair_kinematics(p1, p2)
-    for name, want, got in (("first", spec.s1, s1), ("second", spec.s2, s2)):
-        if abs(want - got) > 1e-6 * max(1.0, abs(want)):
-            raise ValueError(f"{name} momentum is off shell for the pair spec: {got} vs {want}")
-    convention = "canonical" if scheme == "spin-orbit" else "helicity"
+def _angular_general(spec, j, channel, chi, p1, p2, convention, com_table):
+    """A general-frame table: the rest-frame com_table at the frame's
+    angles, its spin slots turned by the frame's Wigner rotations."""
     key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
-    theta, phi, d1, d2 = _frame(spec.j1, spec.j2, convention, key)
-    a_com = com_fn(spec, j, channel, chi, theta, phi)
-    return np.einsum("ac,bd,cd->ab", d1, d2, a_com)
+    theta, phi, d1, d2 = _frame(spec, convention, key)
+    return np.einsum("ac,bd,cd->ab", d1, d2, com_table(spec, j, channel, chi, theta, phi))
 
 
 def spin_orbit_general_table(
@@ -532,7 +518,7 @@ def spin_orbit_general_table(
     runs over the constituents' canonical spin components in the frame
     where p1 and p2 are given.
     """
-    return _angular_general(spec, j, channel, chi, p1, p2, "spin-orbit", _spin_orbit_table)
+    return _angular_general(spec, j, channel, chi, p1, p2, "canonical", spin_orbit_com_table)
 
 
 def angular_spin_orbit_general(
@@ -556,7 +542,7 @@ def helicity_general_table(
     the frame where p1 and p2 are given; chi is relative to the rest frame
     reached by the inverse helicity boost of p1 + p2.
     """
-    return _angular_general(spec, j, channel, chi, p1, p2, "helicity", _helicity_table)
+    return _angular_general(spec, j, channel, chi, p1, p2, "helicity", helicity_com_table)
 
 
 def angular_helicity_general(

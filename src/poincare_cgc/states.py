@@ -190,7 +190,7 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
     """
     j = HalfInt.of(j)
     component = HalfInt.of(component)
-    _check_above_threshold(s, spec.s1, spec.s2)
+    norm = com_normalization(s, spec.s1, spec.s2)
     if isinstance(channel, SpinOrbitChannel):
         scheme = "spin-orbit"
     elif isinstance(channel, HelicityChannel):
@@ -201,11 +201,12 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
         raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
     label = (j, channel, component)
     amplitude = _grid_source(spec, scheme, [label], grid)
-    return _basis_state(grid, spec, s, scheme, *label, amplitude(*label))
+    return _basis_state(grid, spec, s, norm, scheme, *label, amplitude(*label))
 
 
-def _basis_state(grid, spec, s, scheme, j, channel, component, amplitudes):
-    """A closed-form basis state of valid labels with its grid table."""
+def _basis_state(grid, spec, s, norm, scheme, j, channel, component, amplitudes):
+    """A closed-form basis state of valid labels with its grid table; norm
+    is :func:`com_normalization` at (s, spec.s1, spec.s2)."""
     return ComBasisState(
         grid=grid,
         spec=spec,
@@ -215,7 +216,7 @@ def _basis_state(grid, spec, s, scheme, j, channel, component, amplitudes):
         channel=channel,
         component=component,
         amplitudes=amplitudes,
-        norm_prefactor=com_normalization(s, spec.s1, spec.s2),
+        norm_prefactor=norm,
         closed_form=True,
     )
 
@@ -230,10 +231,10 @@ def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
     """
     scheme = _check_scheme(scheme)
     labels = _basis_labels(spec, j_max, scheme)
-    _check_above_threshold(s, spec.s1, spec.s2)
+    norm = com_normalization(s, spec.s1, spec.s2)
     amplitude = _grid_source(spec, scheme, labels, grid)
     return [
-        _basis_state(grid, spec, s, scheme, j, channel, chi, amplitude(j, channel, chi))
+        _basis_state(grid, spec, s, norm, scheme, j, channel, chi, amplitude(j, channel, chi))
         for j, channel, chi in labels
     ]
 

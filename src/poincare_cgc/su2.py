@@ -175,24 +175,32 @@ def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:
     return float(pref * total)
 
 
-def _harmonic_rows(l: int, theta, phi) -> np.ndarray:
-    """Y_{l m}(theta, phi) for m = l, l-1, ..., -l, Condon-Shortley phase.
+def _harmonic_top(l: int, ms, theta, phi) -> np.ndarray:
+    """Y_{l m}(theta, phi) for the orders 0 <= m <= l listed in ms, one row
+    each, broadcast over theta and phi; one lpmv call covers them all.
 
-    The one place Y_lm is evaluated: row l - m holds Y_{lm}, broadcast
-    over theta and phi. One lpmv call covers every m >= 0; the m < 0 rows
-    follow from Y_{l,-m} = (-1)^m conj(Y_{lm}). l above 85 raises
-    InvalidOrbitalLabel, since (2l)! overflows a float.
+    The one place Y_lm is evaluated. l above 85 raises InvalidOrbitalLabel,
+    since (2l)! overflows a float.
     """
     if l > 85:
         raise InvalidOrbitalLabel(f"orbital label {l} overflows a float factorial")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = (-1,) + (1,) * np.broadcast(theta, phi).ndim
-    norm = np.sqrt([(2 * l + 1) / (4.0 * np.pi) * _fact(l - m) / _fact(l + m)
-                    for m in range(l, -1, -1)])
-    ms = np.arange(l, -1, -1).reshape(shape)
-    top = norm.reshape(shape) * lpmv(ms, l, np.cos(theta)) * np.exp(1j * ms * phi)
-    signs = (-1.0) ** np.arange(1, l + 1).reshape(shape)
+    norm = np.sqrt([(2 * l + 1) / (4.0 * np.pi) * _fact(l - m) / _fact(l + m) for m in ms])
+    ms = np.asarray(ms).reshape(shape)
+    return norm.reshape(shape) * lpmv(ms, l, np.cos(theta)) * np.exp(1j * ms * phi)
+
+
+def _harmonic_rows(l: int, theta, phi) -> np.ndarray:
+    """Y_{l m}(theta, phi) for m = l, l-1, ..., -l, Condon-Shortley phase.
+
+    Row l - m holds Y_{lm}, broadcast over theta and phi. The m >= 0 rows
+    come from :func:`_harmonic_top`; the m < 0 rows follow from
+    Y_{l,-m} = (-1)^m conj(Y_{lm}).
+    """
+    top = _harmonic_top(l, range(l, -1, -1), theta, phi)
+    signs = (-1.0) ** np.arange(1, l + 1).reshape((-1,) + (1,) * (top.ndim - 1))
     return np.concatenate([top, signs * np.conj(top[:l][::-1])])
 
 
@@ -200,14 +208,16 @@ def spherical_harmonic(l, m, theta, phi):
     """Spherical harmonic Y_{l m}(theta, phi), Condon-Shortley phase.
 
     l must be a nonnegative integer spin; m with |m| > l gives 0. theta and
-    phi broadcast as arrays.
+    phi broadcast as arrays. Only the order |m| is evaluated; m < 0 follows
+    from it as in :func:`_harmonic_rows`, bit for bit.
     """
     l, m = HalfInt.of(l), HalfInt.of(m)
     if not l.is_integer or l < HalfInt(0):
         raise InvalidOrbitalLabel(f"orbital label must be a nonnegative integer, got {l}")
     if not m.is_integer:
         raise InvalidOrbitalLabel(f"orbital component must be an integer, got {m}")
-    rows = _harmonic_rows(int(l), theta, phi)
+    l, m = int(l), int(m)
+    y = _harmonic_top(l, [min(abs(m), l)], theta, phi)[0]
     if abs(m) > l:
-        return np.zeros(rows.shape[1:])
-    return rows[int(l) - int(m)]
+        return np.zeros(y.shape)
+    return y if m >= 0 else (-1.0) ** -m * np.conj(y)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -208,25 +209,81 @@ def test_threshold_test_is_exact():
             assert k > 0.0 and com_normalization(s, m1 * m1, m2 * m2) > 0.0
 
 
+def _sqrt_of(r: Fraction) -> float:
+    """sqrt of a positive Fraction, to far more bits than a float holds."""
+    return float(Fraction(math.isqrt(r.numerator * 4**600 // r.denominator), 2**600))
+
+
+def _exact_triangle_of(s, s1, s2) -> Fraction:
+    x, y, z = Fraction(s), Fraction(s1), Fraction(s2)
+    return x * x + y * y + z * z - 2 * (x * y + y * z + z * x)
+
+
 @pytest.mark.parametrize("s, s1, s2", [(1e200, 1.0, 1.0), (4e-170, 9e-171, 9e-171)])
 def test_threshold_quantities_beyond_the_float_triangle(s, s1, s2):
     """These triangles are no floats: about 1e400, which overflows (triangle
     raises OverflowError), and about 2e-340, which rounds to zero. The
     momentum and the normalization are floats, and both are read from the
     exact triangle."""
-    x, y, z = Fraction(s), Fraction(s1), Fraction(s2)
-    exact = x * x + y * y + z * z - 2 * (x * y + y * z + z * x)
+    exact = _exact_triangle_of(s, s1, s2)
     if exact > 1:
         with pytest.raises(OverflowError):
             triangle(s, s1, s2)
     else:
         assert triangle(s, s1, s2) == 0.0
     k = com_momentum(s, s1, s2)
-    assert k == pytest.approx(math.sqrt(exact / (4 * x)), rel=1e-15)
+    assert k == pytest.approx(math.sqrt(exact / (4 * Fraction(s))), rel=1e-15, abs=0.0)
     assert Kinematics(s, s1, s2).k == k
     log_exact = math.log(exact.numerator) - math.log(exact.denominator)
     want = math.sqrt(0.5) * math.exp(log_exact / 4)
-    assert com_normalization(s, s1, s2) == pytest.approx(want, rel=1e-13)
+    assert com_normalization(s, s1, s2) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [2e-158, 2e-160])
+def test_momentum_is_exact_where_the_triangle_is_subnormal(s):
+    """These triangles (8e-317 and 8e-321) are subnormal floats, too short
+    for a momentum good to 1e-15; the momentum reads the exact triangle."""
+    s1 = s2 = s / 5
+    assert 0.0 < triangle(s, s1, s2) < 2.3e-308
+    want = _sqrt_of(_exact_triangle_of(s, s1, s2) / (4 * Fraction(s)))
+    k = com_momentum(s, s1, s2)
+    assert k == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert Kinematics(s, s1, s2).k == k
+
+
+def test_relative_momentum_beyond_the_float_triangle():
+    """At s = 1e200 with s1 = s2 = 1e199 the triangle (6e399) overflows a
+    float. relative_momentum reads it scaled: a unit vector normalized by
+    the exact triangle of the momenta's masses, and the general-frame
+    tables there are finite."""
+    kin = Kinematics(1e200, 1e199, 1e199)
+    n = np.array([0.3, -0.2, 0.9])
+    p1, p2 = kin.momenta(n)
+    with pytest.raises(OverflowError):
+        triangle((p1 + p2).mass2, p1.mass2, p2.mass2)
+    e = relative_momentum(p1, p2)
+    s = Fraction((p1 + p2).mass2)
+    want = _sqrt_of(s / _exact_triangle_of(s, p1.mass2, p2.mass2)) * np.linalg.norm(p1.p - p2.p)
+    assert e[0] == 0.0
+    assert np.linalg.norm(e[1:]) == pytest.approx(want, rel=1e-15)
+    assert np.abs(e[1:] - n / np.linalg.norm(n)).max() < 1e-15
+    spec = TwoParticleSpec(1e199, 1e199, 0.5, 0.5)
+    for table_fn, channel in (
+        (spin_orbit_general_table, SpinOrbitChannel(1, 1)),
+        (helicity_general_table, HelicityChannel(0.5, -0.5)),
+    ):
+        assert np.isfinite(table_fn(spec, 1, channel, 0, p1, p2)).all()
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [0.0, -np.inf, 1.0]])
+def test_momenta_reject_a_zero_or_non_finite_direction(direction):
+    """The direction is checked before it is normalized: no 0/0 warning,
+    and the error names the direction, not the momenta."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction"):
+            kin.momenta(direction)
 
 
 def test_triangle_rejects_non_finite_arguments():
@@ -362,24 +419,9 @@ def test_rest_frame_amplitudes_reject_non_finite_angles(bad):
     for theta, phi in ((bad, 0.2), (0.1, bad), (np.array([0.1, bad]), 0.2)):
         with pytest.raises(ValueError, match="finite"):
             spin_orbit_com_table(FERMION_PAIR, 1, SpinOrbitChannel(1, 1), 0, theta, phi)
-        with pytest.raises(ValueError, match="finite"):
-            helicity_com_scalar(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, theta, phi)
-
-
-def test_general_tables_do_not_retest_their_angles(monkeypatch):
-    """The general-frame tables take their angles from _frame, which derives
-    them from finite momenta; only the rest-frame entry points test them."""
-    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
-    p1, p2 = kin.momenta([0.3, -0.2, 0.9])
-
-    def refuse(theta, phi):
-        raise AssertionError("angles tested again")
-
-    monkeypatch.setattr(cgc_module, "_finite_angles", refuse)
-    spin_orbit_general_table(FERMION_PAIR, 1, SpinOrbitChannel(1, 1), 0, p1, p2)
-    helicity_general_table(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, p1, p2)
-    with pytest.raises(AssertionError, match="tested again"):
-        helicity_com_table(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, 0.1, 0.2)
+        for table_fn in (helicity_com_scalar, helicity_com_table):
+            with pytest.raises(ValueError, match="finite"):
+                table_fn(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, theta, phi)
 
 
 @pytest.mark.parametrize("angles", ["scalar", "grid"])
@@ -543,7 +585,7 @@ def test_cached_frame_matrices_are_read_only():
     p1, p2 = kin.momenta([0.3, -0.2, 0.9])
     key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
     for convention in ("canonical", "helicity"):
-        _, _, d1, d2 = cgc_module._frame(FERMION_PAIR.j1, FERMION_PAIR.j2, convention, key)
+        _, _, d1, d2 = cgc_module._frame(FERMION_PAIR, convention, key)
         for d in (d1, d2):
             assert not d.flags.writeable
             with pytest.raises(ValueError):
@@ -556,6 +598,45 @@ def test_general_frame_off_shell_guard():
     heavy = FourMomentum.on_shell(2.0, p1.as_array()[1:])
     with pytest.raises(ValueError, match="off shell"):
         spin_orbit_general_table(FERMION_PAIR, 1, SpinOrbitChannel(1, 1), 0, heavy, p2)
+
+
+def test_off_shell_guard_holds_for_a_cached_frame():
+    """Momenta whose frame is cached under one spec are still off shell for
+    a heavier spec, on every call: the frame cache is keyed on the spec."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    p1, p2 = kin.momenta([0.3, -0.2, 0.9])
+    channel = SpinOrbitChannel(1, 1)
+    spin_orbit_general_table(FERMION_PAIR, 1, channel, 0, p1, p2)
+    heavy = TwoParticleSpec.fermion_pair(2.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="first momentum is off shell"):
+            spin_orbit_general_table(heavy, 1, channel, 0, p1, p2)
+
+
+def test_general_tables_check_their_pair_once_per_frame(monkeypatch):
+    """The pair is checked in _frame, once per frame and boost convention:
+    all 68 tables at a fresh frame run the threshold test as often as one
+    table of each scheme does."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    labels = _general_labels()
+    first = [next(lab for lab in labels if lab[0] == scheme) for scheme in cgc_module.SCHEMES]
+    check = cgc_module._check_above_threshold
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(cgc_module, "_check_above_threshold", counted)
+    counts = []
+    for direction, batch in (([0.3, -0.2, 0.9], first), ([-0.5, 0.1, 0.4], labels)):
+        p1, p2 = kin.momenta(direction)
+        cgc_module._frame.cache_clear()
+        calls.clear()
+        for label in batch:
+            _general_table(*label, p1, p2)
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 def test_spin_orbit_boosted_covariance(rng):

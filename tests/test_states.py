@@ -111,6 +111,28 @@ def test_basis_state_hand_values():
     assert abs(complex(inner_product(singlet, singlet)) - MEASURED_GRAM_DIAGONAL) < 1e-13
 
 
+def test_basis_computes_its_prefactor_once_per_call(monkeypatch):
+    """The threshold test and the prefactor run once per call, not once per
+    state; every state carries that one value."""
+    calls = []
+    normalization = states_module.com_normalization
+
+    def counted(*args):
+        calls.append(args)
+        return normalization(*args)
+
+    monkeypatch.setattr(states_module, "com_normalization", counted)
+    grid = build_grid(6, 13)
+    for scheme in ("spin-orbit", "helicity"):
+        calls.clear()
+        basis = all_basis_states(grid, FERMION_PAIR, PAIR_S, 2, scheme)
+        assert len(calls) == 1 and len(basis) > 1
+        assert {state.norm_prefactor for state in basis} == {normalization(PAIR_S, 1.0, 1.0)}
+    calls.clear()
+    build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 1, SpinOrbitChannel(1, 1), 0)
+    assert len(calls) == 1
+
+
 def test_basis_state_validation():
     grid = build_grid(6, 13)
     with pytest.raises(InvalidChannel, match="not a channel label"):

@@ -14,7 +14,9 @@ from scipy.linalg import expm
 from conftest import quaternion_su2, random_su2
 from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
 from poincare_cgc.halfint import HalfInt, components, hrange
+from poincare_cgc.states import build_grid
 from poincare_cgc.su2 import (
+    _harmonic_rows,
     euler_zyz,
     rep_matrix,
     spherical_harmonic,
@@ -266,6 +268,25 @@ def test_spherical_harmonic_addition_theorem(rng):
 
 def test_spherical_harmonic_out_of_range_m_is_zero():
     assert np.all(spherical_harmonic(1, 2, 0.3, 0.4) == 0.0)
+
+
+def test_spherical_harmonic_is_its_row_of_the_harmonic_rows():
+    """spherical_harmonic evaluates the order |m| alone. It equals the row
+    of _harmonic_rows bit for bit, signed zeros included, for every l <= 20
+    and every m: on a grid, on the grid's axes and at scalar angles,
+    both poles included."""
+    grid = build_grid(16, 33)
+    angles = [(grid.theta, grid.phi), grid.axes, (0.0, 0.3), (np.pi, -1.1), (0.7, -0.0)]
+    for l in range(21):
+        for theta, phi in angles:
+            rows = _harmonic_rows(l, theta, phi)
+            for m in range(-l, l + 1):
+                got = spherical_harmonic(l, m, theta, phi)
+                assert got.shape == rows.shape[1:]
+                assert got.tobytes() == rows[l - m].tobytes()
+    for m in (0, 87):
+        with pytest.raises(InvalidOrbitalLabel, match="overflows"):
+            spherical_harmonic(86, m, 0.1, 0.1)
 
 
 def test_spherical_harmonic_rejects_bad_labels():
