@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BelowThreshold, InvalidChannel, MasslessUnsupported
-from .halfint import HalfInt, component_index, components, hrange, triangle_rule
+from .halfint import HalfInt, compatible, component_index, components, hrange, triangle_rule
 from .lorentz import (
     FourMomentum,
     SpinorTransform,
@@ -257,9 +257,15 @@ class Kinematics:
         masses E^2 - k^2 cancels in floats: at s = 1e200 unit masses come
         out massless, and the general-frame tables raise MasslessUnsupported."""
         n = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(n)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(n)
         if not 0.0 < norm < math.inf:
-            raise ValueError(f"direction {direction!r} must have a finite, nonzero norm")
+            # the squared norm over- or underflowed, or the direction is invalid
+            scale = np.max(np.abs(n))
+            if not 0.0 < scale < math.inf:
+                raise ValueError(f"direction {direction!r} must have a finite, nonzero norm")
+            n = n / scale
+            norm = np.linalg.norm(n)
         n = n / norm
         return (
             FourMomentum(self.e1, self.k * n),
@@ -303,7 +309,7 @@ def _finite_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_chi(j, chi) -> tuple[HalfInt, HalfInt]:
     j, chi = HalfInt.of(j), HalfInt.of(chi)
-    if (j.twice - chi.twice) % 2 != 0 or abs(chi) > j:
+    if not compatible(j, chi):
         raise ValueError(f"component {chi} is not valid for spin {j}")
     return j, chi
 
@@ -396,7 +402,7 @@ def helicity_com_scalar(
     mu = channel.mu
     if abs(mu) > j:
         return np.zeros(shape, dtype=complex)
-    if (j.twice - mu.twice) % 2 != 0:
+    if not compatible(j, mu):
         raise ValueError(f"component {mu} invalid for j={j}")
     # d^j_{chi mu} alone, not the whole (2j+1)^2 matrix
     d = _d_entry(_check_j(j).twice, chi.twice, mu.twice, theta)

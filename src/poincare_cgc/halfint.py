@@ -124,7 +124,7 @@ def components(j) -> list[HalfInt]:
 def component_index(j, m) -> int:
     """Row index of component m in the descending +j..-j ordering."""
     j, m = HalfInt.of(j), HalfInt.of(m)
-    if (j.twice - m.twice) % 2 != 0 or abs(m.twice) > j.twice:
+    if not compatible(j, m):
         raise ValueError(f"component {m} invalid for j={j}")
     return (j.twice - m.twice) // 2
 

@@ -9,7 +9,7 @@ boosts along n with rapidity eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,10 @@ def _as_matrix(alpha) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinorTransform:
-    """An SL(2,C) matrix plus a spacetime translation four-vector."""
+    """An SL(2,C) matrix. A translation multiplies the product and the
+    coupled states by the same phase, so it never enters the reduction."""
 
     matrix: np.ndarray
-    translation: np.ndarray = field(default=None)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -51,20 +51,11 @@ class SpinorTransform:
         # "not <=": a NaN or infinite entry makes det non-finite and fails too
         if not abs(det - 1.0) <= _DET_TOL:
             raise ValueError(f"matrix must be unimodular, |det-1| = {abs(det - 1.0):.3e}")
-        trans = self.translation
-        trans = np.zeros(4) if trans is None else np.asarray(trans, dtype=float)
-        if trans.shape != (4,):
-            raise ValueError("translation must be a four-vector")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "translation", trans)
 
     @classmethod
     def identity(cls) -> "SpinorTransform":
         return cls(np.eye(2, dtype=complex))
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return bool(np.all(self.translation == 0.0))
 
     def unitarity_defect(self) -> float:
         m = self.matrix
@@ -72,19 +63,10 @@ class SpinorTransform:
 
     def inverse(self) -> "SpinorTransform":
         m = self.matrix
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-        return SpinorTransform(inv, -spinor_to_lorentz(inv) @ self.translation)
+        return SpinorTransform(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex))
 
     def __matmul__(self, other) -> "SpinorTransform":
-        return compose(self, other)
-
-
-def compose(g1: SpinorTransform, g2: SpinorTransform) -> SpinorTransform:
-    """Group law (a1, t1)(a2, t2) = (a1 a2, t1 + Lambda(a1) t2)."""
-    return SpinorTransform(
-        g1.matrix @ g2.matrix,
-        g1.translation + spinor_to_lorentz(g1.matrix) @ g2.translation,
-    )
+        return SpinorTransform(self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -230,7 +212,7 @@ def helicity_boost(p: FourMomentum, s: float | None = None) -> SpinorTransform:
     """Helicity boost h(p) = rho(p) l(p_z), with p_z = (E, 0, 0, |p|)."""
     s, _ = _check_massive(p, s)
     p_z = FourMomentum(p.energy, np.array([0.0, 0.0, p.pabs]))
-    return SpinorTransform(direction_rotation(p).matrix @ canonical_boost(p_z, s).matrix)
+    return direction_rotation(p) @ canonical_boost(p_z, s)
 
 
 _BOOSTS = {"canonical": canonical_boost, "helicity": helicity_boost}
@@ -251,12 +233,7 @@ def wigner_rotation(alpha, p: FourMomentum, convention: str = "canonical") -> Sp
     and massive p the result is unitary up to roundoff; in particular
     W(u, p) = u for canonical boosts and unitary u.
     """
-    if isinstance(alpha, SpinorTransform):
-        if not alpha.is_homogeneous:
-            raise ValueError("Wigner rotation needs a homogeneous transform")
-        alpha = alpha.matrix
-    else:
-        alpha = np.asarray(alpha, dtype=complex)
+    alpha = _as_matrix(alpha)
     s = p.mass2
     q = apply_lorentz(alpha, p)
     b_p = standard_boost(p, s, convention).matrix
@@ -266,11 +243,7 @@ def wigner_rotation(alpha, p: FourMomentum, convention: str = "canonical") -> Sp
 
 def require_su2(u, tol: float = 1e-10) -> np.ndarray:
     """Return u as an ndarray after checking it is (numerically) in SU(2)."""
-    if isinstance(u, SpinorTransform):
-        if not u.is_homogeneous:
-            raise NotARotation("transform carries a translation")
-        u = u.matrix
-    u = np.asarray(u, dtype=complex)
+    u = _as_matrix(u)
     if u.shape != (2, 2):
         raise NotARotation("rotation must be a 2x2 matrix")
     # "not <=": a NaN or infinite entry makes the defect non-finite and fails too

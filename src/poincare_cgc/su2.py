@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import lpmv
 
 from .errors import InvalidOrbitalLabel, NotARotation
-from .halfint import HalfInt, components, triangle_rule
+from .halfint import HalfInt, compatible, components, triangle_rule
 from .lorentz import require_su2
 
 _MAX_J = HalfInt(20)
@@ -139,9 +139,8 @@ def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:
     m1, m2, m = HalfInt.of(chi1), HalfInt.of(chi2), HalfInt.of(chi)
     for jj in (j1, j2, j):
         _check_j(jj)
-    for jj, mm in ((j1, m1), (j2, m2), (j, m)):
-        if (jj.twice - mm.twice) % 2 != 0 or abs(mm) > jj:
-            return 0.0
+    if not (compatible(j1, m1) and compatible(j2, m2) and compatible(j, m)):
+        return 0.0
     if m1 + m2 != m or not triangle_rule(j1, j2, j):
         return 0.0
     tj1, tj2, tj = j1.twice, j2.twice, j.twice

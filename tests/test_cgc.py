@@ -286,6 +286,25 @@ def test_momenta_reject_a_zero_or_non_finite_direction(direction):
             kin.momenta(direction)
 
 
+@pytest.mark.parametrize(
+    "direction, unit",
+    [
+        ([1e200, 1e200, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+        ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([3e-170, 4e-170, 0.0], [0.6, 0.8, 0.0]),
+    ],
+)
+def test_momenta_accept_a_direction_whose_squared_norm_leaves_the_floats(direction, unit):
+    """A squared norm that overflows or underflows is no reason to reject
+    a finite, nonzero direction, and raises no warning either."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kin.momenta(direction)
+    for p, want in zip(got, kin.momenta(unit)):
+        np.testing.assert_allclose(p.as_array(), want.as_array(), rtol=1e-15, atol=0.0)
+
+
 def test_triangle_rejects_non_finite_arguments():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):

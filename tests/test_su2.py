@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import sph_harm_y
 
 from conftest import quaternion_su2, random_su2
 from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
@@ -287,6 +288,20 @@ def test_spherical_harmonic_is_its_row_of_the_harmonic_rows():
     for m in (0, 87):
         with pytest.raises(InvalidOrbitalLabel, match="overflows"):
             spherical_harmonic(86, m, 0.1, 0.1)
+
+
+def test_spherical_harmonics_match_scipy_for_every_order(rng):
+    """Y_lm for every l <= 85 and every m, m < 0 included, against scipy's
+    sph_harm_y, which shares no code with su2's conjugation step: at seeded
+    angles and at both poles."""
+    theta = np.concatenate([rng.uniform(0.0, np.pi, size=6), [0.0, np.pi]])
+    phi = np.concatenate([rng.uniform(0.0, 2 * np.pi, size=6), [0.4, 1.9]])
+    for l in range(86):
+        ms = np.arange(l, -l - 1, -1)
+        want = sph_harm_y(l, ms[:, None], theta, phi)
+        assert np.max(np.abs(_harmonic_rows(l, theta, phi) - want)) < 1e-11
+        for m, row in zip(ms, want):
+            assert np.max(np.abs(spherical_harmonic(l, m, theta, phi) - row)) < 1e-11
 
 
 def test_spherical_harmonic_rejects_bad_labels():
