@@ -437,37 +437,42 @@ def angular_helicity_com(spec: TwoParticleSpec, j, lam1, lam2, lam, theta1, phi1
 
 
 def relative_momentum(p1: FourMomentum, p2: FourMomentum, convention: str = "canonical") -> np.ndarray:
-    """Unit spacelike relative four-vector seen from the pair rest frame.
+    """Unit spacelike relative four-vectors seen from the pair rest frame.
 
     The difference p1 - p2, with its component along the pair momentum
     projected out, is carried to the rest frame by the inverse of the
     pair's standard boost (of the given convention) and normalized with
     sqrt(s / triangle), both scaled by 16**k as in _check_above_threshold.
     The time component vanishes and the spatial part is a unit vector.
+    p1 and p2 may be batches (leading axes broadcast, as in lorentz); each
+    pair is tested against its threshold, the first failing one raising.
     """
     s1, s2 = p1.mass2, p2.mass2
     p = p1 + p2
     s = p.mass2
-    delta, k = _check_above_threshold(s, s1, s2)
-    q = (p1 - p2).as_array() - ((s1 - s2) / s) * p.as_array()
-    binv = standard_boost(p, s, convention).inverse()
-    return np.sqrt(math.ldexp(s, -4 * k) / delta) * (spinor_to_lorentz(binv.matrix) @ q)
+    members = zip(*(_check_above_threshold(*pair) for pair in np.broadcast(s, s1, s2)))
+    delta, k = (np.array(v).reshape(np.shape(s)) for v in members)
+    q = p1.as_array() - p2.as_array() - np.asarray((s1 - s2) / s)[..., None] * p.as_array()
+    binv = standard_boost(p, None, convention).inverse()
+    scale = np.asarray(np.sqrt(np.ldexp(s, -4 * k) / delta))[..., None]
+    return scale * (spinor_to_lorentz(binv.matrix) @ q[..., None])[..., 0]
 
 
 def relative_direction(p1: FourMomentum, p2: FourMomentum, convention: str = "canonical") -> np.ndarray:
-    """Spatial unit vector of :func:`relative_momentum`."""
-    return relative_momentum(p1, p2, convention)[1:]
+    """Spatial unit vectors of :func:`relative_momentum`."""
+    return relative_momentum(p1, p2, convention)[..., 1:]
 
 
 def inverse_com_wigner(
     p: FourMomentum, p_i: FourMomentum, convention: str = "canonical"
 ) -> SpinorTransform:
-    """Spin rotation taking rest-frame constituent labels to frame of p.
+    """Spin rotations taking rest-frame constituent labels to the frame of p.
 
     For the pair momentum p and a constituent momentum p_i (both in the
     same frame), this is the little-group element W(b(p), q_i) where q_i
     is p_i carried to the pair rest frame, i.e. the rotation a spin slot
     picks up when the coupled state is boosted out of the rest frame.
+    p and p_i may be batches; their leading axes broadcast.
     """
     binv = standard_boost(p, None, convention).inverse()
     return wigner_rotation(binv, p_i, convention).inverse()
@@ -491,16 +496,17 @@ def _frame(spec, convention, key) -> tuple:
     direction; the D matrices rotate the rest-frame spin slots to the
     frame of the momenta, and are read-only because they are shared.
     """
-    values = np.frombuffer(key, dtype=float)
-    p1 = FourMomentum(values[0], values[1:4])
-    p2 = FourMomentum(values[4], values[5:8])
+    pair = FourMomentum.from_array(np.frombuffer(key, dtype=float).reshape(2, 4))
+    p1, p2 = pair[0], pair[1]
     theta, phi = polar_angles(relative_direction(p1, p2, convention))
     for name, want, got in (("first", spec.s1, p1.mass2), ("second", spec.s2, p2.mass2)):
         if abs(want - got) > 1e-6 * max(1.0, abs(want)):
             raise ValueError(f"{name} momentum is off shell for the pair spec: {got} vs {want}")
-    p = p1 + p2
-    d1 = rep_matrix(spec.j1, inverse_com_wigner(p, p1, convention).matrix)
-    d2 = rep_matrix(spec.j2, inverse_com_wigner(p, p2, convention).matrix)
+    w = inverse_com_wigner(p1 + p2, pair, convention).matrix
+    if spec.j1 == spec.j2:
+        d1, d2 = rep_matrix(spec.j1, w)
+    else:
+        d1, d2 = rep_matrix(spec.j1, w[0]), rep_matrix(spec.j2, w[1])
     d1.flags.writeable = False
     d2.flags.writeable = False
     return theta, phi, d1, d2

@@ -10,15 +10,17 @@ table
 verify
     Run the library's verification suite and report each invariant with
     its measured residual and tolerance. Exit status 1 when any check
-    fails.
+    fails. --format json gives each check's margin (tolerance / residual)
+    and wall time as well, and the notes.
 decompose
     Project one of the four maximally spin-correlated product states onto
     partial-wave channels and emit the coefficient rows.
 
 All commands are deterministic: identical flags produce byte-identical
-output. Angles are radians. Numbers are printed with 17 significant
-digits ("." decimal separator, no locale), which round-trips IEEE doubles
-losslessly. Exit codes: 0 success, 1 verification failure, 2 usage error.
+output, apart from the wall times of verify --format json. Angles are
+radians. Numbers are printed with 17 significant digits ("." decimal
+separator, no locale), which round-trips IEEE doubles losslessly. Exit
+codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify_suite.run(args.level)
-    print(report.format())
+    print(report.format() if args.format == "text" else json.dumps(report.as_dict(), indent=2))
     return 0 if report.ok else 1
 
 
@@ -305,6 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--level", choices=verify_suite.LEVELS, default="fast")
+    verify.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="json: per check name, residual, tolerance, margin, wall_s, passed; and the notes",
+    )
     verify.set_defaults(func=cmd_verify)
 
     decompose = sub.add_parser(

@@ -1,69 +1,94 @@
 """SL(2,C) spinor transforms, standard boosts and Wigner rotations.
 
-Conventions: metric (+,-,-,-); a four-vector p maps to the Hermitian matrix
-X_p = E*1 + p.sigma, and alpha in SL(2,C) acts as X -> alpha X alpha†.
-exp(-i theta n.sigma/2) rotates by +theta about n; exp(+eta n.sigma/2)
-boosts along n with rapidity eta.
+Conventions: metric (+,-,-,-); a four-vector p maps to X_p = E*1 + p.sigma,
+and alpha in SL(2,C) acts as X -> alpha X alpha†. exp(-i theta n.sigma/2)
+rotates by +theta about n; exp(+eta n.sigma/2) boosts along n by rapidity eta.
+
+Batch axes: a FourMomentum holds energy (...) and p (..., 3), a group
+element is (..., 2, 2), a Lorentz matrix (..., 4, 4). Leading axes of the
+arguments broadcast; matrix and vector axes trail; a scalar in (a float
+energy, one 2x2 matrix) gives a scalar out, as the 0-d case of the same
+code, each batch member bit for bit as its scalar call. A bad member (off
+shell, s <= 0, non-finite, not unimodular, not in SU(2)) raises the scalar
+call's error for the first one, before any output.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MasslessUnsupported, NotARotation
 
-SIGMA = np.array(
-    [
-        [[1.0, 0.0], [0.0, 1.0]],
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
-
+SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-_DET_TOL = 1e-12
+_EYE = np.eye(2)
+
+
+def _require(ok, error, message, *values):
+    """Raise error(message.format(*values)) at the first member where ok is
+    False, each value broadcast over ok's shape (trailing axes kept) and read
+    there. ok is "not bad" ("not <=" rather than ">"), so a NaN fails too."""
+    if not (ok.all() if ok.ndim else ok):
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        members = (np.broadcast_to(v, ok.shape + np.shape(v)[ok.ndim:])[i] for v in values)
+        raise error(message.format(*members))
+
+
+def _scalar(x):
+    return float(x) if x.ndim == 0 else x  # a 0-d result as a float
+
+
+def _dot(a, b):
+    """Dot products over the last axis, rounded as the 1-d a @ b rounds."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matrices(m00, m01, m10, m11) -> np.ndarray:
+    """(..., 2, 2) matrices from their entries, all of one shape."""
+    out = np.empty(np.shape(m00) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
+
+
+def _det_defect(m):
+    return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0] - 1.0)
+
+
+def _unitarity_defect(m):
+    return np.abs(m @ np.conj(np.swapaxes(m, -1, -2)) - _EYE).max(axis=-1).max(axis=-1)
 
 
 def _as_matrix(alpha) -> np.ndarray:
-    if isinstance(alpha, SpinorTransform):
-        return alpha.matrix
-    return np.asarray(alpha, dtype=complex)
+    return alpha.matrix if isinstance(alpha, SpinorTransform) else np.asarray(alpha, dtype=complex)
 
 
 @dataclass(frozen=True)
 class SpinorTransform:
-    """An SL(2,C) matrix. A translation multiplies the product and the
-    coupled states by the same phase, so it never enters the reduction."""
+    """SL(2,C) matrices (..., 2, 2). A translation multiplies the product and
+    the coupled states by the same phase, so it never enters the reduction."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (2, 2):
+        if mat.shape[-2:] != (2, 2):
             raise ValueError("matrix must be 2x2")
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        # "not <=": a NaN or infinite entry makes det non-finite and fails too
-        if not abs(det - 1.0) <= _DET_TOL:
-            raise ValueError(f"matrix must be unimodular, |det-1| = {abs(det - 1.0):.3e}")
+        # det rounds to about eps max|m_ij|^2, which is 1 on SU(2) and about e^rapidity on a boost
+        defect = _det_defect(mat)
+        scale = 1.0 if (defect <= 1e-12).all() else np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)) ** 2)
+        _require(defect / scale <= 1e-12, ValueError, "matrix must be unimodular, |det-1| = {:.3e}", defect)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def identity(cls) -> "SpinorTransform":
-        return cls(np.eye(2, dtype=complex))
-
-    def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m @ m.conj().T - np.eye(2))))
+    def unitarity_defect(self):
+        """max |m m† - 1| of each member."""
+        return _scalar(_unitarity_defect(self.matrix))
 
     def inverse(self) -> "SpinorTransform":
         m = self.matrix
-        return SpinorTransform(np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex))
+        return SpinorTransform(_matrices(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]))
 
     def __matmul__(self, other) -> "SpinorTransform":
         return SpinorTransform(self.matrix @ other.matrix)
@@ -71,48 +96,49 @@ class SpinorTransform:
 
 @dataclass(frozen=True)
 class FourMomentum:
-    """On- or off-shell four-momentum (E, p) with finite components."""
+    """On- or off-shell four-momenta (E, p), finite: energy (...), p (..., 3)."""
 
-    energy: float
+    energy: float | np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.p, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError("p must be a 3-vector")
-        energy = float(self.energy)
-        if not (math.isfinite(energy) and np.isfinite(vec).all()):
-            raise ValueError(f"four-momentum must be finite, got E = {energy}, p = {vec}")
-        object.__setattr__(self, "energy", energy)
+        energy, vec = np.asarray(self.energy, dtype=float), np.asarray(self.p, dtype=float)
+        if vec.shape != energy.shape + (3,):
+            raise ValueError(f"p must be a 3-vector per energy, got shapes {energy.shape}, {vec.shape}")
+        ok = np.isfinite(energy) & np.isfinite(vec).all(axis=-1)
+        _require(ok, ValueError, "four-momentum must be finite, got E = {}, p = {}", energy, vec)
+        object.__setattr__(self, "energy", _scalar(energy))
         object.__setattr__(self, "p", vec)
 
     @classmethod
-    def on_shell(cls, s: float, p) -> "FourMomentum":
-        """Physical momentum of invariant mass squared s with spatial part p."""
-        if s <= 0.0:
-            raise MasslessUnsupported(f"mass squared must be positive, got {s}")
-        vec = np.asarray(p, dtype=float)
-        return cls(float(np.sqrt(s + vec @ vec)), vec)
+    def on_shell(cls, s, p) -> "FourMomentum":
+        """Physical momenta of invariant mass squared s with spatial part p."""
+        s, vec = np.asarray(s, dtype=float), np.asarray(p, dtype=float)
+        _require(~(s <= 0.0), MasslessUnsupported, "mass squared must be positive, got {}", s)
+        return cls(np.sqrt(s + _dot(vec, vec)), vec)
 
     @classmethod
-    def rest(cls, s: float) -> "FourMomentum":
-        return cls.on_shell(s, np.zeros(3))
+    def rest(cls, s) -> "FourMomentum":
+        return cls.on_shell(s, np.zeros(np.shape(s) + (3,)))
 
     @classmethod
     def from_array(cls, a) -> "FourMomentum":
         a = np.asarray(a, dtype=float)
-        return cls(a[0], a[1:])
+        return cls(a[..., 0], a[..., 1:])
+
+    def __getitem__(self, index) -> "FourMomentum":
+        return FourMomentum(np.asarray(self.energy)[index], self.p[index])
 
     @property
-    def mass2(self) -> float:
-        return self.energy**2 - float(self.p @ self.p)
+    def mass2(self):
+        return _scalar(self.energy * self.energy - _dot(self.p, self.p))
 
     @property
-    def pabs(self) -> float:
-        return float(np.linalg.norm(self.p))
+    def pabs(self):
+        return _scalar(np.sqrt(_dot(self.p, self.p)))
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.energy], self.p))
+        return np.concatenate((np.asarray(self.energy)[..., None], self.p), axis=-1)
 
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
         return FourMomentum(self.energy + other.energy, self.p + other.p)
@@ -122,20 +148,21 @@ class FourMomentum:
 
 
 def pauli_pair(p: FourMomentum) -> np.ndarray:
-    """Hermitian matrix E*1 + p.sigma representing the four-vector."""
-    return np.tensordot(p.as_array(), SIGMA, axes=1)
+    """Hermitian matrices E*1 + p.sigma representing the four-vectors."""
+    xy = p.p[..., 0] + 1j * p.p[..., 1]
+    return _matrices(p.energy + p.p[..., 2], np.conj(xy), xy, p.energy - p.p[..., 2])
 
 
 def spinor_to_lorentz(alpha) -> np.ndarray:
-    """Lorentz matrix of an SL(2,C) element via the Pauli trace formula."""
+    """Lorentz matrices of SL(2,C) elements via the Pauli trace formula."""
     a = _as_matrix(alpha)
-    lam = 0.5 * np.einsum("mab,bc,ncd,da->mn", SIGMA, a, SIGMA, a.conj().T)
+    lam = 0.5 * np.einsum("mab,...bc,ncd,...da->...mn", SIGMA, a, SIGMA, np.conj(np.swapaxes(a, -1, -2)))
     return np.real(lam)
 
 
 def apply_lorentz(alpha, p: FourMomentum) -> FourMomentum:
-    """Image of p under the Lorentz transformation of alpha."""
-    return FourMomentum.from_array(spinor_to_lorentz(alpha) @ p.as_array())
+    """Images of p under the Lorentz transformations of alpha."""
+    return FourMomentum.from_array((spinor_to_lorentz(alpha) @ p.as_array()[..., None])[..., 0])
 
 
 def is_proper_orthochronous(lam: np.ndarray, tol: float = 1e-10) -> bool:
@@ -144,11 +171,8 @@ def is_proper_orthochronous(lam: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def polar_angles(v):
-    """Polar and azimuthal angles of 3-vectors with fixed pole conventions.
-
-    The +z axis maps to (0, 0), the -z axis to (pi, 0), and the zero vector
-    to (0, 0). phi is reduced to [0, 2pi). Accepts shape (3,) or (..., 3).
-    """
+    """Polar and azimuthal angles of 3-vectors, shape (3,) or (..., 3): +z
+    maps to (0, 0), -z to (pi, 0), zero to (0, 0); phi lies in [0, 2pi)."""
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
     v = np.atleast_2d(v)
@@ -158,99 +182,73 @@ def polar_angles(v):
     on_axis = rho <= 1e-14 * np.maximum(r, 1e-300)
     phi = np.where(on_axis, 0.0, np.mod(np.arctan2(v[..., 1], v[..., 0]), 2.0 * np.pi))
     theta = np.where(on_axis, np.where(v[..., 2] < 0.0, np.pi, 0.0), theta)
-    if single:
-        return float(theta[0]), float(phi[0])
-    return theta, phi
+    return (float(theta[0]), float(phi[0])) if single else (theta, phi)
 
 
-def _check_massive(p: FourMomentum, s: float | None) -> tuple[float, float]:
-    s = p.mass2 if s is None else float(s)
-    if s <= 0.0:
-        raise MasslessUnsupported(f"need positive mass squared, got s = {s}")
-    if abs(p.mass2 - s) > 1e-6 * max(1.0, abs(s), p.energy**2):
-        raise ValueError(f"momentum is off shell: p^2 = {p.mass2}, s = {s}")
-    return s, np.sqrt(s)
+def _check_massive(p: FourMomentum, s):
+    """(s, sqrt(s)) as arrays, checked: s > 0, p on the shell s (p's own by default)."""
+    m2, given = p.mass2, s is not None
+    s = np.asarray(s if given else m2, dtype=float)
+    _require(~(s <= 0.0), MasslessUnsupported, "need positive mass squared, got s = {}", s)
+    if given:
+        off = np.abs(m2 - s) > 1e-6 * np.maximum(np.maximum(1.0, np.abs(s)), p.energy * p.energy)
+        _require(~off, ValueError, "momentum is off shell: p^2 = {}, s = {}", m2, s)
+    return s, np.asarray(np.sqrt(s))
 
 
-def canonical_boost(p: FourMomentum, s: float | None = None) -> SpinorTransform:
-    """Rotationless boost l(p) carrying the rest momentum of mass sqrt(s) to p.
-
-    l(p) = (m*1 + X_p)/sqrt(2m(m+E)) is Hermitian positive definite and
-    satisfies Lambda(l(p)) (m, 0) = p.
-    """
+def canonical_boost(p: FourMomentum, s=None) -> SpinorTransform:
+    """Rotationless boost l(p) = (m*1 + X_p)/sqrt(2m(m+E)) carrying the rest
+    momentum of mass m = sqrt(s) to p; Hermitian positive definite."""
     s, m = _check_massive(p, s)
-    mat = (m * np.eye(2) + pauli_pair(p)) / np.sqrt(2.0 * m * (m + p.energy))
-    return SpinorTransform(mat)
+    norm = np.sqrt(2.0 * m * (m + p.energy))[..., None, None]
+    return SpinorTransform((m[..., None, None] * _EYE + pauli_pair(p)) / norm)
 
 
 def direction_rotation(p) -> SpinorTransform:
-    """Rotation rho(p) = Rz(phi) Ry(theta) carrying the +z axis to p-hat.
-
-    Accepts a FourMomentum or a 3-vector; returns the identity for the zero
-    vector and Ry(pi) for the -z axis (phi = 0 at both poles).
-    """
-    vec = p.p if isinstance(p, FourMomentum) else np.asarray(p, dtype=float)
-    theta, phi = polar_angles(vec)
-    return SpinorTransform(_rotation_matrix(theta, phi))
+    """Rotations rho(p) = Rz(phi) Ry(theta) carrying +z to p-hat, for a
+    FourMomentum or 3-vectors: the identity at zero, Ry(pi) at -z."""
+    return SpinorTransform(_rotation_matrix(*polar_angles(p.p if isinstance(p, FourMomentum) else p)))
 
 
 def _rotation_matrix(theta, phi):
     """SU(2) matrix of Rz(phi) Ry(theta), broadcasting over angle arrays."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     c, sn = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ep = np.exp(-0.5j * phi)
-    out = np.empty(np.broadcast(theta, phi).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = ep * c
-    out[..., 0, 1] = -ep * sn
-    out[..., 1, 0] = np.conj(ep) * sn
-    out[..., 1, 1] = np.conj(ep) * c
-    return out
+    return _matrices(ep * c, -ep * sn, np.conj(ep) * sn, np.conj(ep) * c)
 
 
-def helicity_boost(p: FourMomentum, s: float | None = None) -> SpinorTransform:
+def helicity_boost(p: FourMomentum, s=None) -> SpinorTransform:
     """Helicity boost h(p) = rho(p) l(p_z), with p_z = (E, 0, 0, |p|)."""
     s, _ = _check_massive(p, s)
-    p_z = FourMomentum(p.energy, np.array([0.0, 0.0, p.pabs]))
+    p_z = FourMomentum(p.energy, np.asarray(p.pabs)[..., None] * np.array([0.0, 0.0, 1.0]))
     return direction_rotation(p) @ canonical_boost(p_z, s)
 
 
 _BOOSTS = {"canonical": canonical_boost, "helicity": helicity_boost}
 
 
-def standard_boost(p: FourMomentum, s: float | None = None, convention: str = "canonical") -> SpinorTransform:
+def standard_boost(p: FourMomentum, s=None, convention: str = "canonical") -> SpinorTransform:
     """The standard boost of the named convention."""
-    try:
-        return _BOOSTS[convention](p, s)
-    except KeyError:
-        raise ValueError(f"unknown boost convention {convention!r}") from None
+    if convention not in _BOOSTS:
+        raise ValueError(f"unknown boost convention {convention!r}")
+    return _BOOSTS[convention](p, s)
 
 
 def wigner_rotation(alpha, p: FourMomentum, convention: str = "canonical") -> SpinorTransform:
-    """Little-group element W(alpha, p) = b(Lambda p)^-1 alpha b(p).
-
-    b is the standard boost of the chosen convention. For alpha in SL(2,C)
-    and massive p the result is unitary up to roundoff; in particular
-    W(u, p) = u for canonical boosts and unitary u.
-    """
+    """Little-group elements W(alpha, p) = b(Lambda p)^-1 alpha b(p), b the convention's
+    standard boost: unitary up to roundoff, and W(u, p) = u for canonical b, unitary u."""
     alpha = _as_matrix(alpha)
-    s = p.mass2
-    q = apply_lorentz(alpha, p)
-    b_p = standard_boost(p, s, convention).matrix
-    b_q_inv = standard_boost(q, s, convention).inverse().matrix
-    return SpinorTransform(b_q_inv @ alpha @ b_p)
+    b_q_inv = standard_boost(apply_lorentz(alpha, p), p.mass2, convention).inverse().matrix
+    return SpinorTransform(b_q_inv @ alpha @ standard_boost(p, None, convention).matrix)
 
 
 def require_su2(u, tol: float = 1e-10) -> np.ndarray:
-    """Return u as an ndarray after checking it is (numerically) in SU(2)."""
+    """Return u as an ndarray after checking each member is (numerically) in SU(2)."""
     u = _as_matrix(u)
-    if u.shape != (2, 2):
+    if u.shape[-2:] != (2, 2):
         raise NotARotation("rotation must be a 2x2 matrix")
-    # "not <=": a NaN or infinite entry makes the defect non-finite and fails too
-    defect = np.max(np.abs(u @ u.conj().T - np.eye(2)))
-    if not defect <= tol:
-        raise NotARotation(f"matrix is not unitary, defect {defect:.3e}")
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    if abs(det - 1.0) > tol:
-        raise NotARotation("matrix does not have unit determinant")
+    defect = _unitarity_defect(u)
+    _require(defect <= tol, NotARotation, "matrix is not unitary, defect {:.3e}", defect)
+    _require(_det_defect(u) <= tol, NotARotation, "matrix does not have unit determinant")
     return u

@@ -15,7 +15,7 @@ from scipy.special import lpmv
 
 from .errors import InvalidOrbitalLabel, NotARotation
 from .halfint import HalfInt, compatible, components, triangle_rule
-from .lorentz import require_su2
+from .lorentz import _as_matrix, _require, _rotation_matrix, require_su2
 
 _MAX_J = HalfInt(20)
 
@@ -36,22 +36,47 @@ def _check_j(j) -> HalfInt:
     return j
 
 
-def _d_entry(tj, tmp, tm, beta):
-    """d^j_{m' m}(beta) from the factorial sum, vectorized over beta.
-
-    tj, tmp, tm are twice j, m', m as ints.
-    """
-    beta = np.asarray(beta, dtype=float)
-    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+@functools.cache
+def _d_terms(tj, tmp, tm) -> tuple:
+    """The factorial sum of d^j_{m' m}: (pref, terms), each term (e1, e2,
+    sign, den) standing for sign * c**e1 * s**e2 / den, with c, s =
+    cos(beta/2), sin(beta/2). tj, tmp, tm are twice j, m', m as ints."""
     jpm, jmm = (tj + tm) // 2, (tj - tm) // 2
     jpmp, jmmp = (tj + tmp) // 2, (tj - tmp) // 2
     dm = (tmp - tm) // 2
     pref = np.sqrt(_fact(jpmp) * _fact(jmmp) * _fact(jpm) * _fact(jmm))
+    terms = tuple(
+        (jpm + jmmp - 2 * k, dm + 2 * k, (-1.0) ** (dm + k),
+         _fact(jpm - k) * _fact(k) * _fact(dm + k) * _fact(jmmp - k))
+        for k in range(max(0, -dm), min(jpm, jmmp) + 1)
+    )
+    return pref, terms
+
+
+@functools.cache
+def _d_slots(tj) -> tuple:
+    """:func:`_d_terms` of every entry of d^j as arrays (pref, e1, e2, sign,
+    den): the entry axes (m', m) trail, and a leading slot axis holds each
+    entry's terms in order. Slots past an entry's last term have sign 0."""
+    n = tj + 1
+    e1, e2 = np.zeros((n, n, n), dtype=int), np.zeros((n, n, n), dtype=int)
+    sign, den, pref = np.zeros((n, n, n)), np.ones((n, n, n)), np.empty((n, n))
+    for a, tmp in enumerate(range(tj, -tj - 1, -2)):
+        for b, tm in enumerate(range(tj, -tj - 1, -2)):
+            pref[a, b], terms = _d_terms(tj, tmp, tm)
+            for slot, term in enumerate(terms):
+                e1[slot, a, b], e2[slot, a, b], sign[slot, a, b], den[slot, a, b] = term
+    return pref, e1, e2, sign, den
+
+
+def _d_entry(tj, tmp, tm, beta):
+    """d^j_{m' m}(beta) of one entry from the factorial sum, vectorized over beta."""
+    pref, terms = _d_terms(tj, tmp, tm)
+    beta = np.asarray(beta, dtype=float)
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
     total = np.zeros_like(beta)
-    for k in range(max(0, -dm), min(jpm, jmmp) + 1):
-        num = (-1.0) ** (dm + k) * c ** (jpm + jmmp - 2 * k) * s ** (dm + 2 * k)
-        den = _fact(jpm - k) * _fact(k) * _fact(dm + k) * _fact(jmmp - k)
-        total = total + num / den
+    for e1, e2, sign, den in terms:
+        total = total + sign * c**e1 * s**e2 / den
     return pref * total
 
 
@@ -59,50 +84,50 @@ def wigner_d_small(j, beta):
     """Real rotation matrix d^j(beta) about the y axis.
 
     Rows and columns run over m = +j ... -j. beta may be a scalar or an
-    array; the matrix axes are the trailing two.
+    array; the matrix axes are the trailing two. All entries are summed at
+    once, slot by slot: each power c**e is taken once, as :func:`_d_entry`
+    takes it, and gathered, so every entry rounds as its _d_entry does (a
+    zero sign adds a signed zero, which leaves a sum as it is).
     """
-    j = _check_j(j)
+    tj = _check_j(j).twice
+    pref, e1, e2, sign, den = _d_slots(tj)
     beta = np.asarray(beta, dtype=float)
-    ms = [m.twice for m in components(j)]
-    out = np.empty(beta.shape + (len(ms), len(ms)), dtype=float)
-    for a, tmp in enumerate(ms):
-        for b, tm in enumerate(ms):
-            out[..., a, b] = _d_entry(j.twice, tmp, tm, beta)
-    return out
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    cp = np.stack([c**e for e in range(tj + 1)], axis=-1)
+    sp = np.stack([s**e for e in range(tj + 1)], axis=-1)
+    total = np.zeros(beta.shape + pref.shape)
+    for slot in range(tj + 1):
+        total = total + sign[slot] * cp[..., e1[slot]] * sp[..., e2[slot]] / den[slot]
+    return pref * total
 
 
-def euler_zyz(u) -> tuple[float, float, float]:
+def euler_zyz(u):
     """Euler angles (alpha, beta, gamma) with u = Rz(alpha) Ry(beta) Rz(gamma).
 
     beta lies in [0, pi] and gamma in [0, 2pi); alpha ranges over [0, 4pi)
-    so that the decomposition covers both sheets of SU(2) exactly.
+    so that the decomposition covers both sheets of SU(2) exactly. One u
+    gives three floats; a batch (..., 2, 2) gives three (...) arrays.
     """
     u = require_su2(u)
-    beta = 2.0 * np.arctan2(abs(u[1, 0]), abs(u[0, 0]))
-    if abs(u[0, 0]) < 1e-12:
-        alpha = float(np.mod(2.0 * np.angle(u[1, 0]), 4.0 * np.pi))
-        gamma = 0.0
-    elif abs(u[1, 0]) < 1e-12:
-        alpha = float(np.mod(-2.0 * np.angle(u[0, 0]), 4.0 * np.pi))
-        gamma = 0.0
-    else:
-        alpha = float(np.mod(-np.angle(u[0, 0]) + np.angle(u[1, 0]), 2.0 * np.pi))
-        gamma = float(np.mod(-np.angle(u[0, 0]) - np.angle(u[1, 0]), 2.0 * np.pi))
-    rebuilt = _euler_su2(alpha, beta, gamma)
-    if np.max(np.abs(rebuilt - u)) > np.max(np.abs(rebuilt + u)):
-        alpha = float(np.mod(alpha + 2.0 * np.pi, 4.0 * np.pi))
-        rebuilt = -rebuilt
-    if np.max(np.abs(rebuilt - u)) > 1e-9:
-        raise NotARotation("Euler factorization failed to reproduce the input")
-    return float(alpha), float(beta), float(gamma)
-
-
-def _euler_su2(alpha, beta, gamma):
-    za = np.array([[np.exp(-0.5j * alpha), 0.0], [0.0, np.exp(0.5j * alpha)]])
-    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    yb = np.array([[c, -s], [s, c]])
-    zg = np.array([[np.exp(-0.5j * gamma), 0.0], [0.0, np.exp(0.5j * gamma)]])
-    return za @ yb @ zg
+    top, bottom = u[..., 0, 0], u[..., 1, 0]
+    # hypot rounds as abs() of one complex scalar does; np.abs rounds apart
+    abs_top, abs_bottom = np.hypot(top.real, top.imag), np.hypot(bottom.real, bottom.imag)
+    beta = 2.0 * np.arctan2(abs_bottom, abs_top)
+    top, bottom = np.angle(top), np.angle(bottom)
+    # at a pole only one of the angles alpha, gamma is defined; gamma = 0 there
+    pole_top = abs_top < 1e-12
+    pole = pole_top | (abs_bottom < 1e-12)
+    at_pole = np.mod(np.where(pole_top, 2.0 * bottom, -2.0 * top), 4.0 * np.pi)
+    alpha = np.where(pole, at_pole, np.mod(-top + bottom, 2.0 * np.pi))
+    gamma = np.where(pole, 0.0, np.mod(-top - bottom, 2.0 * np.pi))
+    rebuilt = _rotation_matrix(beta, alpha) @ _rotation_matrix(0.0, gamma)
+    minus, plus = (np.abs(x).max(axis=(-2, -1)) for x in (rebuilt - u, rebuilt + u))
+    alpha = np.where(minus > plus, np.mod(alpha + 2.0 * np.pi, 4.0 * np.pi), alpha)
+    miss = np.minimum(minus, plus)
+    _require(miss <= 1e-9, NotARotation, "Euler factorization failed to reproduce the input")
+    if np.ndim(beta) == 0:
+        return float(alpha), float(beta), float(gamma)
+    return alpha, beta, gamma
 
 
 def _wigner_D(j, alpha, beta, gamma) -> np.ndarray:
@@ -119,12 +144,17 @@ def _wigner_D(j, alpha, beta, gamma) -> np.ndarray:
 
 
 def rep_matrix(j, u) -> np.ndarray:
-    """Spin-j representation matrix D^j(u) of an SU(2) element.
+    """Spin-j representation matrices D^j(u) of SU(2) elements u (..., 2, 2).
 
     Computed through the zyz Euler decomposition of u (:func:`_wigner_D`),
-    which respects the double cover: D^{1/2}(u) = u exactly.
+    which respects the double cover: D^{1/2}(u) = u exactly. The batch is
+    flattened, so one u takes the array path of :func:`wigner_d_small`
+    like a batch member: numpy rounds a power of a float scalar apart
+    from the same power taken in an array.
     """
-    return _wigner_D(j, *euler_zyz(u))
+    u = _as_matrix(u)
+    d = _wigner_D(j, *euler_zyz(u.reshape((-1,) + u.shape[-2:])))
+    return d.reshape(u.shape[:-2] + d.shape[-2:])
 
 
 def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:

@@ -11,6 +11,8 @@ status; a build is judged only on the checks.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +70,21 @@ _PROBE_ANGLES = ((0.4, 0.9), (1.7, 2.6), (2.8, 5.1))
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one invariant sweep."""
+    """Outcome of one invariant sweep, and the wall time it took."""
 
     name: str
     residual: float
     tolerance: float
+    wall_s: float = 0.0
 
     @property
     def passed(self) -> bool:
         return np.isfinite(self.residual) and self.residual <= self.tolerance
+
+    @property
+    def margin(self) -> float | None:
+        """tolerance / residual; None where the residual is 0 or not finite."""
+        return self.tolerance / self.residual if 0.0 < self.residual < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -104,90 +112,139 @@ class VerifyReport:
             lines.append(f"INFO  {note}")
         return "\n".join(lines)
 
+    def as_dict(self) -> dict:
+        """The report as plain data for JSON: per check its name, residual,
+        tolerance, margin, wall_s and passed, then the notes. A residual
+        that is not finite is None, so the data stays valid JSON."""
+        checks = [
+            {
+                "name": c.name,
+                "residual": c.residual if math.isfinite(c.residual) else None,
+                "tolerance": c.tolerance,
+                "margin": c.margin,
+                "wall_s": c.wall_s,
+                "passed": bool(c.passed),
+            }
+            for c in self.checks
+        ]
+        passed = sum(c["passed"] for c in checks)
+        return {
+            "level": self.level,
+            "passed": passed,
+            "total": len(checks),
+            "checks": checks,
+            "notes": list(self.notes),
+        }
+
+
+def _quaternion(rng) -> np.ndarray:
+    """A normalized Gaussian quaternion, the draw of one Haar-random SU(2)
+    element. The norm sums along the axis in order; a BLAS dot, numpy's
+    default, may round apart."""
+    q = rng.normal(size=4)
+    return q / np.linalg.norm(q, axis=0)
+
+
+def _su2(q) -> np.ndarray:
+    """SU(2) matrices (..., 2, 2) of unit quaternions q (..., 4)."""
+    a = q[..., 0] + 1j * q[..., 1]
+    b = q[..., 2] + 1j * q[..., 3]
+    return np.stack([np.stack([a, -np.conj(b)], axis=-1), np.stack([b, np.conj(a)], axis=-1)], axis=-2)
+
 
 def _random_su2(rng) -> np.ndarray:
-    """A Haar-random SU(2) matrix from a normalized quaternion. The norm sums
-    along the axis in order; a BLAS dot, numpy's default, may round apart."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q, axis=0)
-    a = q[0] + 1j * q[1]
-    b = q[2] + 1j * q[3]
-    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+    return _su2(_quaternion(rng))
 
 
-def _random_momentum(rng, s=1.0, scale=10.0) -> FourMomentum:
+def _direction(rng) -> np.ndarray:
     n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    return FourMomentum.on_shell(s, np.sqrt(s) * scale * rng.uniform() * n)
+    return n / np.linalg.norm(n)
 
 
-def _random_sl2c(rng) -> SpinorTransform:
-    boost = canonical_boost(_random_momentum(rng, 1.0, 3.0))
-    return boost @ SpinorTransform(_random_su2(rng))
+def _momentum_draw(s, scale):
+    """The draw of one spatial momentum of mass squared s: a uniform
+    direction, then |p| uniform in [0, scale * sqrt(s)]."""
+
+    def draw(rng):
+        n = _direction(rng)
+        return np.sqrt(s) * scale * rng.uniform() * n
+
+    return draw
+
+
+_SL2C_BOOST = _momentum_draw(1.0, 3.0)
+
+
+def _draws(rng, count, *draws) -> list:
+    """count rounds of the draws, each round in the order given; one
+    stacked array per draw. A sweep takes its seeded inputs in the order
+    of a loop over single draws, then makes one batched call."""
+    rounds = [[draw(rng) for draw in draws] for _ in range(count)]
+    return [np.array(column) for column in zip(*rounds)]
+
+
+def _sl2c(k, q) -> SpinorTransform:
+    """Generic group elements: canonical boosts to the unit-mass momenta
+    with spatial parts k, times the rotations of the quaternions q."""
+    return canonical_boost(FourMomentum.on_shell(1.0, k)) @ SpinorTransform(_su2(q))
 
 
 def _check_sl2c_homomorphism() -> float:
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        a, b = _random_sl2c(rng), _random_sl2c(rng)
-        lhs = spinor_to_lorentz((a @ b).matrix)
-        rhs = spinor_to_lorentz(a.matrix) @ spinor_to_lorentz(b.matrix)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    k_a, q_a, k_b, q_b = _draws(rng, 100, _SL2C_BOOST, _quaternion, _SL2C_BOOST, _quaternion)
+    a, b = _sl2c(k_a, q_a), _sl2c(k_b, q_b)
+    lhs = spinor_to_lorentz((a @ b).matrix)
+    rhs = spinor_to_lorentz(a.matrix) @ spinor_to_lorentz(b.matrix)
+    return float(np.abs(lhs - rhs).max())
 
 
 def _check_metric_preservation() -> float:
     rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(100):
-        lam = spinor_to_lorentz(_random_sl2c(rng).matrix)
-        worst = max(worst, float(np.abs(lam.T @ METRIC @ lam - METRIC).max()))
-    return worst
+    lam = spinor_to_lorentz(_sl2c(*_draws(rng, 100, _SL2C_BOOST, _quaternion)).matrix)
+    return float(np.abs(np.swapaxes(lam, -1, -2) @ METRIC @ lam - METRIC).max())
 
 
 def _check_boosts_restore_momentum() -> float:
     rng = np.random.default_rng(103)
+    (k,) = _draws(rng, 1000, _momentum_draw(1.0, 1e3))
+    p = FourMomentum.on_shell(1.0, k)
     worst = 0.0
-    rest = FourMomentum.rest(1.0)
-    for _ in range(1000):
-        p = _random_momentum(rng, 1.0, 1e3)
-        for convention in ("canonical", "helicity"):
-            # pass the exact mass squared: recovering it from E^2 - |p|^2
-            # costs eps*(E/m)^2 relative accuracy at the 1e3 boosts drawn here
-            got = apply_lorentz(standard_boost(p, 1.0, convention=convention), rest)
-            err = np.abs(got.as_array() - p.as_array()).max() / p.energy
-            worst = max(worst, float(err))
+    for convention in ("canonical", "helicity"):
+        # pass the exact mass squared: recovering it from E^2 - |p|^2
+        # costs eps*(E/m)^2 relative accuracy at the 1e3 boosts drawn here
+        got = apply_lorentz(standard_boost(p, 1.0, convention=convention), FourMomentum.rest(1.0))
+        err = np.abs(got.as_array() - p.as_array()).max(axis=-1) / p.energy
+        worst = max(worst, float(err.max()))
     return worst
 
 
 def _check_wigner_in_su2() -> float:
+    """Draws alternate between the conventions, canonical first."""
     rng = np.random.default_rng(104)
+    k, q, p = _draws(rng, 1000, _SL2C_BOOST, _quaternion, _momentum_draw(1.0, 50.0))
+    alpha, p = _sl2c(k, q).matrix, FourMomentum.on_shell(1.0, p)
     worst = 0.0
-    for k in range(1000):
-        alpha = _random_sl2c(rng)
-        p = _random_momentum(rng, 1.0, 50.0)
-        convention = ("canonical", "helicity")[k % 2]
-        w = wigner_rotation(alpha, p, convention)
-        worst = max(worst, w.unitarity_defect())
+    for first, convention in enumerate(("canonical", "helicity")):
+        w = wigner_rotation(alpha[first::2], p[first::2], convention)
         m = w.matrix
-        worst = max(worst, float(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0)))
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        worst = max(worst, float(w.unitarity_defect().max()), float(np.abs(det - 1.0).max()))
     return worst
+
+
+def _little_group_of_rotations(seed, count, convention) -> tuple:
+    """(u, W(u, p)) for count seeded rotations u and unit-mass momenta p
+    with |p| up to 20."""
+    q, k = _draws(np.random.default_rng(seed), count, _quaternion, _momentum_draw(1.0, 20.0))
+    u = _su2(q)
+    return u, wigner_rotation(u, FourMomentum.on_shell(1.0, k), convention).matrix
 
 
 def _canonical_identity_draws() -> tuple[float, float]:
     """Canonical-boost little-group elements W(u, p) of seeded rotations:
     (max |W - u|, max |W - 1|) over 100 draws; measured once per run."""
-    rng = np.random.default_rng(105)
-    to_u = 0.0
-    to_identity = 0.0
-    for _ in range(100):
-        u = _random_su2(rng)
-        p = _random_momentum(rng, 1.0, 20.0)
-        w = wigner_rotation(SpinorTransform(u), p, "canonical").matrix
-        to_u = max(to_u, float(np.abs(w - u).max()))
-        to_identity = max(to_identity, float(np.abs(w - np.eye(2)).max()))
-    return to_u, to_identity
+    u, w = _little_group_of_rotations(105, 100, "canonical")
+    return float(np.abs(w - u).max()), float(np.abs(w - np.eye(2)).max())
 
 
 def _canonical_identity_note(draws) -> str:
@@ -202,15 +259,9 @@ def _canonical_identity_note(draws) -> str:
 
 def _check_helicity_rotation_axis() -> float:
     """Helicity little-group elements of rotations are z rotations."""
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(200):
-        u = _random_su2(rng)
-        p = _random_momentum(rng, 1.0, 20.0)
-        w = wigner_rotation(SpinorTransform(u), p, "helicity").matrix
-        worst = max(worst, float(abs(w[0, 1])), float(abs(w[1, 0])))
-        worst = max(worst, float(abs(abs(w[0, 0]) - 1.0)))
-    return worst
+    _, w = _little_group_of_rotations(106, 200, "helicity")
+    off_diagonal = np.abs(w[:, [0, 1], [1, 0]]).max()
+    return float(max(off_diagonal, np.abs(np.abs(w[:, 0, 0]) - 1.0).max()))
 
 
 def _check_rep_homomorphism() -> float:
@@ -218,11 +269,10 @@ def _check_rep_homomorphism() -> float:
     worst = 0.0
     for twice in (1, 2, 3, 4):
         j = HalfInt(twice)
-        for _ in range(25):
-            u, v = _random_su2(rng), _random_su2(rng)
-            lhs = su2.rep_matrix(j, u @ v)
-            rhs = su2.rep_matrix(j, u) @ su2.rep_matrix(j, v)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        u, v = (_su2(q) for q in _draws(rng, 25, _quaternion, _quaternion))
+        lhs = su2.rep_matrix(j, u @ v)
+        rhs = su2.rep_matrix(j, u) @ su2.rep_matrix(j, v)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
@@ -338,14 +388,11 @@ def _check_com_reduction() -> float:
 
 def _check_relative_momentum() -> float:
     rng = np.random.default_rng(110)
-    worst = 0.0
-    for _ in range(200):
-        p1 = _random_momentum(rng, _SPEC.s1, 4.0)
-        p2 = _random_momentum(rng, _SPEC.s2, 4.0)
-        e = relative_momentum(p1, p2)
-        worst = max(worst, float(abs(e[0])))
-        worst = max(worst, float(abs(np.linalg.norm(e[1:]) - 1.0)))
-    return worst
+    k1, k2 = _draws(rng, 200, _momentum_draw(_SPEC.s1, 4.0), _momentum_draw(_SPEC.s2, 4.0))
+    e = relative_momentum(FourMomentum.on_shell(_SPEC.s1, k1), FourMomentum.on_shell(_SPEC.s2, k2))
+    # |e_vec| as a FourMomentum's pabs, which rounds as np.linalg.norm of one vector
+    length = FourMomentum.from_array(e).pabs
+    return float(max(np.abs(e[:, 0]).max(), np.abs(length - 1.0).max()))
 
 
 def _check_boosted_covariance() -> float:
@@ -353,16 +400,19 @@ def _check_boosted_covariance() -> float:
     rng = np.random.default_rng(111)
     kin = Kinematics.for_spec(_SPEC, _PAIR_S)
     j = HalfInt(2)
+    directions, k = _draws(rng, 10, _direction, _momentum_draw(4.0, 1.5))
+    boosts = canonical_boost(FourMomentum.on_shell(4.0, k)).matrix[:, None]
+    pairs = [kin.momenta(n) for n in directions]
+    # per draw: the pair and the pair rest momentum, then their images
+    rest = FourMomentum.rest(_PAIR_S).as_array()
+    momenta = FourMomentum.from_array([[p1.as_array(), p2.as_array(), rest] for p1, p2 in pairs])
+    w = wigner_rotation(boosts, momenta).matrix
+    images = apply_lorentz(boosts, momenta[:, :2])
+    d1, d2 = su2.rep_matrix(_SPEC.j1, w[:, 0]), su2.rep_matrix(_SPEC.j2, w[:, 1])
+    dj = su2.rep_matrix(j, w[:, 2])
     worst = 0.0
-    for _ in range(10):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        p1, p2 = kin.momenta(n)
-        boost = canonical_boost(_random_momentum(rng, 4.0, 1.5))
-        q1, q2 = apply_lorentz(boost, p1), apply_lorentz(boost, p2)
-        d1 = su2.rep_matrix(_SPEC.j1, wigner_rotation(boost, p1).matrix)
-        d2 = su2.rep_matrix(_SPEC.j2, wigner_rotation(boost, p2).matrix)
-        dj = su2.rep_matrix(j, wigner_rotation(boost, FourMomentum.rest(_PAIR_S)).matrix)
+    for draw, (p1, p2) in enumerate(pairs):
+        q1, q2 = images[draw, 0], images[draw, 1]
         for channel in coupling_channels(_SPEC, j, "spin-orbit"):
             tables = [
                 spin_orbit_general_table(_SPEC, j, channel, chi_p, p1, p2)
@@ -373,8 +423,8 @@ def _check_boosted_covariance() -> float:
                 icol = component_index(j, chi)
                 rhs = np.zeros_like(lhs)
                 for chi_p, table in zip(components(j), tables):
-                    rhs += dj[component_index(j, chi_p), icol] * np.einsum(
-                        "ac,bd,cd->ab", d1, d2, table
+                    rhs += dj[draw, component_index(j, chi_p), icol] * np.einsum(
+                        "ac,bd,cd->ab", d1[draw], d2[draw], table
                     )
                 worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
@@ -658,18 +708,35 @@ def _fast_checks(canonical, rotation) -> list:
     ]
 
 
+class _Shared:
+    """A measurement that checks and notes share, made on its first read:
+    the first check that reads it carries its wall time."""
+
+    def __init__(self, measure):
+        self._measure, self._value = measure, None
+
+    def __getitem__(self, index):
+        if self._value is None:
+            self._value = self._measure()
+        return self._value[index]
+
+
+def _timed(name, fn, tolerance) -> CheckResult:
+    start = time.perf_counter()
+    residual = float(fn())
+    return CheckResult(name, residual, tolerance, time.perf_counter() - start)
+
+
 def run(level: str = "fast") -> VerifyReport:
     """Run the verification suite and return the structured report."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    canonical = _canonical_identity_draws()
-    rotation = _rotation_fixture()
+    canonical = _Shared(_canonical_identity_draws)
+    rotation = _Shared(_rotation_fixture)
     specs = _fast_checks(canonical, rotation)
     if level == "full":
         specs.append(("gram-orthonormality-full", lambda: _check_gram(2, 32, 64), 1e-8))
-    checks = tuple(
-        CheckResult(name, float(fn()), tol) for name, fn, tol in specs
-    )
+    checks = tuple(_timed(name, fn, tol) for name, fn, tol in specs)
     phase_rows = _helicity_phase_residuals()
     notes = [
         _canonical_identity_note(canonical),

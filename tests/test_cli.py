@@ -224,6 +224,30 @@ def test_verify_fast_passes(capsys):
     assert any(line.startswith("INFO") for line in lines)
 
 
+def test_verify_json_matches_the_text_report(capsys):
+    """--format json carries every check of the text report with the same
+    reading, tolerance and verdict, adds margin and wall time, and carries
+    the notes; the text report is what verify prints without the flag."""
+    code, text, _ = run_cli(capsys, "verify", "--level", "full")
+    json_code, out, _ = run_cli(capsys, "verify", "--level", "full", "--format", "json")
+    assert code == json_code == 0
+    report = json.loads(out)
+    rows = [line.split() for line in text.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert [c["name"] for c in report["checks"]] == [row[1] for row in rows]
+    assert len(rows) == 24 and report["passed"] == report["total"] == 24
+    assert report["level"] == "full"
+    for check, row in zip(report["checks"], rows):
+        assert f"{check['residual']:.3e}" == row[3]
+        assert f"{check['tolerance']:.1e}" == row[5]
+        assert check["passed"] is (row[0] == "PASS")
+        assert check["wall_s"] >= 0.0
+        if check["residual"] > 0.0:
+            assert check["margin"] == check["tolerance"] / check["residual"]
+        else:
+            assert check["margin"] is None
+    assert report["notes"] == [line[6:] for line in text.splitlines() if line.startswith("INFO  ")]
+
+
 def test_verify_full_prints_phase_residual_tables(capsys):
     code, out, _ = run_cli(capsys, "verify", "--level", "full")
     assert code == 0

@@ -110,6 +110,20 @@ def test_standard_boosts_restore_momentum(rng, convention):
         assert np.max(np.abs(got.as_array() - p.as_array())) < 1e-10 * p.energy
 
 
+def test_large_boosts_pass_the_unimodularity_check(rng):
+    """The determinant of a boost rounds to about eps e^rapidity, so the
+    check scales its 1e-12 bound with the largest entry squared; with a
+    plain bound some boosts of rapidity 10 and most of rapidity 12 raised."""
+    rest = FourMomentum.rest(1.0)
+    for _ in range(100):
+        n = rng.normal(size=3)
+        p = FourMomentum.on_shell(1.0, np.sinh(12.0) * n / np.linalg.norm(n))
+        got = apply_lorentz(canonical_boost(p, 1.0), rest)  # E^2 - |p|^2 keeps s to eps (E/m)^2 only
+        assert np.max(np.abs(got.as_array() - p.as_array())) < 1e-10 * p.energy
+    with pytest.raises(ValueError, match="unimodular"):  # a large non-unimodular matrix still fails
+        SpinorTransform(np.array([[1e3, 0.0], [0.0, 1.001e-3]]))
+
+
 def test_canonical_boost_hermitian_positive(rng):
     p = random_momentum(rng, 1.0, 10.0)
     mat = canonical_boost(p).matrix
