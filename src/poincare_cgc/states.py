@@ -32,10 +32,10 @@ from .cgc import (
     helicity_com_table,
     spin_orbit_com_table,
 )
-from .errors import GridMismatch, GridTooCoarse, InvalidChannel
+from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalLabel
 from .halfint import HalfInt, components
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import _MAX_J, _harmonic_rows, _wigner_D, rep_matrix, wigner_d_small
+from .su2 import _MAX_J, _MAX_L, _harmonic_table, _wigner_D, rep_matrix, wigner_d_small
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -270,13 +270,14 @@ def _amplitude_source(spec, scheme, labels, theta, phi) -> Callable:
     """amplitude(j, channel, chi): a label's angular table at fixed angles.
 
     Equal bit for bit to the scheme's angular function at (theta, phi);
-    spin-orbit tables share one set of harmonic rows per l among the labels.
+    spin-orbit tables read their rows from one harmonic table up to the
+    labels' largest l.
     """
     if scheme == "helicity":
         return lambda j, channel, chi: _helicity_wavefunction(spec, j, channel, chi, theta, phi)
-    rows = {l: _harmonic_rows(l, theta, phi) for l in {int(channel.l) for _, channel, _ in labels}}
+    rows = _harmonic_table(max((int(c.l) for _, c, _ in labels), default=0), theta, phi)
     return lambda j, channel, chi: _spin_orbit_amplitudes(
-        spec, j, channel, chi, rows[int(channel.l)]
+        spec, j, channel, chi, rows[int(channel.l) ** 2 : (int(channel.l) + 1) ** 2]
     )
 
 
@@ -309,26 +310,34 @@ def _weighted(a: ComBasisState) -> np.ndarray:
     return a.grid.weights[:, None, None] * a.amplitudes
 
 
+# rows of a Gram matrix weighted together (gram_matrix)
+_GRAM_GROUP = 4
+
+
 def gram_matrix(states) -> np.ndarray:
     """Hermitian matrix of pairwise inner products.
 
     Entry (i, k) equals inner_product(states[i], states[k]) exactly for
     i <= k and is mirrored below the diagonal. The states are checked
     once, raising what inner_product raises for the first state that does
-    not share grid, s and scheme with the first one. Each row weights its
-    state once; the states are never stacked, so no copy of the basis is
-    made.
+    not share grid, s and scheme with the first one. Rows are weighted in
+    groups of _GRAM_GROUP, and each column state is read once per group
+    while it is hot in cache; the states are never stacked, so no copy of
+    the basis is made.
     """
     states = list(states)
     for b in states:
         _check_same_space(states[0], b)
-    out = np.empty((len(states), len(states)), dtype=complex)
-    for i, a in enumerate(states):
-        weighted = _weighted(a)
-        for k in range(i, len(states)):
-            val = np.vdot(weighted, states[k].amplitudes)
-            out[k, i] = np.conj(val)
-            out[i, k] = val
+    n = len(states)
+    out = np.empty((n, n), dtype=complex)
+    for start in range(0, n, _GRAM_GROUP):
+        group = [(i, _weighted(states[i])) for i in range(start, min(start + _GRAM_GROUP, n))]
+        for k in range(start, n):
+            column = states[k].amplitudes
+            for i, weighted in group[: k - start + 1]:
+                val = np.vdot(weighted, column)
+                out[k, i] = np.conj(val)
+                out[i, k] = val
     return out
 
 
@@ -421,15 +430,12 @@ def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
     """
     grid = state.grid
     fixed = state if state.scheme == "spin-orbit" else convert_slots_to_canonical(state)
-
-    def harmonics(theta, phi):
-        return np.concatenate([_harmonic_rows(l, theta, phi) for l in range(grid.n_theta)])
-
     # conj(Y) @ (w A) as conj(Y @ conj(w A)): only the small side is conjugated
     weighted = grid.weights[:, None] * fixed.amplitudes.reshape(grid.size, -1)
-    coeffs = (harmonics(*grid.axes).reshape(-1, grid.size) @ weighted.conj()).conj()
+    coeffs = (_harmonic_table(grid.n_theta - 1, *grid.axes).reshape(-1, grid.size)
+              @ weighted.conj()).conj()
     th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    slots = harmonics(th.ravel(), ph.ravel()).T @ coeffs
+    slots = _harmonic_table(grid.n_theta - 1, th.ravel(), ph.ravel()).T @ coeffs
     slots = slots.reshape(th.shape + fixed.amplitudes.shape[1:])
     if state.scheme == "spin-orbit":
         return slots
@@ -466,7 +472,10 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     grid resolution, as a basis state is when j + j1 + j2 <= n_theta - 1.
 
     Only rotations are accepted: they preserve the fixed-s sphere the
-    states live on. Anything outside SU(2) raises NotARotation.
+    states live on. Anything outside SU(2) raises NotARotation. A table's
+    fit reaches l = n_theta - 1 and Y_lm stops at l = 85, so a table on a
+    grid with n_theta above 86 raises InvalidOrbitalLabel before any
+    harmonic is evaluated.
     """
     u = require_su2(u)
     grid = state.grid
@@ -475,6 +484,11 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
             state, rotation=u if state.rotation is None else u @ state.rotation
         )
         return dataclasses.replace(rotated, amplitudes=_evaluate(rotated, grid.theta, grid.phi))
+    if grid.n_theta - 1 > _MAX_L:
+        raise InvalidOrbitalLabel(
+            f"a table on a grid with n_theta = {grid.n_theta} is fit with harmonics up to "
+            f"l = {grid.n_theta - 1}; the fit supports l <= {_MAX_L}, i.e. n_theta <= {_MAX_L + 1}"
+        )
     source = functools.partial(_interpolated, state)
     amplitudes = _rotated(state.spec, state.scheme, u, grid.theta, grid.phi, source)
     return dataclasses.replace(state, amplitudes=amplitudes)

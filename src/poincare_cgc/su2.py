@@ -18,6 +18,8 @@ from .halfint import HalfInt, compatible, components, triangle_rule
 from .lorentz import _as_matrix, _require, _rotation_matrix, require_su2
 
 _MAX_J = HalfInt(20)
+# the largest orbital label of Y_lm: (2l)! overflows a float beyond it
+_MAX_L = 85
 
 
 @functools.cache
@@ -204,21 +206,66 @@ def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:
     return float(pref * total)
 
 
+def _check_l(l: int) -> None:
+    """Orbital labels above _MAX_L raise InvalidOrbitalLabel."""
+    if l > _MAX_L:
+        raise InvalidOrbitalLabel(f"orbital label {l} overflows a float factorial")
+
+
+def _legendre(l_max: int, x) -> np.ndarray:
+    """P[l, m] = lpmv(m, l, x), bit for bit, for every 0 <= m <= l <= l_max.
+
+    x broadcasts along the trailing axes; entries with m > l are 0. lpmv
+    is called for the two top orders m = l and m = l - 1 of each degree
+    only. The lower orders follow lpmv's own upward recurrence in the
+    degree, ((2l-1) x P[l-1] - (l-1+m) P[l-2]) / (l-m), run over all orders
+    at once. lpmv returns its series value for l <= 2, but recurs through
+    its own P_2^0 for every higher degree, so P[2, 0] is read from lpmv
+    while the sweep recurs from its own value.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((l_max + 1, l_max + 1) + x.shape)
+    for l in range(l_max + 1):
+        top = np.arange(max(l - 1, 0), l + 1)
+        out[l, top] = lpmv(top.reshape((-1,) + (1,) * x.ndim), l, x)
+        if l >= 2:
+            m = np.arange(l - 1).reshape((-1,) + (1,) * x.ndim)
+            out[l, : l - 1] = ((2 * l - 1) * x * out[l - 1, : l - 1]
+                               - (l - 1 + m) * out[l - 2, : l - 1]) / (l - m)
+    if l_max >= 2:
+        out[2, 0] = lpmv(0, 2, x)
+    return out
+
+
+def _top_rows(l: int, ms, legendre, phase) -> np.ndarray:
+    """Y_{l m} = N_{lm} P_l^m(cos theta) e^{i m phi} for the orders 0 <= m <= l
+    listed in ms, from their rows of Legendre values and phases.
+
+    The one formula for Y_lm: the direct path (:func:`_harmonic_top`) and
+    the sweep (:func:`_harmonic_table`) both end here.
+    """
+    norm = np.sqrt([(2 * l + 1) / (4.0 * np.pi) * _fact(l - m) / _fact(l + m) for m in ms])
+    return norm.reshape((-1,) + (1,) * (legendre.ndim - 1)) * legendre * phase
+
+
+def _with_negative_orders(top) -> np.ndarray:
+    """Rows m = l ... -l from the rows m = l ... 0, by Y_{l,-m} = (-1)^m conj(Y_{lm})."""
+    l = len(top) - 1
+    signs = (-1.0) ** np.arange(1, l + 1).reshape((-1,) + (1,) * (top.ndim - 1))
+    return np.concatenate([top, signs * np.conj(top[:l][::-1])])
+
+
 def _harmonic_top(l: int, ms, theta, phi) -> np.ndarray:
     """Y_{l m}(theta, phi) for the orders 0 <= m <= l listed in ms, one row
     each, broadcast over theta and phi; one lpmv call covers them all.
 
-    The one place Y_lm is evaluated. l above 85 raises InvalidOrbitalLabel,
-    since (2l)! overflows a float.
+    l above _MAX_L raises InvalidOrbitalLabel.
     """
-    if l > 85:
-        raise InvalidOrbitalLabel(f"orbital label {l} overflows a float factorial")
+    _check_l(l)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    shape = (-1,) + (1,) * np.broadcast(theta, phi).ndim
-    norm = np.sqrt([(2 * l + 1) / (4.0 * np.pi) * _fact(l - m) / _fact(l + m) for m in ms])
-    ms = np.asarray(ms).reshape(shape)
-    return norm.reshape(shape) * lpmv(ms, l, np.cos(theta)) * np.exp(1j * ms * phi)
+    m = np.asarray(ms).reshape((-1,) + (1,) * np.broadcast(theta, phi).ndim)
+    return _top_rows(l, ms, lpmv(m, l, np.cos(theta)), np.exp(1j * m * phi))
 
 
 def _harmonic_rows(l: int, theta, phi) -> np.ndarray:
@@ -228,9 +275,28 @@ def _harmonic_rows(l: int, theta, phi) -> np.ndarray:
     come from :func:`_harmonic_top`; the m < 0 rows follow from
     Y_{l,-m} = (-1)^m conj(Y_{lm}).
     """
-    top = _harmonic_top(l, range(l, -1, -1), theta, phi)
-    signs = (-1.0) ** np.arange(1, l + 1).reshape((-1,) + (1,) * (top.ndim - 1))
-    return np.concatenate([top, signs * np.conj(top[:l][::-1])])
+    return _with_negative_orders(_harmonic_top(l, range(l, -1, -1), theta, phi))
+
+
+def _harmonic_table(l_max: int, theta, phi) -> np.ndarray:
+    """The rows of :func:`_harmonic_rows` for l = 0 ... l_max, stacked, bit for bit.
+
+    Row l**2 + l - m holds Y_{lm}. One Legendre sweep (:func:`_legendre`)
+    and one e^{i m phi} per order serve every degree, where l_max + 1 calls
+    of _harmonic_rows would run lpmv's recurrence once per (l, m).
+    """
+    _check_l(l_max)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast(theta, phi).shape
+    x = np.cos(theta)
+    legendre = _legendre(l_max, x.reshape((1,) * (len(shape) - x.ndim) + x.shape))
+    phase = np.exp(1j * np.arange(l_max + 1).reshape((-1,) + (1,) * len(shape)) * phi)
+    table = np.empty(((l_max + 1) ** 2,) + shape, dtype=complex)
+    for l in range(l_max + 1):
+        top = _top_rows(l, range(l, -1, -1), legendre[l, l::-1], phase[l::-1])
+        table[l * l : (l + 1) ** 2] = _with_negative_orders(top)
+    return table
 
 
 def spherical_harmonic(l, m, theta, phi):

@@ -19,6 +19,7 @@ from poincare_cgc import (
     HalfInt,
     HelicityChannel,
     InvalidChannel,
+    InvalidOrbitalLabel,
     NotARotation,
     SpinOrbitChannel,
     TwoParticleSpec,
@@ -48,6 +49,7 @@ from poincare_cgc.states import (
 )
 import poincare_cgc.cgc as cgc_module
 import poincare_cgc.states as states_module
+import poincare_cgc.su2 as su2_module
 from poincare_cgc.cgc import spin_orbit_com_table
 from poincare_cgc.lorentz import polar_angles, spinor_to_lorentz
 
@@ -324,6 +326,52 @@ def test_loaded_helicity_rotation_matches_closed_form(rng):
             loaded = state_from_json(state_to_json(state), FERMION_PAIR)
             gap = apply_rotation(loaded, u).amplitudes - apply_rotation(state, u).amplitudes
             assert np.abs(gap).max() < 1e-12, (scheme, state.channel, state.component)
+
+
+def test_loaded_rotation_takes_one_legendre_sweep_per_table(monkeypatch, rng):
+    """A loaded rotation on 16x33 evaluates its harmonic tables, the fit
+    on the grid's axes and the table at the N preimage nodes, with one
+    Legendre sweep each: lpmv covers the top two orders of each degree,
+    2 n_theta elements per x, and all of it stays within
+    (2 n_theta + 1) N. Evaluating every order through lpmv would take
+    n_theta (n_theta + 1) / 2 N at the preimage nodes alone."""
+    calls = []
+    direct = su2_module.lpmv
+
+    def counted(m, v, x):
+        calls.append(np.broadcast(m, v, x).size)
+        return direct(m, v, x)
+
+    grid = build_grid(16, 33)
+    u = random_su2(rng)
+    for scheme in ("spin-orbit", "helicity"):
+        for state in fermion_states(grid, 1, scheme):
+            loaded = state_from_json(state_to_json(state), FERMION_PAIR)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(su2_module, "lpmv", counted)
+                apply_rotation(loaded, u)
+            assert 0 < sum(calls) <= (2 * grid.n_theta + 1) * grid.size, (scheme, sum(calls))
+
+
+def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatch):
+    """A table's fit needs harmonics up to l = n_theta - 1, and Y_lm stops
+    at l = 85. A loaded rotation on a finer grid raises InvalidOrbitalLabel
+    naming n_theta and the limit, before it evaluates a single harmonic."""
+
+    def forbidden(*args):
+        raise AssertionError("lpmv called")
+
+    u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
+    for n_theta in (87, 90):
+        grid = build_grid(n_theta, 2 * n_theta + 1)
+        for channel in (SpinOrbitChannel(0, 0), HelicityChannel(0.5, 0.5)):
+            state = build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 0, channel, 0)
+            table = dataclasses.replace(state, closed_form=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(su2_module, "lpmv", forbidden)
+                with pytest.raises(InvalidOrbitalLabel, match=rf"n_theta = {n_theta}.*l <= 85"):
+                    apply_rotation(table, u)
 
 
 def test_apply_rotation_rejects_non_rotations(rng):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import sph_harm_y
+from scipy.special import lpmv, sph_harm_y
 
 from conftest import quaternion_su2, random_su2
 from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
@@ -18,6 +18,8 @@ from poincare_cgc.halfint import HalfInt, components, hrange
 from poincare_cgc.states import build_grid
 from poincare_cgc.su2 import (
     _harmonic_rows,
+    _harmonic_table,
+    _legendre,
     euler_zyz,
     rep_matrix,
     spherical_harmonic,
@@ -302,6 +304,38 @@ def test_spherical_harmonics_match_scipy_for_every_order(rng):
         assert np.max(np.abs(_harmonic_rows(l, theta, phi) - want)) < 1e-11
         for m, row in zip(ms, want):
             assert np.max(np.abs(spherical_harmonic(l, m, theta, phi) - row)) < 1e-11
+
+
+def test_legendre_sweep_is_lpmv_bit_for_bit(rng):
+    """_legendre calls lpmv for the top two orders of each degree and runs
+    lpmv's own recurrence for the rest; every P_l^m with m <= l <= 85 is
+    lpmv's value bit for bit, signed zeros included, at seeded x and at
+    the ends, zero and the edges of [-1, 1]. P_2^0, where lpmv's series
+    value and its recurrence differ, is among them."""
+    edges = [1.0, -1.0, 0.0, -0.0, 1e-300, -1e-300, 1.0 - 1e-10, -(1.0 - 1e-10)]
+    x = np.concatenate([rng.uniform(-1.0, 1.0, size=400), edges])
+    table = _legendre(85, x)
+    assert table.shape == (86, 86, x.size)
+    for l in range(86):
+        want = lpmv(np.arange(l + 1)[:, None], l, x)
+        assert table[l, : l + 1].tobytes() == want.tobytes(), l
+        assert not table[l, l + 1 :].any()
+
+
+def test_harmonic_table_stacks_the_harmonic_rows():
+    """_harmonic_table is the rows of _harmonic_rows for l = 0 ... l_max,
+    concatenated, bit for bit: at scalar angles (both poles and a signed
+    zero among them), at flat node angles and on the grid's axes."""
+    grid = build_grid(16, 33)
+    angles = [(grid.theta, grid.phi), grid.axes, (0.0, 0.3), (np.pi, -1.1), (0.7, -0.0)]
+    for l_max in (0, 1, 2, 3, 15):
+        for theta, phi in angles:
+            want = np.concatenate([_harmonic_rows(l, theta, phi) for l in range(l_max + 1)])
+            got = _harmonic_table(l_max, theta, phi)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (l_max, np.shape(theta))
+    with pytest.raises(InvalidOrbitalLabel, match="overflows"):
+        _harmonic_table(86, 0.1, 0.1)
 
 
 def test_spherical_harmonic_rejects_bad_labels():
