@@ -62,6 +62,8 @@ class TwoParticleSpec:
         object.__setattr__(self, "s2", float(self.s2))
         object.__setattr__(self, "j1", HalfInt.of(self.j1))
         object.__setattr__(self, "j2", HalfInt.of(self.j2))
+        if not (math.isfinite(self.s1) and math.isfinite(self.s2)):
+            raise ValueError(f"masses squared must be finite, got s1 = {self.s1}, s2 = {self.s2}")
         if self.s1 <= 0.0 or self.s2 <= 0.0:
             raise MasslessUnsupported("both constituents need positive mass squared")
         if self.j1 < HalfInt(0) or self.j2 < HalfInt(0):

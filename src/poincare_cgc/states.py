@@ -15,8 +15,9 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -93,8 +94,12 @@ class QuadratureGrid:
 
 
 def build_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
-    """Build the sphere quadrature with n_theta polar and n_phi azimuthal nodes."""
-    n_theta, n_phi = int(n_theta), int(n_phi)
+    """Build the sphere quadrature with n_theta polar and n_phi azimuthal
+    nodes; a size that is not an integer raises ValueError, never rounded."""
+    try:
+        n_theta, n_phi = operator.index(n_theta), operator.index(n_phi)
+    except TypeError:
+        raise ValueError(f"grid sizes must be integers, got {n_theta!r} x {n_phi!r}") from None
     if n_theta < 2 or n_phi < 4:
         raise GridTooCoarse(
             f"grid {n_theta}x{n_phi} is degenerate; need n_theta >= 2 and n_phi >= 4"
@@ -153,7 +158,7 @@ class ComBasisState:
     @property
     def evaluator(self) -> Callable | None:
         """Map of angle arrays to the amplitude table, None for a table."""
-        return functools.partial(_evaluate, self) if self.closed_form else None
+        return functools.partial(_rotated, self, self.rotation) if self.closed_form else None
 
 
 def _helicity_wavefunction(spec, j, channel, chi, theta, phi) -> np.ndarray:
@@ -167,20 +172,6 @@ def _helicity_wavefunction(spec, j, channel, chi, theta, phi) -> np.ndarray:
     return helicity_com_table(spec, j, channel, chi, theta, phi).conj()
 
 
-def _closed_form(state: ComBasisState, theta, phi) -> np.ndarray:
-    """The unrotated closed form of a state's labels at (theta, phi)."""
-    fn = spin_orbit_com_table if state.scheme == "spin-orbit" else _helicity_wavefunction
-    return fn(state.spec, state.j, state.channel, state.component, theta, phi)
-
-
-def _evaluate(state: ComBasisState, theta, phi) -> np.ndarray:
-    """A closed-form state's amplitude table at arbitrary angles."""
-    if state.rotation is None:
-        return _closed_form(state, theta, phi)
-    source = functools.partial(_closed_form, state)
-    return _rotated(state.spec, state.scheme, state.rotation, theta, phi, source)
-
-
 def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState:
     """Sample one partial-wave channel's angular amplitude on a grid.
 
@@ -191,34 +182,14 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
     j = HalfInt.of(j)
     component = HalfInt.of(component)
     norm = com_normalization(s, spec.s1, spec.s2)
-    if isinstance(channel, SpinOrbitChannel):
-        scheme = "spin-orbit"
-    elif isinstance(channel, HelicityChannel):
-        scheme = "helicity"
-    else:
+    scheme = next((k for k, kind in _CHANNEL_TYPES.items() if isinstance(channel, kind)), None)
+    if scheme is None:
         raise InvalidChannel(f"not a channel label: {channel!r}")
     if channel not in coupling_channels(spec, j, scheme):
         raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
     label = (j, channel, component)
-    amplitude = _grid_source(spec, scheme, [label], grid)
-    return _basis_state(grid, spec, s, norm, scheme, *label, amplitude(*label))
-
-
-def _basis_state(grid, spec, s, norm, scheme, j, channel, component, amplitudes):
-    """A closed-form basis state of valid labels with its grid table; norm
-    is :func:`com_normalization` at (s, spec.s1, spec.s2)."""
-    return ComBasisState(
-        grid=grid,
-        spec=spec,
-        s=float(s),
-        scheme=scheme,
-        j=j,
-        channel=channel,
-        component=component,
-        amplitudes=amplitudes,
-        norm_prefactor=norm,
-        closed_form=True,
-    )
+    (amplitudes,) = _amplitude_source(spec, scheme, [label], *grid.axes)
+    return ComBasisState(grid, spec, float(s), scheme, *label, amplitudes, norm, closed_form=True)
 
 
 def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
@@ -232,10 +203,10 @@ def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
     scheme = _check_scheme(scheme)
     labels = _basis_labels(spec, j_max, scheme)
     norm = com_normalization(s, spec.s1, spec.s2)
-    amplitude = _grid_source(spec, scheme, labels, grid)
+    tables = _amplitude_source(spec, scheme, labels, *grid.axes)
     return [
-        _basis_state(grid, spec, s, norm, scheme, j, channel, chi, amplitude(j, channel, chi))
-        for j, channel, chi in labels
+        ComBasisState(grid, spec, float(s), scheme, *label, amplitudes, norm, closed_form=True)
+        for label, amplitudes in zip(labels, tables)
     ]
 
 
@@ -266,25 +237,24 @@ def _basis_labels(spec: TwoParticleSpec, j_max, scheme: str) -> list[tuple]:
     ]
 
 
-def _amplitude_source(spec, scheme, labels, theta, phi) -> Callable:
-    """amplitude(j, channel, chi): a label's angular table at fixed angles.
+def _amplitude_source(spec, scheme, labels, theta, phi) -> Iterator[np.ndarray]:
+    """Each label's (j, channel, chi) angular table at fixed angles, in turn.
 
-    Equal bit for bit to the scheme's angular function at (theta, phi);
-    spin-orbit tables read their rows from one harmonic table up to the
-    labels' largest l.
+    Every table is raveled to (-1,) + spec.spin_shape, so a grid's axes
+    give it in the grid's node order. Equal bit for bit to the scheme's
+    angular function at (theta, phi); spin-orbit tables read their rows
+    from one harmonic table up to the labels' largest l.
     """
+    shape = (-1,) + spec.spin_shape
     if scheme == "helicity":
-        return lambda j, channel, chi: _helicity_wavefunction(spec, j, channel, chi, theta, phi)
+        for label in labels:
+            yield _helicity_wavefunction(spec, *label, theta, phi).reshape(shape)
+        return
     rows = _harmonic_table(max((int(c.l) for _, c, _ in labels), default=0), theta, phi)
-    return lambda j, channel, chi: _spin_orbit_amplitudes(
-        spec, j, channel, chi, rows[int(channel.l) ** 2 : (int(channel.l) + 1) ** 2]
-    )
-
-
-def _grid_source(spec, scheme, labels, grid) -> Callable:
-    """_amplitude_source on grid.axes, each table raveled to the grid's nodes."""
-    amplitude = _amplitude_source(spec, scheme, labels, *grid.axes)
-    return lambda *label: amplitude(*label).reshape((grid.size,) + spec.spin_shape)
+    for j, channel, chi in labels:
+        l = int(channel.l)
+        table = _spin_orbit_amplitudes(spec, j, channel, chi, rows[l * l : (l + 1) ** 2])
+        yield table.reshape(shape)
 
 
 def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
@@ -388,32 +358,41 @@ def _little_group_phase(u, r_img, r_pre):
     return val / np.abs(val)
 
 
-def _rotated(spec, scheme, u, theta, phi, source: Callable) -> np.ndarray:
-    """Amplitude table at (theta, phi) of a state rotated by u.
+def _unrotated(state: ComBasisState, theta, phi) -> np.ndarray:
+    """A state's unrotated amplitude table at (theta, phi): the closed form
+    of its labels, or the harmonic fit of a table (:func:`_interpolated`)."""
+    if not state.closed_form:
+        return _interpolated(state, theta, phi)
+    fn = spin_orbit_com_table if state.scheme == "spin-orbit" else _helicity_wavefunction
+    return fn(state.spec, state.j, state.channel, state.component, theta, phi)
 
-    The rotated amplitude at direction n is source, the unrotated state's
-    amplitude function, at the preimage direction u^-1 n, with each
+
+def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
+    """Amplitude table at (theta, phi) of a state rotated by u (None: unrotated).
+
+    The rotated amplitude at direction n is the unrotated state's
+    (:func:`_unrotated`) at the preimage direction u^-1 n, with each
     particle's spin slots mixed by its little-group element in the
     state's scheme: the constant matrix u itself for fixed-axis
     (spin-orbit) slots, a direction-dependent z-rotation phase between the
     helicity frames at the image and the preimage for helicity slots.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    if u is None:
+        return _unrotated(state, theta, phi)
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     st = np.sin(theta)
     dirs = np.stack(
         [st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi)], axis=-1
     )
     thp, php = polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
-    amp = source(thp, php)
-    if scheme == "spin-orbit":
-        d1 = rep_matrix(spec.j1, u)
-        d2 = rep_matrix(spec.j2, u)
-        return np.einsum("ac,bd,...cd->...ab", d1, d2, amp)
+    amp = _unrotated(state, thp, php)
+    j1, j2 = state.spec.j1, state.spec.j2
+    if state.scheme == "spin-orbit":
+        return np.einsum("ac,bd,...cd->...ab", rep_matrix(j1, u), rep_matrix(j2, u), amp)
     img = _helicity_frames(theta, phi, HalfInt(1), HalfInt(1))
     pre = _helicity_frames(thp, php, HalfInt(1), HalfInt(1))
-    d1 = _zrot_diag(spec.j1, _little_group_phase(u, img[0], pre[0]))
-    d2 = _zrot_diag(spec.j2, _little_group_phase(u, img[1], pre[1]))
+    d1 = _zrot_diag(j1, _little_group_phase(u, img[0], pre[0]))
+    d2 = _zrot_diag(j2, _little_group_phase(u, img[1], pre[1]))
     return amp * d1[..., :, None] * d2[..., None, :]
 
 
@@ -480,18 +459,15 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     u = require_su2(u)
     grid = state.grid
     if state.closed_form:
-        rotated = dataclasses.replace(
-            state, rotation=u if state.rotation is None else u @ state.rotation
-        )
-        return dataclasses.replace(rotated, amplitudes=_evaluate(rotated, grid.theta, grid.phi))
+        u = u if state.rotation is None else u @ state.rotation
+        amplitudes = _rotated(state, u, grid.theta, grid.phi)
+        return dataclasses.replace(state, rotation=u, amplitudes=amplitudes)
     if grid.n_theta - 1 > _MAX_L:
         raise InvalidOrbitalLabel(
             f"a table on a grid with n_theta = {grid.n_theta} is fit with harmonics up to "
             f"l = {grid.n_theta - 1}; the fit supports l <= {_MAX_L}, i.e. n_theta <= {_MAX_L + 1}"
         )
-    source = functools.partial(_interpolated, state)
-    amplitudes = _rotated(state.spec, state.scheme, u, grid.theta, grid.phi, source)
-    return dataclasses.replace(state, amplitudes=amplitudes)
+    return dataclasses.replace(state, amplitudes=_rotated(state, u, grid.theta, grid.phi))
 
 
 def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
@@ -657,11 +633,8 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
         slots = psi.coefficients
         if scheme == "helicity":
             slots = _fixed_to_helicity_slots(spec, psi.theta, psi.phi, slots)
-        amplitude = _amplitude_source(spec, scheme, labels, psi.theta, psi.phi)
-
-        def overlap(amp):
-            return complex(np.sum(amp.conj() * slots))
-
+        tables = _amplitude_source(spec, scheme, labels, psi.theta, psi.phi)
+        overlaps = [complex(np.sum(amp[0].conj() * slots)) for amp in tables]
         psi_norm2 = math.inf
     else:
         if psi.scheme != scheme:
@@ -669,19 +642,13 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
                 f"grid state carries {psi.scheme!r} slots; cannot decompose in {scheme!r}"
             )
         grid = psi.grid
-        amplitude = _grid_source(spec, scheme, labels, grid)
-
-        def overlap(amp):
-            return complex(
-                np.einsum("n,ncd,ncd->", grid.weights, amp.conj(), psi.amplitudes)
-            )
-
+        tables = _amplitude_source(spec, scheme, labels, *grid.axes)
+        overlaps = [
+            complex(np.einsum("n,ncd,ncd->", grid.weights, amp.conj(), psi.amplitudes))
+            for amp in tables
+        ]
         psi_norm2 = psi.norm2()
-
-    entries = [
-        DecompositionEntry(j, channel, chi, overlap(amplitude(j, channel, chi)))
-        for j, channel, chi in labels
-    ]
+    entries = [DecompositionEntry(*label, c) for label, c in zip(labels, overlaps)]
     coeff_norm2 = float(sum(abs(e.coefficient) ** 2 for e in entries))
     residual = math.inf if math.isinf(psi_norm2) else psi_norm2 - coeff_norm2
     return Decomposition(
@@ -699,12 +666,10 @@ def reconstruct(decomposition: Decomposition, grid: QuadratureGrid,
                 spec: TwoParticleSpec) -> GridProductState:
     """Sum coefficient times basis amplitude over all entries of a decomposition."""
     entries = decomposition.entries
-    amplitude = _grid_source(
-        spec, decomposition.scheme, [(e.j, e.channel, e.component) for e in entries], grid
-    )
+    labels = [(e.j, e.channel, e.component) for e in entries]
     total = np.zeros((grid.size,) + spec.spin_shape, dtype=complex)
-    for e in entries:
-        total += e.coefficient * amplitude(e.j, e.channel, e.component)
+    for e, amp in zip(entries, _amplitude_source(spec, decomposition.scheme, labels, *grid.axes)):
+        total += e.coefficient * amp
     return GridProductState(grid=grid, spec=spec, amplitudes=total,
                             scheme=decomposition.scheme)
 

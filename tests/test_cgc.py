@@ -48,7 +48,7 @@ from poincare_cgc import (
     wigner_rotation,
 )
 from poincare_cgc.cgc import inverse_com_wigner, triangle
-from poincare_cgc.states import build_grid
+from poincare_cgc.states import all_basis_states, bell_state, build_grid, decompose_product_state
 from poincare_cgc.lorentz import direction_rotation, polar_angles, spinor_to_lorentz
 from poincare_cgc.reference_tables import CHANNEL_ROWS, reference_cells, variant_cells
 
@@ -65,6 +65,27 @@ def test_spec_validation():
         TwoParticleSpec.fermion_pair(0.0)
     with pytest.raises(ValueError):
         TwoParticleSpec(1.0, 1.0, -0.5, 0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("path", ["general-table", "basis", "decompose"])
+def test_spec_rejects_non_finite_masses(bad, path):
+    """A NaN or infinite mass squared raises ValueError naming it where the
+    spec is built, not MasslessUnsupported and not later: a NaN mass would
+    pass the general table's mass-shell test, and the grid paths would fail
+    only inside the kinematics."""
+    p1, p2 = Kinematics.for_spec(FERMION_PAIR, PAIR_S).momenta([0.3, -0.2, 0.9])
+    run = {
+        "general-table": lambda spec: spin_orbit_general_table(
+            spec, 1, SpinOrbitChannel(1, 1), 0, p1, p2
+        ),
+        "basis": lambda spec: all_basis_states(build_grid(4, 8), spec, PAIR_S, 1, "spin-orbit"),
+        "decompose": lambda spec: decompose_product_state(bell_state("psi11"), spec, PAIR_S, 1),
+    }[path]
+    for name, masses in (("s1", (bad, 1.0)), ("s2", (1.0, bad))):
+        with pytest.raises(ValueError, match=f"must be finite, .*{name} = {bad}") as err:
+            run(TwoParticleSpec(*masses, 0.5, 0.5))
+        assert not isinstance(err.value, MasslessUnsupported)
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,21 @@ def test_build_grid_rejects_degenerate(shape):
     assert issubclass(GridTooCoarse, ValueError)
 
 
+@pytest.mark.parametrize(
+    "sizes", [(16.7, 33), (np.float64(7.5), 15), (8, 16.0), (1.5, 8), ("8", 16)]
+)
+def test_build_grid_rejects_non_integer_sizes(sizes):
+    """Sizes are never rounded: a non-integer raises ValueError naming it,
+    before the coarseness test, while numpy integers are accepted."""
+    with pytest.raises(ValueError, match="must be integers") as err:
+        build_grid(*sizes)
+    assert not isinstance(err.value, GridTooCoarse)
+    assert repr(sizes[0]) in str(err.value)
+    grid = build_grid(np.int64(6), np.int32(13))
+    assert (grid.n_theta, grid.n_phi, grid.size) == (6, 13, 78)
+    assert type(grid.n_theta) is int
+
+
 def test_basis_state_hand_values():
     grid = build_grid(8, 17)
     singlet = build_com_basis_state(

@@ -17,6 +17,7 @@ from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
 from poincare_cgc.halfint import HalfInt, components, hrange
 from poincare_cgc.states import build_grid
 from poincare_cgc.su2 import (
+    _d_entry,
     _harmonic_rows,
     _harmonic_table,
     _legendre,
@@ -79,6 +80,26 @@ def test_wigner_d_vectorizes_over_beta():
     table = wigner_d_small(1, betas)
     assert table.shape == (7, 1, 3, 3)
     assert np.allclose(table[0, 0], np.eye(3), atol=1e-14)
+
+
+def test_wigner_d_small_is_d_entry_bit_for_bit():
+    """wigner_d_small sums all entries at once and _d_entry one entry; the
+    golden helicity tables read _d_entry while the helicity frames,
+    rep_matrix and helicity decompose read wigner_d_small, so the two must
+    agree bit for bit: every entry for 2j <= 20, at scalar and array beta,
+    signed zeros, +-pi and 2 pi included. (A scalar and an array beta may
+    round apart by an ulp, so each is compared with its own kind.)"""
+    betas = np.array([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 0.3, 1.7, -2.9, 5.1])
+    for tj in range(21):
+        table = wigner_d_small(HalfInt(tj), betas)
+        singles = [wigner_d_small(HalfInt(tj), beta) for beta in betas]
+        for a, tmp in enumerate(range(tj, -tj - 1, -2)):
+            for b, tm in enumerate(range(tj, -tj - 1, -2)):
+                want = _d_entry(tj, tmp, tm, betas)
+                assert table[:, a, b].tobytes() == want.tobytes(), (tj, tmp, tm)
+                for beta, single in zip(betas, singles):
+                    got = np.float64(single[a, b]).tobytes()
+                    assert got == np.float64(_d_entry(tj, tmp, tm, beta)).tobytes(), (tj, beta)
 
 
 def test_wigner_d_rejects_bad_spin():
