@@ -40,7 +40,7 @@ from .cgc import (
     SCHEMES,
     TwoParticleSpec,
     coupling_channels,
-    helicity_com_scalar,
+    helicity_com_table,
     spin_orbit_com_table,
 )
 from .halfint import HalfInt, components
@@ -217,21 +217,15 @@ def _table_records(scheme, j, theta, phi) -> list[OutputRecord]:
     """Rows of one table: one coupling table per (channel, chi), read slot
     by slot; a helicity amplitude lives on the channel's own slot only."""
     j = HalfInt.of(j)
-    records = []
-    for channel in coupling_channels(_SPEC, j, scheme):
-        for chi in components(j):
-            if scheme == "helicity":
-                value = helicity_com_scalar(_SPEC, j, channel, chi, theta, phi)
-                slots = [(channel.eta, value)]
-            else:
-                table = spin_orbit_com_table(_SPEC, j, channel, chi, theta, phi)
-                pairs = product(components(_SPEC.j1), components(_SPEC.j2))
-                slots = zip(pairs, table.ravel())
-            records += [
-                OutputRecord(scheme, j, channel.eta, chi, pair, theta, phi, complex(value))
-                for pair, value in slots
-            ]
-    return records
+    com_table = spin_orbit_com_table if scheme == "spin-orbit" else helicity_com_table
+    pairs = list(product(components(_SPEC.j1), components(_SPEC.j2)))
+    return [
+        OutputRecord(scheme, j, channel.eta, chi, pair, theta, phi, complex(value))
+        for channel in coupling_channels(_SPEC, j, scheme)
+        for chi in components(j)
+        for pair, value in zip(pairs, com_table(_SPEC, j, channel, chi, theta, phi).ravel())
+        if scheme == "spin-orbit" or pair == channel.eta
+    ]
 
 
 def _with_symbolic(records, scheme, j, theta, phi) -> list[OutputRecord]:

@@ -26,6 +26,7 @@ from .cgc import (
     SpinOrbitChannel,
     TwoParticleSpec,
     _check_above_threshold,
+    _check_chi,
     _check_scheme,
     _spin_orbit_amplitudes,
     com_normalization,
@@ -175,21 +176,15 @@ def _helicity_wavefunction(spec, j, channel, chi, theta, phi) -> np.ndarray:
 def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState:
     """Sample one partial-wave channel's angular amplitude on a grid.
 
-    The scheme is inferred from the channel label type. The channel must
-    couple to the requested total spin j, and s must lie above the
-    two-particle threshold.
+    The scheme is inferred from the channel label type. The labels must
+    pass :func:`_check_label`, and s must lie above the two-particle
+    threshold.
     """
-    j = HalfInt.of(j)
-    component = HalfInt.of(component)
-    norm = com_normalization(s, spec.s1, spec.s2)
     scheme = next((k for k, kind in _CHANNEL_TYPES.items() if isinstance(channel, kind)), None)
     if scheme is None:
         raise InvalidChannel(f"not a channel label: {channel!r}")
-    if channel not in coupling_channels(spec, j, scheme):
-        raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
-    label = (j, channel, component)
-    (amplitudes,) = _amplitude_source(spec, scheme, [label], *grid.axes)
-    return ComBasisState(grid, spec, float(s), scheme, *label, amplitudes, norm, closed_form=True)
+    label = _check_label(spec, scheme, j, channel, component)
+    return _basis_states(grid, spec, s, scheme, [label])[0]
 
 
 def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
@@ -201,13 +196,28 @@ def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
     that no evaluated spin exceeds the supported maximum (ValueError).
     """
     scheme = _check_scheme(scheme)
-    labels = _basis_labels(spec, j_max, scheme)
+    return _basis_states(grid, spec, s, scheme, _basis_labels(spec, j_max, scheme))
+
+
+def _basis_states(grid, spec, s, scheme, labels) -> list[ComBasisState]:
+    """The closed-form basis states of the labels (j, channel, chi) on a
+    grid: one normalization and one :func:`_amplitude_source` pass."""
     norm = com_normalization(s, spec.s1, spec.s2)
     tables = _amplitude_source(spec, scheme, labels, *grid.axes)
     return [
         ComBasisState(grid, spec, float(s), scheme, *label, amplitudes, norm, closed_form=True)
         for label, amplitudes in zip(labels, tables)
     ]
+
+
+def _check_label(spec, scheme, j, channel, chi) -> tuple:
+    """(j, channel, chi) as a basis label of the scheme: chi must be a
+    component of j (ValueError), and channel one of the channels that
+    couple to j (InvalidChannel)."""
+    j, chi = _check_chi(j, chi)
+    if channel not in coupling_channels(spec, j, scheme):
+        raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
+    return j, channel, chi
 
 
 def _basis_labels(spec: TwoParticleSpec, j_max, scheme: str) -> list[tuple]:
@@ -540,6 +550,8 @@ class GridProductState:
         want = (self.grid.size,) + self.spec.spin_shape
         if amps.shape != want:
             raise ValueError(f"amplitude table must have shape {want}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitude table must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
     def norm2(self) -> float:
@@ -737,8 +749,8 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
     The schema does not carry the particle spins or masses, so the matching
     spec must be supplied. Loaded states carry the stored table verbatim
     and are not closed-form; rotating them uses spherical-harmonic
-    interpolation. Malformed JSON, and a missing or ill-typed field, raise
-    ValueError.
+    interpolation. Malformed JSON, a missing or ill-typed field, and labels
+    that fail :func:`_check_label` raise ValueError.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -748,27 +760,23 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
     eta = _json_field(data, "eta", list)
     if len(eta) != 2:
         raise ValueError(f"state JSON field 'eta' must hold two labels, got {len(eta)}")
-    labels = [_json_half("eta", x) for x in eta]
-    channel = _CHANNEL_TYPES[scheme](*labels)
+    channel = _CHANNEL_TYPES[scheme](*(_json_half("eta", x) for x in eta))
+    j, chi = (_json_half(name, _json_field(data, name)) for name in ("j", "component"))
+    label = _check_label(spec, scheme, j, channel, chi)
     s = float(_json_field(data, "s"))
     pairs = _json_field(data, "amplitudes", list)
     try:
-        flat = np.array([complex(re, im) for re, im in pairs])
+        # a pair holding a boolean is skipped here, and so fails the count below
+        flat = np.array([complex(re, im) for re, im in pairs
+                         if type(re) is not bool and type(im) is not bool], dtype=complex)
     except (TypeError, ValueError):
-        raise ValueError("state JSON field 'amplitudes' must hold [re, im] number pairs") from None
+        flat = None
+    if flat is None or flat.size != len(pairs) or not np.isfinite(flat).all():
+        raise ValueError("state JSON field 'amplitudes' must hold [re, im] pairs of finite numbers")
     want = (grid.size,) + spec.spin_shape
     if flat.size != math.prod(want):
         raise ValueError(
             f"amplitude list has {flat.size} entries; grid and spins require {math.prod(want)}"
         )
-    return ComBasisState(
-        grid=grid,
-        spec=spec,
-        s=s,
-        scheme=scheme,
-        j=_json_half("j", _json_field(data, "j")),
-        channel=channel,
-        component=_json_half("component", _json_field(data, "component")),
-        amplitudes=flat.reshape(want),
-        norm_prefactor=com_normalization(s, spec.s1, spec.s2),
-    )
+    norm = com_normalization(s, spec.s1, spec.s2)
+    return ComBasisState(grid, spec, s, scheme, *label, flat.reshape(want), norm)

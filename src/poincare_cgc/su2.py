@@ -302,9 +302,10 @@ def _harmonic_table(l_max: int, theta, phi) -> np.ndarray:
 def spherical_harmonic(l, m, theta, phi):
     """Spherical harmonic Y_{l m}(theta, phi), Condon-Shortley phase.
 
-    l must be a nonnegative integer spin; m with |m| > l gives 0. theta and
-    phi broadcast as arrays. Only the order |m| is evaluated; m < 0 follows
-    from it as in :func:`_harmonic_rows`, bit for bit.
+    l must be a nonnegative integer spin; m with |m| > l gives complex
+    zeros, with nothing evaluated. theta and phi broadcast as arrays. Only
+    the order |m| is evaluated; m < 0 follows from it as in
+    :func:`_harmonic_rows`, bit for bit.
     """
     l, m = HalfInt.of(l), HalfInt.of(m)
     if not l.is_integer or l < HalfInt(0):
@@ -312,7 +313,8 @@ def spherical_harmonic(l, m, theta, phi):
     if not m.is_integer:
         raise InvalidOrbitalLabel(f"orbital component must be an integer, got {m}")
     l, m = int(l), int(m)
-    y = _harmonic_top(l, [min(abs(m), l)], theta, phi)[0]
+    _check_l(l)
     if abs(m) > l:
-        return np.zeros(y.shape)
+        return np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
+    y = _harmonic_top(l, [abs(m)], theta, phi)[0]
     return y if m >= 0 else (-1.0) ** -m * np.conj(y)

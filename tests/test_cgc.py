@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -138,6 +139,8 @@ def test_channel_labels_and_validation():
         SpinOrbitChannel(0.5, 1)
     with pytest.raises(InvalidChannel):
         SpinOrbitChannel(-1, 1)
+    with pytest.raises(InvalidChannel, match="total spin must be nonnegative"):
+        SpinOrbitChannel(1, -1)
     with pytest.raises(ValueError):
         enumerate_channels(FERMION_PAIR, 1, "canonical")
 
@@ -416,6 +419,37 @@ def test_reference_cells_emission_order(scheme, j):
             else:
                 expected.append((channel, chi, (channel.lam1, channel.lam2)))
     assert [(c.channel, c.component, c.pair) for c in cells] == expected
+
+
+def _numpy_form(expression: str) -> str:
+    """A reference cell's printed closed form as a Python expression:
+    "2i*phi" -> "2j*phi", "3/8pi" -> "3/(8*pi)", "^" -> "**"."""
+    text = re.sub(r"(?<![a-z])(\d*)i\*", lambda m: f"{m.group(1) or 1}j*", expression)
+    return re.sub(r"(\d+)pi", r"(\1*pi)", text).replace("^", "**")
+
+
+def test_reference_expressions_print_the_stored_closed_forms():
+    """The expression column of table --symbolic-check is the closed form the
+    residual is measured against: each cell's expression, and its variant's,
+    read as numpy gives the cell's value and variant value, poles included.
+    The radical variant takes the complex root, as its value does."""
+    names = {"sqrt": lambda x: np.sqrt(x + 0j), "sin": np.sin, "cos": np.cos,
+             "exp": np.exp, "pi": np.pi, "__builtins__": {}}
+    angles = [(0.0, 0.0), (0.0, 2.3), (np.pi, 0.0), (np.pi, 4.4), (np.pi / 2, np.pi),
+              (0.4, 0.9), (1.7, 2.6), (2.8, 5.1), (1.1, -0.7)]
+    forms = []
+    for scheme in ("spin-orbit", "helicity"):
+        for j in (0, 1):
+            for cell in reference_cells(scheme, j):
+                forms.append((cell.expression, cell.value))
+                if cell.variant_expression is not None:
+                    forms.append((cell.variant_expression, cell.variant_value))
+    assert len(forms) == 70 + 11
+    for expression, value in forms:
+        code = compile(_numpy_form(expression), expression, "eval")
+        for theta, phi in angles:
+            got = complex(eval(code, dict(names, theta=theta, phi=phi)))
+            assert abs(got - complex(value(theta, phi))) <= 1e-15, (expression, theta, phi)
 
 
 def test_variant_cells_deviate_but_library_matches_main_form():

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: emitters, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -276,6 +277,90 @@ def test_verify_catches_coupling_sign_mutation(capsys, monkeypatch):
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1
     assert "su2-cgc-orthogonality" in fails[0]
+
+
+def _verify_only(monkeypatch, name):
+    """Make verify run the one named check, with the rotation fixture and the
+    structure notes stubbed out; the report and the CLI path are unchanged."""
+    real = verify._fast_checks
+    monkeypatch.setattr(
+        verify, "_fast_checks", lambda *shared: [c for c in real(*shared) if c[0] == name]
+    )
+    monkeypatch.setattr(verify, "_rotation_fixture", lambda: (0.0, 0.0, 0.0))
+    monkeypatch.setattr(verify, "_structure_notes", lambda: [])
+
+
+def _fails(capsys, name):
+    code, out, _ = run_cli(capsys, "verify")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    return code == 1 and len(fails) == 1 and name in fails[0]
+
+
+def test_verify_catches_a_json_loader_that_changes_the_state(capsys, monkeypatch):
+    real = verify.state_from_json
+
+    def conjugating(text, spec):
+        state = real(text, spec)
+        return dataclasses.replace(state, amplitudes=state.amplitudes.conj())
+
+    _verify_only(monkeypatch, "json-round-trip")
+    assert not _fails(capsys, "json-round-trip")
+    monkeypatch.setattr(verify, "state_from_json", conjugating)
+    assert _fails(capsys, "json-round-trip")
+
+
+@pytest.mark.parametrize(
+    "mutate", [lambda chans: chans[:-1], lambda chans: chans[::-1]], ids=["missing", "reordered"]
+)
+def test_verify_catches_a_wrong_channel_enumeration(capsys, monkeypatch, mutate):
+    """A missing channel and a reordered enumeration both fail the frozen table."""
+    real = verify.enumerate_channels
+    _verify_only(monkeypatch, "channel-table-reproduction")
+    assert not _fails(capsys, "channel-table-reproduction")
+    monkeypatch.setattr(verify, "enumerate_channels", lambda *args: mutate(real(*args)))
+    assert _fails(capsys, "channel-table-reproduction")
+
+
+def test_verify_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match="level must be one of"):
+        verify.run("medium")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(lambda cells: cells[:-1], "stored table has 7 cells but the generator emitted 8 rows"),
+     (lambda cells: cells[::-1], "stored cell order diverged from the generator")],
+    ids=["count", "order"],
+)
+def test_symbolic_check_rejects_stored_cells_that_do_not_match(capsys, monkeypatch,
+                                                               mutate, message):
+    real = cli_module.reference_cells
+    monkeypatch.setattr(cli_module, "reference_cells", lambda *args: mutate(real(*args)))
+    code, out, err = run_cli(capsys, "table", "--j", "0", "--symbolic-check")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_records_from_csv_rejects_an_unknown_header():
+    with pytest.raises(ValueError, match="unrecognized table header"):
+        records_from_csv("scheme,j,eta1\nspin-orbit,0,0\n")
+
+
+def test_helicity_table_builds_one_table_per_channel_and_component(capsys, monkeypatch):
+    """table --scheme helicity --j 1 reads its 12 rows from 12 tables, one
+    slot of each."""
+    real = cli_module.helicity_com_table
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "helicity_com_table", counted)
+    code, out, _ = run_cli(capsys, "table", "--scheme", "helicity", "--j", "1")
+    assert code == 0
+    assert len(records_from_csv(out)) == 12
+    assert len(calls) == 12
 
 
 def test_verify_builds_the_rotation_fixture_once(monkeypatch):

@@ -44,6 +44,18 @@ def test_four_momentum_rejects_non_finite_components(bad):
         FourMomentum.on_shell(1.0, [bad, 0.0, 0.0])
 
 
+def test_four_momentum_rejects_a_spatial_part_that_is_not_a_3_vector():
+    with pytest.raises(ValueError, match="3-vector"):
+        FourMomentum(1.0, [0.0, 0.5])
+
+
+def test_group_element_checks_reject_a_3x3_matrix():
+    with pytest.raises(ValueError, match="2x2"):
+        SpinorTransform(np.eye(3))
+    with pytest.raises(NotARotation, match="2x2"):
+        require_su2(np.eye(3))
+
+
 def test_spinor_transform_group_law(rng):
     a, b = random_sl2c(rng), random_sl2c(rng)
     comp = a @ b

@@ -765,6 +765,9 @@ def test_json_rejects_truncated_payload():
         ("grid.n_phi", 16.0),
         ("amplitudes", None),
         ("amplitudes", [["1", 0.0]]),
+        ("amplitudes", [[True, False]]),
+        ("amplitudes", [[math.nan, 0.0]]),
+        ("amplitudes", [[0.0, math.inf]]),
     ],
 )
 def test_json_rejects_missing_or_ill_typed_fields(field, change):
@@ -780,6 +783,60 @@ def test_json_rejects_missing_or_ill_typed_fields(field, change):
         target[name] = change
     with pytest.raises(ValueError, match=repr(field)):
         state_from_json(json.dumps(payload), FERMION_PAIR)
+
+
+@pytest.mark.parametrize("pair", [[True, 0.0], [0.0, False], [math.nan, 0.0],
+                                  [0.0, -math.inf], [math.inf, math.nan]])
+def test_json_rejects_a_boolean_or_non_finite_amplitude_pair(pair):
+    """One bad pair in an otherwise complete amplitude list raises ValueError
+    naming the field; Python's json reads NaN and Infinity tokens."""
+    grid = build_grid(8, 16)
+    state = build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 1, SpinOrbitChannel(1, 1), 0)
+    payload = json.loads(state_to_json(state))
+    payload["amplitudes"][37] = pair
+    with pytest.raises(ValueError, match="'amplitudes'"):
+        state_from_json(json.dumps(payload), FERMION_PAIR)
+
+
+# (scheme, j, channel, component) of labels that no basis state carries,
+# and the error each raises
+_BAD_LABELS = [
+    ("spin-orbit", 1, SpinOrbitChannel(1, 1), 5, ValueError),
+    ("spin-orbit", -1, SpinOrbitChannel(1, 1), 0, ValueError),
+    ("spin-orbit", 1, SpinOrbitChannel(1, 1), 0.5, ValueError),
+    ("spin-orbit", 1, SpinOrbitChannel(7, 0), 0, InvalidChannel),
+    ("spin-orbit", 1, SpinOrbitChannel(1, 3), 0, InvalidChannel),
+    ("helicity", 1, HelicityChannel(1.5, 0.5), 0, InvalidChannel),
+    ("helicity", 0, HelicityChannel(0.5, -0.5), 0, InvalidChannel),
+]
+
+
+@pytest.mark.parametrize("scheme, j, channel, component, error", _BAD_LABELS)
+def test_json_rejects_labels_that_no_basis_state_carries(scheme, j, channel, component, error):
+    """state_from_json checks the labels as build_com_basis_state does: the
+    same error, with the same message, for each bad label."""
+    grid = build_grid(6, 13)
+    good = cgc_module.coupling_channels(FERMION_PAIR, 1, scheme)[0]
+    payload = json.loads(state_to_json(
+        build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 1, good, 0)
+    ))
+    payload.update(j=float(j), eta=[float(x) for x in channel.eta], component=float(component))
+    with pytest.raises(error) as loaded:
+        state_from_json(json.dumps(payload), FERMION_PAIR)
+    with pytest.raises(error) as built:
+        build_com_basis_state(grid, FERMION_PAIR, PAIR_S, j, channel, component)
+    assert str(loaded.value) == str(built.value)
+
+
+def test_basis_state_labels_are_checked_before_any_amplitude(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("amplitudes were computed for a bad label")
+
+    monkeypatch.setattr(states_module, "_amplitude_source", no_work)
+    grid = build_grid(6, 13)
+    for scheme, j, channel, component, error in _BAD_LABELS:
+        with pytest.raises(error):
+            build_com_basis_state(grid, FERMION_PAIR, PAIR_S, j, channel, component)
 
 
 def test_json_rejects_an_empty_or_non_object_payload():
@@ -829,6 +886,17 @@ def test_product_state_validation():
     boson = TwoParticleSpec(s1=1.0, s2=1.0, j1=1, j2=0)
     with pytest.raises(ValueError, match="spin-1/2 pair"):
         bell_state("psi00", spec=boson)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_grid_state_rejects_non_finite_amplitudes(bad):
+    """A non-finite amplitude fails at construction, not as NaN coefficients
+    and a NaN norm out of decompose_product_state."""
+    grid = build_grid(6, 13)
+    amps = np.full((grid.size, 2, 2), 0.1 + 0.0j)
+    amps[17, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GridProductState(grid=grid, spec=FERMION_PAIR, amplitudes=amps)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from scipy.special import lpmv, sph_harm_y
 
 from conftest import quaternion_su2, random_su2
+import poincare_cgc.su2 as su2_module
 from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
 from poincare_cgc.halfint import HalfInt, components, hrange
 from poincare_cgc.states import build_grid
@@ -290,8 +291,18 @@ def test_spherical_harmonic_addition_theorem(rng):
         assert np.max(np.abs(total - (2 * l + 1) / (4 * np.pi))) < 1e-13
 
 
-def test_spherical_harmonic_out_of_range_m_is_zero():
+def test_spherical_harmonic_out_of_range_m_is_zero(monkeypatch):
     assert np.all(spherical_harmonic(1, 2, 0.3, 0.4) == 0.0)
+    # complex zeros of the angles' broadcast shape, as an in-range call
+    # returns, and no harmonic is evaluated for them
+    theta, phi = np.linspace(0.0, np.pi, 5)[:, None], np.linspace(0.0, 6.0, 3)
+    in_range = spherical_harmonic(1, 1, theta, phi)
+    monkeypatch.setattr(su2_module, "_harmonic_top", None)
+    for m in (2, -2, 7):
+        for angles in ((0.3, 0.4), (theta, phi)):
+            zeros = spherical_harmonic(1, m, *angles)
+            assert zeros.dtype == in_range.dtype == np.complex128 and not zeros.any()
+        assert zeros.shape == in_range.shape
 
 
 def test_spherical_harmonic_is_its_row_of_the_harmonic_rows():
