@@ -94,9 +94,9 @@ class QuadratureGrid:
         return self.n_theta == other.n_theta and self.n_phi == other.n_phi
 
 
-def build_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
-    """Build the sphere quadrature with n_theta polar and n_phi azimuthal
-    nodes; a size that is not an integer raises ValueError, never rounded."""
+def _grid_sizes(n_theta, n_phi) -> tuple[int, int]:
+    """A sphere quadrature's sizes as ints: a non-integer raises ValueError,
+    never rounded; a degenerate grid raises GridTooCoarse."""
     try:
         n_theta, n_phi = operator.index(n_theta), operator.index(n_phi)
     except TypeError:
@@ -105,7 +105,22 @@ def build_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
         raise GridTooCoarse(
             f"grid {n_theta}x{n_phi} is degenerate; need n_theta >= 2 and n_phi >= 4"
         )
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
+    return n_theta, n_phi
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], once per n; read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def build_grid(n_theta: int, n_phi: int) -> QuadratureGrid:
+    """Build the sphere quadrature with n_theta polar and n_phi azimuthal
+    nodes; the sizes must pass :func:`_grid_sizes`."""
+    n_theta, n_phi = _grid_sizes(n_theta, n_phi)
+    x, wx = _gauss_legendre(n_theta)
     theta = np.arccos(x[::-1])
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
@@ -160,6 +175,12 @@ class ComBasisState:
     def evaluator(self) -> Callable | None:
         """Map of angle arrays to the amplitude table, None for a table."""
         return functools.partial(_rotated, self, self.rotation) if self.closed_form else None
+
+
+def _require_finite(amplitudes) -> None:
+    """A table holding NaN or an infinity raises ValueError naming 'amplitudes'."""
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("the table 'amplitudes' must be finite")
 
 
 def _helicity_wavefunction(spec, j, channel, chi, theta, phi) -> np.ndarray:
@@ -410,25 +431,45 @@ def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
     """A table's amplitudes at arbitrary angles, from a harmonic fit.
 
     The table is projected onto scalar harmonics with l <= n_theta - 1
-    slot by slot, in fixed-axis slots: helicity slots are not band-limited
-    where the frames turn, since a cell e^{2i chi phi} d^j_{chi,-chi}(theta)
-    stays nonzero at the south pole. A helicity table is therefore
-    converted before the fit, and its helicity slots are restored by the
-    frames at (theta, phi). Exact for tables band-limited below the grid
-    resolution, an approximation otherwise.
+    slot by slot (:func:`_harmonic_fit`), in fixed-axis slots: helicity
+    slots are not band-limited where the frames turn, since a cell
+    e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south pole.
+    A helicity table is therefore converted before the fit, and its
+    helicity slots are restored by the frames at (theta, phi). Exact for
+    tables band-limited below the grid resolution, an approximation
+    otherwise.
     """
     grid = state.grid
     fixed = state if state.scheme == "spin-orbit" else convert_slots_to_canonical(state)
-    # conj(Y) @ (w A) as conj(Y @ conj(w A)): only the small side is conjugated
-    weighted = grid.weights[:, None] * fixed.amplitudes.reshape(grid.size, -1)
-    coeffs = (_harmonic_table(grid.n_theta - 1, *grid.axes).reshape(-1, grid.size)
-              @ weighted.conj()).conj()
+    coeffs = _harmonic_fit(grid, fixed.amplitudes)
     th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
     slots = _harmonic_table(grid.n_theta - 1, th.ravel(), ph.ravel()).T @ coeffs
     slots = slots.reshape(th.shape + fixed.amplitudes.shape[1:])
     if state.scheme == "spin-orbit":
         return slots
     return _fixed_to_helicity_slots(state.spec, theta, phi, slots)
+
+
+def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
+    """Quadrature coefficients conj(Y) (w A) of a grid table A on every Y_lm
+    with l <= n_theta - 1, row l**2 + l - m as in :func:`_harmonic_table`.
+
+    Separated as in Driscoll and Healy, Adv. Appl. Math. 15, 202 (1994):
+    Y_lm(theta, phi) = Y_lm(theta, 0) e^{i m phi} with Y_lm(theta, 0) real,
+    so a DFT over phi per polar ring comes first, then a sum over the rings
+    with the polar rows; the (L+1)^2 x N table on the grid is never built.
+    """
+    top = grid.n_theta - 1
+    polar, azimuth = grid.axes
+    orders = np.arange(top, -top - 1, -1)
+    rings = grid.weights[:: grid.n_phi, None, None] * table.reshape(grid.n_theta, grid.n_phi, -1)
+    # waves[top - m, i] = sum_k e^{-i m phi_k} (w A)[i, k], every ring in one matmul
+    waves = (np.exp(-1j * orders[:, None] * azimuth)
+             @ rings.transpose(1, 0, 2).reshape(grid.n_phi, -1)).reshape(orders.size, grid.n_theta, -1)
+    rows = _harmonic_table(top, polar[:, 0], 0.0).real
+    degrees = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
+    row_orders = degrees * (degrees + 1) - np.arange(degrees.size)
+    return np.einsum("ri,ris->rs", rows, waves[top - row_orders])
 
 
 def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
@@ -464,7 +505,8 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     states live on. Anything outside SU(2) raises NotARotation. A table's
     fit reaches l = n_theta - 1 and Y_lm stops at l = 85, so a table on a
     grid with n_theta above 86 raises InvalidOrbitalLabel before any
-    harmonic is evaluated.
+    harmonic is evaluated. A table holding NaN or an infinity raises
+    ValueError, since the fit would spread it over every node.
     """
     u = require_su2(u)
     grid = state.grid
@@ -477,6 +519,7 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
             f"a table on a grid with n_theta = {grid.n_theta} is fit with harmonics up to "
             f"l = {grid.n_theta - 1}; the fit supports l <= {_MAX_L}, i.e. n_theta <= {_MAX_L + 1}"
         )
+    _require_finite(state.amplitudes)
     return dataclasses.replace(state, amplitudes=_rotated(state, u, grid.theta, grid.phi))
 
 
@@ -550,8 +593,7 @@ class GridProductState:
         want = (self.grid.size,) + self.spec.spin_shape
         if amps.shape != want:
             raise ValueError(f"amplitude table must have shape {want}")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitude table must be finite")
+        _require_finite(amps)
         object.__setattr__(self, "amplitudes", amps)
 
     def norm2(self) -> float:
@@ -697,11 +739,13 @@ def state_to_json(state: ComBasisState) -> str:
     the text round-trips bit-exactly.
 
     The one scheme field names both the channel family and the slot frame,
-    so a state whose channel is of another family raises ValueError.
+    so a state whose channel is of another family raises ValueError, as
+    does a table holding NaN or an infinity, which JSON cannot hold.
     """
     if not isinstance(state.channel, _CHANNEL_TYPES[state.scheme]):
         raise ValueError(f"a {state.scheme!r} state with the channel ({state.channel.label()}) "
                          "has no JSON form; convert_slots_to_canonical makes such states")
+    _require_finite(state.amplitudes)
     flat = state.amplitudes.ravel()
     payload = {
         "scheme": state.scheme,
@@ -756,7 +800,7 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
     if not isinstance(data, dict):
         raise ValueError("state JSON must be an object")
     scheme = _check_scheme(_json_field(data, "scheme", str))
-    grid = build_grid(_json_field(data, "grid.n_theta", int), _json_field(data, "grid.n_phi", int))
+    sizes = _grid_sizes(_json_field(data, "grid.n_theta", int), _json_field(data, "grid.n_phi", int))
     eta = _json_field(data, "eta", list)
     if len(eta) != 2:
         raise ValueError(f"state JSON field 'eta' must hold two labels, got {len(eta)}")
@@ -773,10 +817,12 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
         flat = None
     if flat is None or flat.size != len(pairs) or not np.isfinite(flat).all():
         raise ValueError("state JSON field 'amplitudes' must hold [re, im] pairs of finite numbers")
-    want = (grid.size,) + spec.spin_shape
+    # the count is checked before the grid is built, whose cost the sizes alone set
+    want = (math.prod(sizes),) + spec.spin_shape
     if flat.size != math.prod(want):
         raise ValueError(
             f"amplitude list has {flat.size} entries; grid and spins require {math.prod(want)}"
         )
+    grid = build_grid(*sizes)
     norm = com_normalization(s, spec.s1, spec.s2)
     return ComBasisState(grid, spec, s, scheme, *label, flat.reshape(want), norm)

@@ -212,29 +212,69 @@ def _check_l(l: int) -> None:
         raise InvalidOrbitalLabel(f"orbital label {l} overflows a float factorial")
 
 
+@functools.cache
+def _lpmv_scale(l: int, m: int) -> float:
+    """lpmv's factor rg = l (l + m) prod_{0<j<m} (l^2 - j^2), multiplied in
+    lpmv's order; 1.0 for m = 0, where lpmv takes c0 = 1."""
+    rg = float(l) * (l + m)
+    for j in range(1, m):
+        rg *= float(l) * l - j * j
+    return rg if m else 1.0
+
+
+def _lpmv_series(l, n: int, r0, x) -> np.ndarray:
+    """lpmv's series for an integer degree (specfun lpmv0) at the degrees l
+    (an int array) and the orders m = l - n: (-1)^l c0 pmv in that order,
+    with c0 = r0[m] rg, r0[m] = 2^-m (1 - x^2)^(m/2) / m! as lpmv carries
+    it, rg from :func:`_lpmv_scale` and pmv the n terms in (1 + x)."""
+    shape = (-1,) + (1,) * x.ndim
+    l = l.reshape(shape)
+    m = l - n
+    pmv = r = 1.0
+    for k in range(1, n + 1):
+        r = 0.5 * r * (-l + m + k - 1.0) * (l + m + k) / (k * (k + m)) * (1.0 + x)
+        pmv = pmv + r
+    rg = np.array([_lpmv_scale(int(a), int(a) - n) for a in l.flat]).reshape(shape)
+    return np.where(l % 2, -1.0, 1.0) * (r0[m.ravel()] * rg) * pmv
+
+
 def _legendre(l_max: int, x) -> np.ndarray:
     """P[l, m] = lpmv(m, l, x), bit for bit, for every 0 <= m <= l <= l_max.
 
-    x broadcasts along the trailing axes; entries with m > l are 0. lpmv
-    is called for the two top orders m = l and m = l - 1 of each degree
-    only. The lower orders follow lpmv's own upward recurrence in the
-    degree, ((2l-1) x P[l-1] - (l-1+m) P[l-2]) / (l-m), run over all orders
-    at once. lpmv returns its series value for l <= 2, but recurs through
-    its own P_2^0 for every higher degree, so P[2, 0] is read from lpmv
-    while the sweep recurs from its own value.
+    x broadcasts along the trailing axes; entries with m > l are 0. The two
+    top orders m = l and m = l - 1 of every degree come from lpmv's own
+    series (:func:`_lpmv_series`), all degrees at once, and the lower ones
+    from lpmv's upward recurrence in the degree,
+    ((2l-1) x P[l-1] - (l-1+m) P[l-2]) / (l-m), over all orders at once.
+    lpmv returns its series value for l <= 2 but recurs through its own
+    P_2^0, so the sweep does too and P[2, 0] is set to the series last.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((l_max + 1, l_max + 1) + x.shape)
-    for l in range(l_max + 1):
-        top = np.arange(max(l - 1, 0), l + 1)
-        out[l, top] = lpmv(top.reshape((-1,) + (1,) * x.ndim), l, x)
-        if l >= 2:
-            m = np.arange(l - 1).reshape((-1,) + (1,) * x.ndim)
-            out[l, : l - 1] = ((2 * l - 1) * x * out[l - 1, : l - 1]
-                               - (l - 1 + m) * out[l - 2, : l - 1]) / (l - m)
+    xq = np.sqrt(1.0 - x * x)
+    r0 = np.empty((l_max + 1,) + x.shape)
+    r0[0] = 1.0
+    for j in range(1, l_max + 1):
+        r0[j] = 0.5 * r0[j - 1] * xq / j
+    ls = np.arange(l_max + 1)
+    out[ls, ls] = _lpmv_series(ls, 0, r0, x)
+    out[ls[1:], ls[:-1]] = _lpmv_series(ls[1:], 1, r0, x)
+    for l in range(2, l_max + 1):
+        m = np.arange(l - 1).reshape((-1,) + (1,) * x.ndim)
+        out[l, : l - 1] = ((2 * l - 1) * x * out[l - 1, : l - 1]
+                           - (l - 1 + m) * out[l - 2, : l - 1]) / (l - m)
     if l_max >= 2:
-        out[2, 0] = lpmv(0, 2, x)
+        out[2, 0] = _lpmv_series(np.array([2]), 2, r0, x)[0]
     return out
+
+
+@functools.cache
+def _norms(l: int) -> np.ndarray:
+    """N_{lm} = sqrt((2l+1)/4pi (l-m)!/(l+m)!) for m = 0 ... l, read-only."""
+    norm = np.sqrt([(2 * l + 1) / (4.0 * np.pi) * _fact(l - m) / _fact(l + m)
+                    for m in range(l + 1)])
+    norm.flags.writeable = False
+    return norm
 
 
 def _top_rows(l: int, ms, legendre, phase) -> np.ndarray:
@@ -244,7 +284,7 @@ def _top_rows(l: int, ms, legendre, phase) -> np.ndarray:
     The one formula for Y_lm: the direct path (:func:`_harmonic_top`) and
     the sweep (:func:`_harmonic_table`) both end here.
     """
-    norm = np.sqrt([(2 * l + 1) / (4.0 * np.pi) * _fact(l - m) / _fact(l + m) for m in ms])
+    norm = _norms(l)[np.asarray(ms)]
     return norm.reshape((-1,) + (1,) * (legendre.ndim - 1)) * legendre * phase
 
 

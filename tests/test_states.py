@@ -44,6 +44,8 @@ from poincare_cgc.states import (
     MEASURED_GRAM_DIAGONAL,
     DeltaProductState,
     GridProductState,
+    _gauss_legendre,
+    _harmonic_fit,
     _helicity_frames,
     _helicity_wavefunction,
 )
@@ -52,6 +54,7 @@ import poincare_cgc.states as states_module
 import poincare_cgc.su2 as su2_module
 from poincare_cgc.cgc import spin_orbit_com_table
 from poincare_cgc.lorentz import polar_angles, spinor_to_lorentz
+from poincare_cgc.su2 import _harmonic_table
 
 FERMION_PAIR = TwoParticleSpec.fermion_pair(1.0)
 PAIR_S = 9.0
@@ -102,6 +105,26 @@ def test_build_grid_rejects_non_integer_sizes(sizes):
     grid = build_grid(np.int64(6), np.int32(13))
     assert (grid.n_theta, grid.n_phi, grid.size) == (6, 13, 78)
     assert type(grid.n_theta) is int
+
+
+def test_build_grid_reads_a_read_only_memoised_rule():
+    """build_grid reads its Gauss-Legendre rule from a memo per n_theta. The
+    memo's arrays are read-only, and the grid is byte for byte the one a
+    fresh leggauss gives."""
+    for n_theta, n_phi in ((2, 4), (8, 17), (16, 33), (64, 129)):
+        x, wx = _gauss_legendre(n_theta)
+        assert _gauss_legendre(n_theta)[0] is x
+        assert not x.flags.writeable and not wx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+        fresh_x, fresh_w = np.polynomial.legendre.leggauss(n_theta)
+        theta = np.arccos(fresh_x[::-1])
+        phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+        th, ph = np.meshgrid(theta, phi, indexing="ij")
+        w = np.broadcast_to((fresh_w[::-1] * (2.0 * np.pi / n_phi))[:, None], th.shape)
+        grid = build_grid(n_theta, n_phi)
+        for got, want in ((grid.theta, th), (grid.phi, ph), (grid.weights, w)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_basis_state_hand_values():
@@ -343,30 +366,49 @@ def test_loaded_helicity_rotation_matches_closed_form(rng):
             assert np.abs(gap).max() < 1e-12, (scheme, state.channel, state.component)
 
 
-def test_loaded_rotation_takes_one_legendre_sweep_per_table(monkeypatch, rng):
-    """A loaded rotation on 16x33 evaluates its harmonic tables, the fit
-    on the grid's axes and the table at the N preimage nodes, with one
-    Legendre sweep each: lpmv covers the top two orders of each degree,
-    2 n_theta elements per x, and all of it stays within
-    (2 n_theta + 1) N. Evaluating every order through lpmv would take
-    n_theta (n_theta + 1) / 2 N at the preimage nodes alone."""
-    calls = []
-    direct = su2_module.lpmv
+def test_loaded_rotation_takes_two_legendre_sweeps_and_no_lpmv(monkeypatch, rng):
+    """A loaded rotation on 16x33 evaluates two harmonic tables, one
+    _legendre sweep each: the fit's polar rows at the n_theta polar nodes,
+    then the table at the N preimage nodes. The sweep computes its own top
+    orders, so lpmv is never called."""
+    sweeps = []
+    sweep = su2_module._legendre
 
-    def counted(m, v, x):
-        calls.append(np.broadcast(m, v, x).size)
-        return direct(m, v, x)
+    def counted_sweep(l_max, x):
+        sweeps.append(np.size(x))
+        return sweep(l_max, x)
+
+    def forbidden(*args):
+        raise AssertionError("lpmv called")
 
     grid = build_grid(16, 33)
     u = random_su2(rng)
     for scheme in ("spin-orbit", "helicity"):
         for state in fermion_states(grid, 1, scheme):
             loaded = state_from_json(state_to_json(state), FERMION_PAIR)
-            calls.clear()
+            sweeps.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(su2_module, "lpmv", counted)
+                patch.setattr(su2_module, "_legendre", counted_sweep)
+                patch.setattr(su2_module, "lpmv", forbidden)
                 apply_rotation(loaded, u)
-            assert 0 < sum(calls) <= (2 * grid.n_theta + 1) * grid.size, (scheme, sum(calls))
+            assert sweeps == [grid.n_theta, grid.size], (scheme, sweeps)
+
+
+def test_separable_fit_equals_the_dense_fit():
+    """_harmonic_fit sums over phi ring by ring, then over theta with the
+    polar rows; the coefficients equal the dense fit conj(Y) (w A) with Y
+    the full harmonic table on the grid's nodes, for every j <= 1 state of
+    both schemes in fixed-axis slots (measured gap at most 9.4e-16)."""
+    for shape in ((16, 33), (8, 17), (24, 49)):
+        grid = build_grid(*shape)
+        dense = _harmonic_table(grid.n_theta - 1, grid.theta, grid.phi).conj()
+        for scheme in ("spin-orbit", "helicity"):
+            for state in fermion_states(grid, 1, scheme):
+                fixed = state if scheme == "spin-orbit" else convert_slots_to_canonical(state)
+                table = fixed.amplitudes.reshape(grid.size, -1)
+                want = dense @ (grid.weights[:, None] * table)
+                gap = np.abs(_harmonic_fit(grid, table) - want).max()
+                assert gap <= 1e-14, (shape, scheme, state.channel, state.component, gap)
 
 
 def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatch):
@@ -375,7 +417,7 @@ def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatc
     naming n_theta and the limit, before it evaluates a single harmonic."""
 
     def forbidden(*args):
-        raise AssertionError("lpmv called")
+        raise AssertionError("a Legendre function was evaluated")
 
     u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
     for n_theta in (87, 90):
@@ -385,6 +427,7 @@ def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatc
             table = dataclasses.replace(state, closed_form=False)
             with monkeypatch.context() as patch:
                 patch.setattr(su2_module, "lpmv", forbidden)
+                patch.setattr(su2_module, "_legendre", forbidden)
                 with pytest.raises(InvalidOrbitalLabel, match=rf"n_theta = {n_theta}.*l <= 85"):
                     apply_rotation(table, u)
 
@@ -837,6 +880,52 @@ def test_basis_state_labels_are_checked_before_any_amplitude(monkeypatch):
     for scheme, j, channel, component, error in _BAD_LABELS:
         with pytest.raises(error):
             build_com_basis_state(grid, FERMION_PAIR, PAIR_S, j, channel, component)
+
+
+def test_json_count_is_checked_before_the_grid_is_built(monkeypatch):
+    """A short payload that declares a 1000x1000 grid raises the count error
+    without building the grid, whose cost the two sizes alone would set."""
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    payload = json.dumps({
+        "scheme": "spin-orbit", "s": 9.0, "j": 0.0, "eta": [0.0, 0.0], "component": 0.0,
+        "grid": {"n_theta": 1000, "n_phi": 1000}, "amplitudes": [[0.0, 0.0]],
+    })
+    assert len(payload) == 151
+    monkeypatch.setattr(states_module, "build_grid", no_grid)
+    with pytest.raises(ValueError, match="1 entries; grid and spins require 4000000"):
+        state_from_json(payload, FERMION_PAIR)
+
+
+def _with_one_bad_amplitude(state, bad):
+    amps = state.amplitudes.copy()
+    amps[5, 0, 1] = bad
+    return dataclasses.replace(state, amplitudes=amps)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_json_refuses_to_write_a_non_finite_table(bad):
+    """state_to_json would write NaN or Infinity tokens that state_from_json
+    rejects; it raises ValueError naming 'amplitudes' instead."""
+    grid = build_grid(8, 17)
+    for scheme in ("spin-orbit", "helicity"):
+        state = _with_one_bad_amplitude(fermion_states(grid, 1, scheme)[1], bad)
+        with pytest.raises(ValueError, match="'amplitudes'"):
+            state_to_json(state)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_loaded_rotation_refuses_a_non_finite_table(bad, rng):
+    """The fit of a table with one NaN or infinity would spread it over every
+    node; apply_rotation raises ValueError naming 'amplitudes' instead."""
+    grid = build_grid(8, 17)
+    for scheme in ("spin-orbit", "helicity"):
+        state = fermion_states(grid, 1, scheme)[1]
+        loaded = state_from_json(state_to_json(state), FERMION_PAIR)
+        with pytest.raises(ValueError, match="'amplitudes'"):
+            apply_rotation(_with_one_bad_amplitude(loaded, bad), random_su2(rng))
 
 
 def test_json_rejects_an_empty_or_non_object_payload():

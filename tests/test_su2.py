@@ -339,11 +339,13 @@ def test_spherical_harmonics_match_scipy_for_every_order(rng):
 
 
 def test_legendre_sweep_is_lpmv_bit_for_bit(rng):
-    """_legendre calls lpmv for the top two orders of each degree and runs
-    lpmv's own recurrence for the rest; every P_l^m with m <= l <= 85 is
-    lpmv's value bit for bit, signed zeros included, at seeded x and at
-    the ends, zero and the edges of [-1, 1]. P_2^0, where lpmv's series
-    value and its recurrence differ, is among them."""
+    """_legendre computes the top two orders of each degree by lpmv's own
+    series, in numpy, and runs lpmv's own recurrence for the rest; every
+    P_l^m with m <= l <= 85 is lpmv's value bit for bit, signed zeros
+    included, at seeded x and at the ends, zero and the edges of [-1, 1].
+    P_2^0, where lpmv's series value and its recurrence differ, is among
+    them. lpmv here is the oracle, a second implementation of the same
+    arithmetic."""
     edges = [1.0, -1.0, 0.0, -0.0, 1e-300, -1e-300, 1.0 - 1e-10, -(1.0 - 1e-10)]
     x = np.concatenate([rng.uniform(-1.0, 1.0, size=400), edges])
     table = _legendre(85, x)
