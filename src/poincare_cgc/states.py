@@ -291,6 +291,10 @@ def _amplitude_source(spec, scheme, labels, theta, phi) -> Iterator[np.ndarray]:
 def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
     if not a.grid.matches(b.grid):
         raise GridMismatch("states live on different quadrature grids")
+    if a.spec != b.spec:
+        pairs = [f"spins ({p.j1}, {p.j2}) with masses squared ({p.s1}, {p.s2})"
+                 for p in (a.spec, b.spec)]
+        raise ValueError("states couple different constituents: " + " against ".join(pairs))
     if a.s != b.s:
         raise ValueError("states live at different invariant masses")
     if a.scheme != b.scheme:
@@ -300,46 +304,65 @@ def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
 def inner_product(a: ComBasisState, b: ComBasisState) -> complex:
     """Quadrature inner product sum_n w_n sum_slots conj(a) b.
 
-    Both states must live on matching grids (GridMismatch otherwise), at
-    the same s, and in the same scheme (ValueError otherwise).
+    Both states must live on matching grids (GridMismatch otherwise), with
+    the same spec, at the same s, and in the same scheme (ValueError
+    otherwise).
     """
     _check_same_space(a, b)
-    return complex(np.vdot(_weighted(a), b.amplitudes))
+    return complex(np.vdot(a.grid.weights[:, None, None] * a.amplitudes, b.amplitudes))
 
 
-def _weighted(a: ComBasisState) -> np.ndarray:
-    return a.grid.weights[:, None, None] * a.amplitudes
-
-
-# rows of a Gram matrix weighted together (gram_matrix)
-_GRAM_GROUP = 4
+# node-slot entries of every state per BLAS product in gram_matrix
+_GRAM_CHUNK = 128
 
 
 def gram_matrix(states) -> np.ndarray:
-    """Hermitian matrix of pairwise inner products.
+    """Hermitian matrix of pairwise inner products, to roundoff.
 
-    Entry (i, k) equals inner_product(states[i], states[k]) exactly for
-    i <= k and is mirrored below the diagonal. The states are checked
-    once, raising what inner_product raises for the first state that does
-    not share grid, s and scheme with the first one. Rows are weighted in
-    groups of _GRAM_GROUP, and each column state is read once per group
-    while it is hot in cache; the states are never stacked, so no copy of
-    the basis is made.
+    The states are checked once, raising what inner_product raises for the
+    first state that does not share grid, spec, s and scheme with the
+    first one. With B the stack of the states' raveled tables times the
+    square roots of the weights, split into real and imaginary parts Br
+    and Bi, Re G = Br Br^T + Bi Bi^T and Im G = M - M^T with M = Br Bi^T.
+    Both are summed over chunks of _GRAM_CHUNK node-slot entries: each
+    chunk of Br and Bi is copied into one reused buffer, then the two
+    symmetric rank-k updates and Br Bi^T are added in. G is therefore
+    Hermitian bit for bit, with a real diagonal; the scratch is O(n^2 +
+    n * _GRAM_CHUNK), and the basis is never stacked whole.
     """
     states = list(states)
     for b in states:
         _check_same_space(states[0], b)
-    n = len(states)
-    out = np.empty((n, n), dtype=complex)
-    for start in range(0, n, _GRAM_GROUP):
-        group = [(i, _weighted(states[i])) for i in range(start, min(start + _GRAM_GROUP, n))]
-        for k in range(start, n):
-            column = states[k].amplitudes
-            for i, weighted in group[: k - start + 1]:
-                val = np.vdot(weighted, column)
-                out[k, i] = np.conj(val)
-                out[i, k] = val
+    if not states:
+        return np.empty((0, 0), dtype=complex)
+    sym, cross = _gram_parts([st.amplitudes.reshape(-1) for st in states], states[0].grid)
+    out = np.empty(sym.shape, dtype=complex)
+    out.real = sym
+    np.subtract(cross, cross.T, out=out.imag)
     return out
+
+
+def _gram_parts(flats, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Br Br^T + Bi Bi^T and Br Bi^T of :func:`gram_matrix`, summed chunk by
+    chunk; its buffers are freed before gram_matrix allocates the result."""
+    n, size = len(flats), flats[0].size
+    # build_grid's weights are Gauss-Legendre times trapezoid weights, all positive
+    root_w = np.repeat(np.sqrt(grid.weights), size // grid.size)
+    width = min(_GRAM_CHUNK, size)
+    chunk, buf = np.empty(n * width, dtype=complex), np.empty(2 * n * width)
+    sym, cross = np.zeros((n, n)), np.zeros((n, n))
+    for lo in range(0, size, width):
+        hi = min(lo + width, size)
+        k = hi - lo
+        z = np.concatenate([f[lo:hi] for f in flats], out=chunk[: n * k]).reshape(n, k)
+        br, bi = buf[: 2 * n * k].reshape(2, n, k)
+        np.multiply(z.real, root_w[lo:hi], out=br)
+        np.multiply(z.imag, root_w[lo:hi], out=bi)
+        # numpy hands a @ a.T to syrk and mirrors it exactly
+        sym += br @ br.T
+        sym += bi @ bi.T
+        cross += br @ bi.T
+    return sym, cross
 
 
 def _helicity_frames(theta, phi, j1, j2):
@@ -427,6 +450,11 @@ def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     return amp * d1[..., :, None] * d2[..., None, :]
 
 
+# entries per block of the harmonic tables that a loaded rotation
+# evaluates (_interpolated, _harmonic_fit); on a 16x33 grid each is one block
+_HARMONIC_BLOCK = 1 << 18
+
+
 def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
     """A table's amplitudes at arbitrary angles, from a harmonic fit.
 
@@ -437,13 +465,21 @@ def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
     A helicity table is therefore converted before the fit, and its
     helicity slots are restored by the frames at (theta, phi). Exact for
     tables band-limited below the grid resolution, an approximation
-    otherwise.
+    otherwise. The fit is read back in blocks of nodes whose harmonic
+    table holds at most _HARMONIC_BLOCK entries, so the memory grows with
+    the number of nodes, not with n_theta**2 times it.
     """
     grid = state.grid
     fixed = state if state.scheme == "spin-orbit" else convert_slots_to_canonical(state)
     coeffs = _harmonic_fit(grid, fixed.amplitudes)
     th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    slots = _harmonic_table(grid.n_theta - 1, th.ravel(), ph.ravel()).T @ coeffs
+    flat_th, flat_ph = th.ravel(), ph.ravel()
+    top = grid.n_theta - 1
+    step = max(1, _HARMONIC_BLOCK // (top + 1) ** 2)
+    slots = np.empty((flat_th.size, coeffs.shape[1]), dtype=complex)
+    for lo in range(0, flat_th.size, step):
+        block = slice(lo, lo + step)
+        slots[block] = _harmonic_table(top, flat_th[block], flat_ph[block]).T @ coeffs
     slots = slots.reshape(th.shape + fixed.amplitudes.shape[1:])
     if state.scheme == "spin-orbit":
         return slots
@@ -469,7 +505,12 @@ def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
     rows = _harmonic_table(top, polar[:, 0], 0.0).real
     degrees = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
     row_orders = degrees * (degrees + 1) - np.arange(degrees.size)
-    return np.einsum("ri,ris->rs", rows, waves[top - row_orders])
+    # the rows are summed in blocks, so the gathered waves stay under _HARMONIC_BLOCK entries
+    step = max(1, _HARMONIC_BLOCK // waves[0].size)
+    return np.concatenate([
+        np.einsum("ri,ris->rs", rows[r : r + step], waves[top - row_orders[r : r + step]])
+        for r in range(0, rows.shape[0], step)
+    ])
 
 
 def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:

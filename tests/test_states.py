@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,25 +263,72 @@ def test_grid_tables_equal_node_by_node_evaluation(shape, scheme):
             )
 
 
-def test_gram_matrix_matches_pairwise_inner_products():
-    """gram_matrix is the pairwise inner products, bit for bit above the
-    diagonal, and both lie within 1e-14 of the same sums taken in extended
-    precision (measured 2.7e-15; the sequential sum of the 8448 node-slot
-    terms used before was 1.7e-14 off)."""
-    grid = build_grid(16, 33)
-    states = fermion_states(grid, 6, "spin-orbit")
-    assert len(states) == 194
-    gram = gram_matrix(states)
-    pairwise = np.array([[inner_product(a, b) for b in states] for a in states])
-    upper = np.triu_indices(len(states))
-    np.testing.assert_array_equal(gram[upper], pairwise[upper])
-    assert np.abs(gram - pairwise).max() < 1e-15
+def _extended_gram(states) -> np.ndarray:
+    """The quadrature inner products of the states, summed in extended precision."""
+    grid = states[0].grid
     flat = np.array([st.amplitudes.reshape(grid.size, -1) for st in states]).astype(np.clongdouble)
     weighted = flat * grid.weights.astype(np.longdouble)[None, :, None]
-    exact = np.einsum(
+    return np.einsum(
         "in,kn->ik", weighted.conj().reshape(len(states), -1), flat.reshape(len(states), -1)
     )
-    assert np.abs(gram - exact).max() < 1e-14
+
+
+def _assert_gram_kernel(states) -> None:
+    """gram_matrix within 2e-15 of the extended-precision sums, inner_product
+    within 1e-14 of them, the two within 1e-14 of each other, and the Gram
+    matrix Hermitian bit for bit with a real diagonal."""
+    gram = gram_matrix(states)
+    pairwise = np.array([[inner_product(a, b) for b in states] for a in states])
+    exact = _extended_gram(states)
+    assert np.abs(gram - exact).max() < 2e-15
+    assert np.abs(pairwise - exact).max() < 1e-14
+    assert np.abs(gram - pairwise).max() < 1e-14
+    np.testing.assert_array_equal(gram, gram.conj().T)
+    assert not gram.diagonal().imag.any()
+
+
+def test_gram_matrix_matches_pairwise_inner_products():
+    """gram_matrix sums real BLAS products over chunks of node-slot
+    entries; inner_product is one vdot per pair. Against the same sums in
+    extended precision the Gram matrix is off by 6.7e-16 (spin-orbit) and
+    4.6e-16 (helicity), and the pairwise matrix by 2.7e-15 and 2.9e-15."""
+    grid = build_grid(16, 33)
+    for scheme in ("spin-orbit", "helicity"):
+        states = fermion_states(grid, 6, scheme)
+        assert len(states) == 194
+        _assert_gram_kernel(states)
+
+
+def test_gram_matrix_takes_a_partial_last_chunk():
+    """A spin-(1, 1/2) pair on 6x13 has 468 node-slot entries per state,
+    not a multiple of the chunk, so the last chunk is a short one."""
+    spec = TwoParticleSpec(1.0, 1.0, 1, 0.5)
+    grid = build_grid(6, 13)
+    states = all_basis_states(grid, spec, PAIR_S, 2.5, "spin-orbit")
+    assert states[0].amplitudes.size == 468
+    assert 468 % states_module._GRAM_CHUNK != 0
+    _assert_gram_kernel(states)
+    _assert_gram_kernel(states[:1])
+    empty = gram_matrix([])
+    assert empty.shape == (0, 0) and empty.dtype == complex
+
+
+def test_gram_matrix_scratch_stays_small():
+    """The 194-state j <= 6 basis on 32x64 is 25 MB; the Gram matrix is
+    built in at most 2 MiB of new memory (1.79 MB measured, 0.6 MB of it
+    the result), so the states are never stacked whole."""
+    grid = build_grid(32, 64)
+    states = fermion_states(grid, 6, "spin-orbit")
+    gram_matrix(states[:2])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram = gram_matrix(states)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (194, 194)
+    assert peak <= 2 * 2**20
 
 
 def test_gram_matrix_checks_every_state():
@@ -299,6 +347,36 @@ def test_gram_matrix_checks_every_state():
     with pytest.raises(ValueError, match="schemes"):
         gram_matrix(states + [other_scheme])
     assert gram_matrix([]).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "spec, label",
+    [
+        (TwoParticleSpec.fermion_pair(1.5), (0, SpinOrbitChannel(0, 0), 0)),
+        (TwoParticleSpec(1.0, 1.0, 1.5, 0), (1.5, SpinOrbitChannel(0, 1.5), 1.5)),
+        (TwoParticleSpec(1.0, 1.0, 1, 0.5), (0.5, SpinOrbitChannel(0, 0.5), 0.5)),
+    ],
+    ids=["other-masses", "same-slot-count", "other-slot-count"],
+)
+def test_overlaps_across_specs_raise(spec, label):
+    """States of different constituents have no overlap: other masses at
+    the same s, spins (3/2, 0) whose 4 slots match a spin-1/2 pair's, and
+    spins (1, 1/2) whose table has another size. Each raises ValueError
+    naming both pairs of constituents, before any arithmetic, also when
+    the odd state comes last in a Gram list."""
+    grid = build_grid(6, 13)
+    states = fermion_states(grid, 1, "spin-orbit")
+    other = build_com_basis_state(grid, spec, PAIR_S, *label)
+    for call in (
+        lambda: inner_product(states[0], other),
+        lambda: inner_product(other, states[0]),
+        lambda: gram_matrix(states + [other]),
+        lambda: gram_matrix([other] + states),
+    ):
+        with pytest.raises(ValueError, match="different constituents") as err:
+            call()
+        assert f"spins ({spec.j1}, {spec.j2}) with masses squared ({spec.s1}, {spec.s2})" in str(err.value)
+        assert "spins (1/2, 1/2) with masses squared (1.0, 1.0)" in str(err.value)
 
 
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
@@ -392,6 +470,46 @@ def test_loaded_rotation_takes_two_legendre_sweeps_and_no_lpmv(monkeypatch, rng)
                 patch.setattr(su2_module, "lpmv", forbidden)
                 apply_rotation(loaded, u)
             assert sweeps == [grid.n_theta, grid.size], (scheme, sweeps)
+
+
+def test_loaded_rotation_memory_is_linear_in_the_grid(rng):
+    """A loaded rotation evaluates its harmonic tables in blocks of at most
+    _HARMONIC_BLOCK entries. On 48x97 one j = 1 state peaks at 7.4 MB
+    (spin-orbit) and 7.7 MB (helicity) under tracemalloc, about 25 times
+    its 0.30 MB amplitude array, where the whole table at the preimage
+    nodes took 275.6 MB. The gap to the closed form is unchanged (6.2e-13
+    and 9.4e-13 measured)."""
+    grid = build_grid(48, 97)
+    u = random_su2(rng)
+    for label in ((1, SpinOrbitChannel(1, 1), 1), (1, HelicityChannel(0.5, -0.5), -1)):
+        state = build_com_basis_state(grid, FERMION_PAIR, PAIR_S, *label)
+        loaded = state_from_json(state_to_json(state), FERMION_PAIR)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rotated = apply_rotation(loaded, u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * loaded.amplitudes.nbytes, (label, peak)
+        gap = rotated.amplitudes - apply_rotation(state, u).amplitudes
+        assert np.abs(gap).max() < 1e-10, label
+
+
+def test_loaded_rotation_blocks_keep_the_bits(monkeypatch, rng):
+    """On 24x49 the default budget takes 3 node blocks for the table at the
+    preimage nodes; 147 node blocks and 12 row blocks of the fit, or one
+    block of each, give the same bits."""
+    grid = build_grid(24, 49)
+    u = random_su2(rng)
+    for scheme in ("spin-orbit", "helicity"):
+        for state in fermion_states(grid, 1, scheme)[:2]:
+            loaded = state_from_json(state_to_json(state), FERMION_PAIR)
+            rotated = apply_rotation(loaded, u).amplitudes
+            for block in (5000, 1 << 30):
+                monkeypatch.setattr(states_module, "_HARMONIC_BLOCK", block)
+                np.testing.assert_array_equal(apply_rotation(loaded, u).amplitudes, rotated)
+            monkeypatch.undo()
 
 
 def test_separable_fit_equals_the_dense_fit():
