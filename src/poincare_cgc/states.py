@@ -321,47 +321,92 @@ def gram_matrix(states) -> np.ndarray:
 
     The states are checked once, raising what inner_product raises for the
     first state that does not share grid, spec, s and scheme with the
-    first one. With B the stack of the states' raveled tables times the
-    square roots of the weights, split into real and imaginary parts Br
-    and Bi, Re G = Br Br^T + Bi Bi^T and Im G = M - M^T with M = Br Bi^T.
-    Both are summed over chunks of _GRAM_CHUNK node-slot entries: each
-    chunk of Br and Bi is copied into one reused buffer, then the two
-    symmetric rank-k updates and Br Bi^T are added in. G is therefore
-    Hermitian bit for bit, with a real diagonal; the scratch is O(n^2 +
-    n * _GRAM_CHUNK), and the basis is never stacked whole.
+    first one. States that share a populated spin slot, directly or
+    through others, form a block (:func:`_slot_blocks`); G is exactly 0
+    between blocks and in the row of a state with no nonzero entry. A
+    helicity basis state populates its own slot only, so that basis
+    splits into one block per slot.
+
+    Within a block, with B the states' tables times the square roots of
+    the weights, split into real and imaginary parts Br and Bi, Re G =
+    Br Br^T + Bi Bi^T and Im G = M - M^T with M = Br Bi^T, summed by
+    :func:`_gram_parts`. A block over every slot sums the raveled tables
+    in chunks of _GRAM_CHUNK node-slot entries; any other block sums its
+    strided slot columns one by one, in chunks of the nodes such a chunk
+    spans. G is therefore Hermitian bit for bit, with a real diagonal; the
+    scratch is O(n^2 + n * _GRAM_CHUNK), and the basis is never stacked
+    whole.
     """
     states = list(states)
     for b in states:
         _check_same_space(states[0], b)
     if not states:
         return np.empty((0, 0), dtype=complex)
-    sym, cross = _gram_parts([st.amplitudes.reshape(-1) for st in states], states[0].grid)
-    out = np.empty(sym.shape, dtype=complex)
-    out.real = sym
-    np.subtract(cross, cross.T, out=out.imag)
+    grid = states[0].grid
+    tables = [st.amplitudes.reshape(grid.size, -1) for st in states]
+    n_slots = tables[0].shape[1]
+    # build_grid's weights are Gauss-Legendre times trapezoid weights, all positive
+    root_w = np.sqrt(grid.weights)
+    parts = []
+    for slots, members in _slot_blocks([_populated_slots(t) for t in tables]):
+        if len(slots) == n_slots:
+            columns = [[tables[i].reshape(-1) for i in members]]
+            weights, width = np.repeat(root_w, n_slots), _GRAM_CHUNK
+        else:
+            columns = [[tables[i][:, k] for i in members] for k in sorted(slots)]
+            weights, width = root_w, max(1, _GRAM_CHUNK // n_slots)
+        parts.append((np.ix_(members, members), _gram_parts(columns, weights, width)))
+    out = np.zeros((len(states),) * 2, dtype=complex)
+    for block, (sym, cross) in parts:
+        out.real[block] = sym
+        out.imag[block] = cross - cross.T
     return out
 
 
-def _gram_parts(flats, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Br Br^T + Bi Bi^T and Br Bi^T of :func:`gram_matrix`, summed chunk by
-    chunk; its buffers are freed before gram_matrix allocates the result."""
-    n, size = len(flats), flats[0].size
-    # build_grid's weights are Gauss-Legendre times trapezoid weights, all positive
-    root_w = np.repeat(np.sqrt(grid.weights), size // grid.size)
-    width = min(_GRAM_CHUNK, size)
+def _populated_slots(table) -> frozenset:
+    """The slots of a (nodes, slots) table that hold a nonzero entry. The
+    first node settles most populated slots; only the others are read in
+    full."""
+    first = (table[0] != 0).tolist()
+    return frozenset(k for k, hit in enumerate(first) if hit or table[1:, k].any())
+
+
+def _slot_blocks(slot_sets) -> list[tuple[frozenset, list[int]]]:
+    """(slots, state indices) of each block of states that share populated
+    slots, directly or through other states; indices ascend within a block,
+    and a state with no populated slot is in no block."""
+    merged = []
+    for slots in set(slot_sets) - {frozenset()}:
+        joined = [b for b in merged if b & slots]
+        merged = [b for b in merged if not b & slots] + [slots.union(*joined)]
+    return [(b, [i for i, slots in enumerate(slot_sets) if b & slots]) for b in merged]
+
+
+def _gram_parts(columns, root_w, width) -> tuple[np.ndarray, np.ndarray]:
+    """Br Br^T + Bi Bi^T and Br Bi^T of :func:`gram_matrix` for one block.
+
+    columns holds a list of the states' 1-D columns (raveled tables, or
+    one slot's strided columns) per group, each as long as root_w. Each
+    chunk of width entries is copied into one reused buffer, then the two
+    symmetric rank-k updates and Br Bi^T are added in, group after group;
+    the buffers are freed before gram_matrix allocates the result.
+    """
+    n, size = len(columns[0]), root_w.size
+    width = min(width, size)
     chunk, buf = np.empty(n * width, dtype=complex), np.empty(2 * n * width)
     sym, cross = np.zeros((n, n)), np.zeros((n, n))
-    for lo in range(0, size, width):
-        hi = min(lo + width, size)
-        k = hi - lo
-        z = np.concatenate([f[lo:hi] for f in flats], out=chunk[: n * k]).reshape(n, k)
-        br, bi = buf[: 2 * n * k].reshape(2, n, k)
-        np.multiply(z.real, root_w[lo:hi], out=br)
-        np.multiply(z.imag, root_w[lo:hi], out=bi)
-        # numpy hands a @ a.T to syrk and mirrors it exactly
-        sym += br @ br.T
-        sym += bi @ bi.T
-        cross += br @ bi.T
+    for flats in columns:
+        for lo in range(0, size, width):
+            hi = min(lo + width, size)
+            k = hi - lo
+            z = np.concatenate([f[lo:hi] for f in flats], out=chunk[: n * k]).reshape(n, k)
+            br, bi = buf[: 2 * n * k].reshape(2, n, k)
+            np.multiply(z.real, root_w[lo:hi], out=br)
+            np.multiply(z.imag, root_w[lo:hi], out=bi)
+            # numpy hands a @ a.T to syrk and mirrors it exactly
+            sym += br @ br.T
+            sym += bi @ bi.T
+            cross += br @ bi.T
     return sym, cross
 
 
@@ -690,9 +735,13 @@ class Decomposition:
     descending. psi_norm2 is the quadrature norm of the input (inf for
     delta-localized states, whose norm is distributional); the truncation
     residual psi_norm2 - coeff_norm2 is reported, never raised as an error.
+    spec is the pair the coefficients were taken for, which
+    :func:`reconstruct` checks; only :func:`decompose_product_state` makes
+    a Decomposition.
     """
 
     scheme: str
+    spec: TwoParticleSpec
     s: float
     j_max: HalfInt
     entries: tuple
@@ -706,7 +755,8 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
 
     Each coefficient is the overlap of the corresponding basis amplitude
     with the input: a pointwise conjugated-amplitude contraction for
-    delta-localized states, a quadrature inner product for grid states.
+    delta-localized states, a quadrature inner product for grid states,
+    taken as one vdot of each basis table with the weighted input.
     Delta-state spin slots are fixed-axis components and are converted to
     the local helicity frames first when decomposing in the helicity
     scheme; grid states must already carry slots in the requested scheme.
@@ -737,17 +787,16 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
                 f"grid state carries {psi.scheme!r} slots; cannot decompose in {scheme!r}"
             )
         grid = psi.grid
+        weighted = grid.weights[:, None, None] * psi.amplitudes
         tables = _amplitude_source(spec, scheme, labels, *grid.axes)
-        overlaps = [
-            complex(np.einsum("n,ncd,ncd->", grid.weights, amp.conj(), psi.amplitudes))
-            for amp in tables
-        ]
+        overlaps = [complex(np.vdot(amp, weighted)) for amp in tables]
         psi_norm2 = psi.norm2()
     entries = [DecompositionEntry(*label, c) for label, c in zip(labels, overlaps)]
     coeff_norm2 = float(sum(abs(e.coefficient) ** 2 for e in entries))
     residual = math.inf if math.isinf(psi_norm2) else psi_norm2 - coeff_norm2
     return Decomposition(
         scheme=scheme,
+        spec=spec,
         s=float(s),
         j_max=j_max,
         entries=tuple(entries),
@@ -759,7 +808,17 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
 
 def reconstruct(decomposition: Decomposition, grid: QuadratureGrid,
                 spec: TwoParticleSpec) -> GridProductState:
-    """Sum coefficient times basis amplitude over all entries of a decomposition."""
+    """Sum coefficient times basis amplitude over all entries of a decomposition.
+
+    The spec's constituent spins must be those the decomposition was made
+    for (ValueError naming both pairs otherwise).
+    """
+    made = decomposition.spec
+    if (made.j1, made.j2) != (spec.j1, spec.j2):
+        raise ValueError(
+            f"decomposition was made for spins ({made.j1}, {made.j2}); "
+            f"the spec has ({spec.j1}, {spec.j2})"
+        )
     entries = decomposition.entries
     labels = [(e.j, e.channel, e.component) for e in entries]
     total = np.zeros((grid.size,) + spec.spin_shape, dtype=complex)

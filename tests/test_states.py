@@ -315,20 +315,136 @@ def test_gram_matrix_takes_a_partial_last_chunk():
 
 def test_gram_matrix_scratch_stays_small():
     """The 194-state j <= 6 basis on 32x64 is 25 MB; the Gram matrix is
-    built in at most 2 MiB of new memory (1.79 MB measured, 0.6 MB of it
-    the result), so the states are never stacked whole."""
+    built in at most 2 MiB of new memory (1.84 MB measured for the
+    spin-orbit basis, 0.87 MB for the helicity one, 0.6 MB of each the
+    result), so the states are never stacked whole, nor is a slot column
+    copied out of its table."""
     grid = build_grid(32, 64)
+    for scheme in ("spin-orbit", "helicity"):
+        states = fermion_states(grid, 6, scheme)
+        gram_matrix(states[:2])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gram = gram_matrix(states)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert gram.shape == (194, 194)
+        assert peak <= 2 * 2**20, scheme
+
+
+def _single_block_gram(states) -> np.ndarray:
+    """The Gram kernel on the raveled tables as one block: chunks of
+    _GRAM_CHUNK node-slot entries, each split into sqrt(w)-scaled real and
+    imaginary parts, Re G = Br Br^T + Bi Bi^T and Im G = M - M^T."""
+    grid, n = states[0].grid, len(states)
+    flats = [st.amplitudes.reshape(-1) for st in states]
+    root_w = np.repeat(np.sqrt(grid.weights), flats[0].size // grid.size)
+    sym, cross = np.zeros((n, n)), np.zeros((n, n))
+    for lo in range(0, flats[0].size, states_module._GRAM_CHUNK):
+        z = np.array([f[lo : lo + states_module._GRAM_CHUNK] for f in flats])
+        br, bi = z.real * root_w[lo : lo + z.shape[1]], z.imag * root_w[lo : lo + z.shape[1]]
+        sym += br @ br.T
+        sym += bi @ bi.T
+        cross += br @ bi.T
+    out = np.empty((n, n), dtype=complex)
+    out.real = sym
+    out.imag = cross - cross.T
+    return out
+
+
+def _blocks(states) -> list:
+    """The (slots, state indices) blocks gram_matrix forms for the states."""
+    grid = states[0].grid
+    return states_module._slot_blocks(
+        [states_module._populated_slots(st.amplitudes.reshape(grid.size, -1)) for st in states]
+    )
+
+
+def _slot_of(state) -> int:
+    """The one populated slot of a helicity basis state, raveled."""
+    (slot,) = np.flatnonzero(np.abs(state.amplitudes.reshape(state.grid.size, -1)).max(axis=0))
+    return int(slot)
+
+
+@pytest.mark.parametrize("shape", [(16, 33), (32, 64)])
+def test_spin_orbit_gram_is_one_block_bit_for_bit(shape):
+    """Spin-orbit basis states share slots with each other, so the basis is
+    one block over every slot, and its Gram matrix is the single-block
+    kernel's byte for byte."""
+    grid = build_grid(*shape)
     states = fermion_states(grid, 6, "spin-orbit")
-    gram_matrix(states[:2])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        gram = gram_matrix(states)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert gram.shape == (194, 194)
-    assert peak <= 2 * 2**20
+    assert _blocks(states) == [(frozenset(range(4)), list(range(194)))]
+    assert gram_matrix(states).tobytes() == _single_block_gram(states).tobytes()
+
+
+def test_helicity_gram_is_exactly_zero_between_slots():
+    """A helicity basis state populates its own slot only, so its Gram
+    matrix splits into four one-slot blocks, and every entry between two
+    slots is exactly 0."""
+    grid = build_grid(16, 33)
+    states = fermion_states(grid, 6, "helicity")
+    slots = np.array([_slot_of(st) for st in states])
+    assert sorted(set(slots)) == [0, 1, 2, 3]
+    gram = gram_matrix(states)
+    between = slots[:, None] != slots[None, :]
+    assert not gram[between].real.any() and not gram[between].imag.any()
+    assert np.abs(gram[~between]).max() > 0.5
+
+
+def test_a_state_in_two_slots_joins_their_blocks():
+    """A JSON-loaded table populated in two slots joins the blocks of both
+    slots into one; its overlaps with the states of either slot come out
+    of that block's kernel."""
+    grid = build_grid(8, 17)
+    states = fermion_states(grid, 2, "helicity")
+    a, b = states[0], next(st for st in states if _slot_of(st) != _slot_of(states[0]))
+    payload = json.loads(state_to_json(a))
+    flat = (a.amplitudes + b.amplitudes).ravel()
+    payload["amplitudes"] = np.stack([flat.real, flat.imag], axis=-1).tolist()
+    both = state_from_json(json.dumps(payload), FERMION_PAIR)
+    listed = states + [both]
+    blocks = _blocks(listed)
+    assert sorted(len(slots) for slots, _ in blocks) == [1, 1, 2]
+    joined = next(members for slots, members in blocks if len(slots) == 2)
+    assert len(listed) - 1 in joined
+    assert {_slot_of(listed[i]) for i in joined[:-1]} == {_slot_of(a), _slot_of(b)}
+    _assert_gram_kernel(listed)
+    gram = gram_matrix(listed)
+    assert abs(gram[0, -1] - 1.0) < 1e-12
+    assert abs(gram[states.index(b), -1] - 1.0) < 1e-12
+
+
+def test_a_state_with_no_populated_slot_has_a_zero_row():
+    """An all-zero table is in no block: its row and column are exactly 0,
+    and the other entries are those of the list without it."""
+    grid = build_grid(6, 13)
+    states = fermion_states(grid, 1, "helicity")
+    zero = dataclasses.replace(states[1], amplitudes=np.zeros_like(states[1].amplitudes))
+    gram = gram_matrix(states[:1] + [zero] + states[1:])
+    assert not gram[1].any() and not gram[:, 1].any()
+    rest = np.delete(np.delete(gram, 1, axis=0), 1, axis=1)
+    assert rest.tobytes() == gram_matrix(states).tobytes()
+    assert not gram_matrix([zero]).any()
+    # a slot that is zero at the first node only is still populated
+    late = states[1].amplitudes.copy()
+    late[0] = 0.0
+    _assert_gram_kernel(states + [dataclasses.replace(states[1], amplitudes=late)])
+
+
+def test_one_slot_blocks_take_a_partial_last_chunk():
+    """A spin-(1, 1/2) pair has 6 slots, so a one-slot block takes chunks
+    of 128 // 6 = 21 nodes, and the 78 nodes of a 6x13 grid end in a
+    short chunk of 15."""
+    spec = TwoParticleSpec(1.0, 1.0, 1, 0.5)
+    grid = build_grid(6, 13)
+    states = all_basis_states(grid, spec, PAIR_S, 2.5, "helicity")
+    blocks = _blocks(states)
+    assert len(blocks) == 6 and all(len(slots) == 1 for slots, _ in blocks)
+    assert grid.size % (states_module._GRAM_CHUNK // 6) != 0
+    _assert_gram_kernel(states)
+    _assert_gram_kernel(states[:1])
 
 
 def test_gram_matrix_checks_every_state():
@@ -398,6 +514,94 @@ def test_grid_decompose_and_reconstruct_match_the_entry_formula(scheme, rng):
     back = reconstruct(dec, grid, FERMION_PAIR)
     assert back.scheme == scheme
     assert np.abs(back.amplitudes - total).max() < 1e-14
+
+
+def _grid_product_state(grid, scheme, rng) -> GridProductState:
+    """A normalized random grid state with slots in the scheme."""
+    amps = rng.normal(size=(grid.size, 2, 2)) + 1j * rng.normal(size=(grid.size, 2, 2))
+    amps /= math.sqrt(float(np.einsum("n,ncd->", grid.weights, np.abs(amps) ** 2)))
+    return GridProductState(grid=grid, spec=FERMION_PAIR, amplitudes=amps, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+def test_grid_coefficients_match_extended_overlaps(scheme, rng):
+    """Each grid coefficient is one vdot of a basis table with the weighted
+    state. On 32x64 the j <= 6 coefficients of a normalized state are
+    within 5e-16 of the same overlaps summed in extended precision (3.1e-17
+    spin-orbit and 3.8e-17 helicity measured)."""
+    grid = build_grid(32, 64)
+    psi = _grid_product_state(grid, scheme, rng)
+    dec = decompose_product_state(psi, FERMION_PAIR, PAIR_S, 6, scheme)
+    weighted = grid.weights.astype(np.longdouble)[:, None, None] * psi.amplitudes.astype(np.clongdouble)
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    for e in dec.entries:
+        table = fn(FERMION_PAIR, e.j, e.channel, e.component, grid.theta, grid.phi)
+        exact = np.sum(table.astype(np.clongdouble).conj() * weighted)
+        assert abs(e.coefficient - exact) < 5e-16
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+def test_grid_decomposition_streams_its_tables(scheme, rng):
+    """The 194 j <= 6 tables on 32x64 would stack to 25 MB; a decomposition
+    takes them one at a time, in at most 4 MiB of new memory (3.3 MB
+    measured for spin-orbit, 2.1 MB of it the harmonic table up to l = 7,
+    and 0.6 MB for helicity)."""
+    grid = build_grid(32, 64)
+    psi = _grid_product_state(grid, scheme, rng)
+    decompose_product_state(psi, FERMION_PAIR, PAIR_S, 1, scheme)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dec = decompose_product_state(psi, FERMION_PAIR, PAIR_S, 6, scheme)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(dec.entries) == 194
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+def test_delta_coefficients_are_per_label_sums(scheme, monkeypatch):
+    """A delta state's coefficients are per-label sums of conjugated
+    amplitude times slots, bit for bit (the CLI's decompose output is
+    pinned to those bytes); the grid branch's vdot is never taken."""
+    psi = bell_state("psi01", 0.9, 0.4)
+    slots = psi.coefficients
+    if scheme == "helicity":
+        slots = states_module._fixed_to_helicity_slots(FERMION_PAIR, psi.theta, psi.phi, slots)
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+
+    def no_vdot(*args):
+        raise AssertionError("the delta branch took a vdot")
+
+    monkeypatch.setattr(np, "vdot", no_vdot)
+    dec = decompose_product_state(psi, FERMION_PAIR, PAIR_S, 3, scheme)
+    for e in dec.entries:
+        table = fn(FERMION_PAIR, e.j, e.channel, e.component, psi.theta, psi.phi)
+        want = complex(np.sum(table.conj() * slots))
+        assert (e.coefficient.real, e.coefficient.imag) == (want.real, want.imag)
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+@pytest.mark.parametrize(
+    "spec", [TwoParticleSpec(1.0, 1.0, 1, 1), TwoParticleSpec(1.0, 1.0, 1, 0.5)],
+    ids=["spins-1-1", "spins-1-half"],
+)
+def test_reconstruct_rejects_a_decomposition_of_other_spins(spec, scheme, monkeypatch):
+    """A decomposition records the pair it was made for; reconstructing it
+    with other constituent spins raises ValueError naming both pairs,
+    before any table is built."""
+    dec = decompose_product_state(bell_state("psi11"), FERMION_PAIR, PAIR_S, 2, scheme)
+    assert dec.spec is FERMION_PAIR
+
+    def no_work(*args):
+        raise AssertionError("tables were built for a mismatched decomposition")
+
+    monkeypatch.setattr(states_module, "_amplitude_source", no_work)
+    with pytest.raises(ValueError, match="spins") as err:
+        reconstruct(dec, build_grid(8, 16), spec)
+    assert "(1/2, 1/2)" in str(err.value)
+    assert f"({spec.j1}, {spec.j2})" in str(err.value)
 
 
 @pytest.mark.parametrize("call", ["basis", "decompose"])
