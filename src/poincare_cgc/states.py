@@ -147,6 +147,10 @@ class ComBasisState:
     the state can be evaluated exactly at any angles. Tables loaded from
     JSON or produced by slot conversion are not closed-form: their
     amplitudes are all they carry, and their rotation is None.
+    :func:`apply_rotation` evaluates a closed-form state from its labels,
+    and :func:`gram_matrix` reads only the phi = 0 ring and the component
+    of an unrotated one, so a caller that replaces amplitudes also clears
+    closed_form.
     """
 
     grid: QuadratureGrid
@@ -306,10 +310,11 @@ def inner_product(a: ComBasisState, b: ComBasisState) -> complex:
 
     Both states must live on matching grids (GridMismatch otherwise), with
     the same spec, at the same s, and in the same scheme (ValueError
-    otherwise).
+    otherwise). The products are added by numpy's pairwise sum, whose
+    error grows as log N, not as the N of one running dot.
     """
     _check_same_space(a, b)
-    return complex(np.vdot(a.grid.weights[:, None, None] * a.amplitudes, b.amplitudes))
+    return complex(np.sum((a.grid.weights[:, None, None] * a.amplitudes).conj() * b.amplitudes))
 
 
 # node-slot entries of every state per BLAS product in gram_matrix
@@ -321,46 +326,81 @@ def gram_matrix(states) -> np.ndarray:
 
     The states are checked once, raising what inner_product raises for the
     first state that does not share grid, spec, s and scheme with the
-    first one. States that share a populated spin slot, directly or
-    through others, form a block (:func:`_slot_blocks`); G is exactly 0
-    between blocks and in the row of a state with no nonzero entry. A
-    helicity basis state populates its own slot only, so that basis
-    splits into one block per slot.
+    first one. Each block of states is summed by :func:`_gram_parts`: with
+    B the block's columns times the square roots of their weights, split
+    into real and imaginary parts Br and Bi, Re G = Br Br^T + Bi Bi^T and
+    Im G = M - M^T with M = Br Bi^T. G is therefore Hermitian bit for bit,
+    with a real diagonal, and exactly 0 between blocks.
 
-    Within a block, with B the states' tables times the square roots of
-    the weights, split into real and imaginary parts Br and Bi, Re G =
-    Br Br^T + Bi Bi^T and Im G = M - M^T with M = Br Bi^T, summed by
-    :func:`_gram_parts`. A block over every slot sums the raveled tables
-    in chunks of _GRAM_CHUNK node-slot entries; any other block sums its
-    strided slot columns one by one, in chunks of the nodes such a chunk
-    spans. G is therefore Hermitian bit for bit, with a real diagonal; the
-    scratch is O(n^2 + n * _GRAM_CHUNK), and the basis is never stacked
-    whole.
+    When every state is closed-form and unrotated, each slot s of a table
+    is its phi = 0 ring times e^{i (chi - sigma_s) phi}, sigma_s being
+    chi1 + chi2 (spin-orbit) or lam1 - lam2 (helicity). The trapezoid rule
+    in phi then makes G_ik exactly 0 unless chi_i = chi_k mod n_phi, and
+    otherwise n_phi sum_theta w_theta sum_s conj(A_i) A_k on the rings. A
+    block is one such class of components, its columns the raveled rings.
+
+    Any other list (tables, rotated states, or a mix) is summed over the
+    samples. States that share a populated spin slot, directly or through
+    others, form a block (:func:`_slot_blocks`), and a state with no
+    nonzero entry has a zero row. A block over every slot sums the raveled
+    tables in chunks of _GRAM_CHUNK node-slot entries; any other block
+    sums its strided slot columns one by one, in chunks of the nodes such
+    a chunk spans. The scratch is O(n^2 + n * _GRAM_CHUNK), and the states
+    are never stacked whole.
     """
     states = list(states)
     for b in states:
         _check_same_space(states[0], b)
     if not states:
         return np.empty((0, 0), dtype=complex)
-    grid = states[0].grid
-    tables = [st.amplitudes.reshape(grid.size, -1) for st in states]
-    n_slots = tables[0].shape[1]
-    # build_grid's weights are Gauss-Legendre times trapezoid weights, all positive
-    root_w = np.sqrt(grid.weights)
-    parts = []
-    for slots, members in _slot_blocks([_populated_slots(t) for t in tables]):
-        if len(slots) == n_slots:
-            columns = [[tables[i].reshape(-1) for i in members]]
-            weights, width = np.repeat(root_w, n_slots), _GRAM_CHUNK
-        else:
-            columns = [[tables[i][:, k] for i in members] for k in sorted(slots)]
-            weights, width = root_w, max(1, _GRAM_CHUNK // n_slots)
-        parts.append((np.ix_(members, members), _gram_parts(columns, weights, width)))
+    if all(st.closed_form and st.rotation is None for st in states):
+        blocks = _component_blocks(states)
+    else:
+        blocks = _sampled_blocks(states)
+    parts = [(np.ix_(members, members), _gram_parts(*block)) for members, block in blocks]
     out = np.zeros((len(states),) * 2, dtype=complex)
     for block, (sym, cross) in parts:
         out.real[block] = sym
         out.imag[block] = cross - cross.T
     return out
+
+
+def _component_blocks(states) -> list[tuple[list[int], tuple]]:
+    """(state indices, :func:`_gram_parts` arguments) of each class of
+    closed-form unrotated states whose components agree mod n_phi: their
+    raveled phi = 0 rings, weighted by sqrt(n_phi w_theta) per slot."""
+    grid = states[0].grid
+    n_slots = states[0].amplitudes[0].size
+    rings = [st.amplitudes.reshape(grid.n_theta, grid.n_phi, n_slots)[:, 0].reshape(-1)
+             for st in states]
+    root_w = np.repeat(np.sqrt(grid.n_phi * grid.weights[:: grid.n_phi]), n_slots)
+    classes = {}
+    for i, st in enumerate(states):
+        classes.setdefault(st.component.twice % (2 * grid.n_phi), []).append(i)
+    return [
+        (members, ([[rings[i] for i in members]], root_w, _GRAM_CHUNK))
+        for members in classes.values()
+    ]
+
+
+def _sampled_blocks(states) -> list[tuple[list[int], tuple]]:
+    """(state indices, :func:`_gram_parts` arguments) of each slot block
+    (:func:`_slot_blocks`) of the states' sampled tables."""
+    grid = states[0].grid
+    tables = [st.amplitudes.reshape(grid.size, -1) for st in states]
+    n_slots = tables[0].shape[1]
+    # build_grid's weights are Gauss-Legendre times trapezoid weights, all positive
+    root_w = np.sqrt(grid.weights)
+    blocks = []
+    for slots, members in _slot_blocks([_populated_slots(t) for t in tables]):
+        if len(slots) == n_slots:
+            columns = [[tables[i].reshape(-1) for i in members]]
+            block = columns, np.repeat(root_w, n_slots), _GRAM_CHUNK
+        else:
+            columns = [[tables[i][:, k] for i in members] for k in sorted(slots)]
+            block = columns, root_w, max(1, _GRAM_CHUNK // n_slots)
+        blocks.append((members, block))
+    return blocks
 
 
 def _populated_slots(table) -> frozenset:
@@ -755,8 +795,11 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
 
     Each coefficient is the overlap of the corresponding basis amplitude
     with the input: a pointwise conjugated-amplitude contraction for
-    delta-localized states, a quadrature inner product for grid states,
-    taken as one vdot of each basis table with the weighted input.
+    delta-localized states, a quadrature inner product for grid states.
+    The latter is taken from the tables' separation in phi
+    (:func:`_separated`): one DFT of the weighted input over phi at every
+    order chi - sigma, then a sum of each label's phi = 0 ring against
+    its component's row of that spectrum.
     Delta-state spin slots are fixed-axis components and are converted to
     the local helicity frames first when decomposing in the helicity
     scheme; grid states must already carry slots in the requested scheme.
@@ -787,9 +830,12 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
                 f"grid state carries {psi.scheme!r} slots; cannot decompose in {scheme!r}"
             )
         grid = psi.grid
+        rings, classes, waves = _separated(spec, scheme, labels, grid)
         weighted = grid.weights[:, None, None] * psi.amplitudes
-        tables = _amplitude_source(spec, scheme, labels, *grid.axes)
-        overlaps = [complex(np.vdot(amp, weighted)) for amp in tables]
+        weighted = weighted.reshape((grid.n_theta, grid.n_phi) + spec.spin_shape)
+        # spectrum[c, t, a, b] = sum_k e^{-i (chi_c - sigma_ab) phi_k} (w psi)[t, k, a, b]
+        spectrum = np.einsum("tkab,cabk->ctab", weighted, waves.conj())
+        overlaps = np.einsum("ltab,ltab->l", rings.conj(), spectrum[classes]).tolist()
         psi_norm2 = psi.norm2()
     entries = [DecompositionEntry(*label, c) for label, c in zip(labels, overlaps)]
     coeff_norm2 = float(sum(abs(e.coefficient) ** 2 for e in entries))
@@ -806,12 +852,37 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
     )
 
 
+def _separated(spec, scheme, labels, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The labels' grid tables, separated in phi.
+
+    Returns the phi = 0 rings (labels, n_theta) + spec.spin_shape, each
+    label's index among the distinct components chi_c, and the waves
+    e^{i (chi_c - sigma_ab) phi_k} as (components,) + spin_shape +
+    (n_phi,), where sigma_ab is chi1 + chi2 for spin-orbit slots and
+    lam1 - lam2 for helicity ones. The table of label i at slot (a, b) is
+    rings[i, :, a, b] times waves[index[i], a, b] on the grid's nodes.
+    """
+    polar, azimuth = grid.axes
+    rings = np.empty((len(labels), grid.n_theta) + spec.spin_shape, dtype=complex)
+    for i, ring in enumerate(_amplitude_source(spec, scheme, labels, polar, 0.0)):
+        rings[i] = ring
+    chis = sorted({chi for _, _, chi in labels})
+    position = {chi: c for c, chi in enumerate(chis)}
+    index = np.array([position[chi] for _, _, chi in labels], dtype=int)
+    first, second = (np.array([float(m) for m in components(j)]) for j in (spec.j1, spec.j2))
+    sigma = first[:, None] + (second if scheme == "spin-orbit" else -second)[None, :]
+    orders = np.array([float(chi) for chi in chis])[:, None, None] - sigma
+    return rings, index, np.exp(1j * orders[..., None] * azimuth[0])
+
+
 def reconstruct(decomposition: Decomposition, grid: QuadratureGrid,
                 spec: TwoParticleSpec) -> GridProductState:
     """Sum coefficient times basis amplitude over all entries of a decomposition.
 
-    The spec's constituent spins must be those the decomposition was made
-    for (ValueError naming both pairs otherwise).
+    The sum is taken on the phi = 0 rings (:func:`_separated`), class by
+    class of components, and carried to the grid by one inverse DFT over
+    phi. The spec's constituent spins must be those the decomposition was
+    made for (ValueError naming both pairs otherwise).
     """
     made = decomposition.spec
     if (made.j1, made.j2) != (spec.j1, spec.j2):
@@ -821,9 +892,12 @@ def reconstruct(decomposition: Decomposition, grid: QuadratureGrid,
         )
     entries = decomposition.entries
     labels = [(e.j, e.channel, e.component) for e in entries]
-    total = np.zeros((grid.size,) + spec.spin_shape, dtype=complex)
-    for e, amp in zip(entries, _amplitude_source(spec, decomposition.scheme, labels, *grid.axes)):
-        total += e.coefficient * amp
+    rings, classes, waves = _separated(spec, decomposition.scheme, labels, grid)
+    coefficients = np.array([e.coefficient for e in entries], dtype=complex)
+    # the coefficient-weighted rings summed per class of components, then one inverse DFT
+    gather = (classes == np.arange(waves.shape[0])[:, None]) * coefficients
+    summed = np.tensordot(gather, rings, axes=1)
+    total = np.einsum("ctab,cabk->tkab", summed, waves).reshape((grid.size,) + spec.spin_shape)
     return GridProductState(grid=grid, spec=spec, amplitudes=total,
                             scheme=decomposition.scheme)
 

@@ -287,16 +287,108 @@ def _assert_gram_kernel(states) -> None:
     assert not gram.diagonal().imag.any()
 
 
+def _tables(states) -> list:
+    """The states as plain tables, which gram_matrix sums over the samples."""
+    return [dataclasses.replace(st, closed_form=False) for st in states]
+
+
 def test_gram_matrix_matches_pairwise_inner_products():
-    """gram_matrix sums real BLAS products over chunks of node-slot
-    entries; inner_product is one vdot per pair. Against the same sums in
-    extended precision the Gram matrix is off by 6.7e-16 (spin-orbit) and
-    4.6e-16 (helicity), and the pairwise matrix by 2.7e-15 and 2.9e-15."""
+    """gram_matrix sums real BLAS products over the phi = 0 rings of
+    closed-form states; inner_product is one pairwise sum per pair.
+    Against the sums over the samples in extended precision the Gram
+    matrix is off by 7.2e-16 (spin-orbit) and 4.6e-16 (helicity), and the
+    pairwise matrix by 3.2e-16 and 2.1e-16."""
     grid = build_grid(16, 33)
     for scheme in ("spin-orbit", "helicity"):
         states = fermion_states(grid, 6, scheme)
         assert len(states) == 194
         _assert_gram_kernel(states)
+
+
+def test_inner_product_is_a_pairwise_sum():
+    """inner_product adds its weighted products by numpy's pairwise sum.
+    On 32x64 the overlaps among the j = 6 helicity states and among the
+    j = 4 spin-orbit states are within 1e-15 of the extended-precision
+    sums (1.8e-16 and 3.0e-16 measured); one vdot of the weighted table
+    against the other was off by 1.0e-14 and 7.0e-15 there."""
+    grid = build_grid(32, 64)
+    for scheme, j in (("helicity", 6), ("spin-orbit", 4)):
+        states = [st for st in fermion_states(grid, 6, scheme) if st.j == HalfInt.of(j)]
+        pairwise = np.array([[inner_product(a, b) for b in states] for a in states])
+        assert np.abs(pairwise - _extended_gram(states)).max() < 1e-15, scheme
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+@pytest.mark.parametrize("j1, j2, j_max", [(1, 0.5, 2.5), (1, 1, 2)])
+def test_gram_of_higher_constituent_spins(j1, j2, j_max, scheme):
+    """Spin-(1, 1/2) and spin-(1, 1) bases, 6 and 9 slots to a state, take
+    the ring kernel as the spin-1/2 pair does: within 2e-15 of the sums
+    over the samples in extended precision, and orthonormal."""
+    spec = TwoParticleSpec(1.0, 1.0, j1, j2)
+    states = all_basis_states(build_grid(16, 33), spec, PAIR_S, j_max, scheme)
+    _assert_gram_kernel(states)
+    assert np.abs(gram_matrix(states) - np.eye(len(states))).max() < 1e-12
+
+
+def _extended_ring_gram(states) -> np.ndarray:
+    """n_phi sum_theta w_theta sum_slots conj(A_i) A_k on the phi = 0 rings,
+    in extended precision, for components that agree mod n_phi; 0 otherwise."""
+    grid = states[0].grid
+    rings = np.array([st.amplitudes.reshape(grid.n_theta, grid.n_phi, -1)[:, 0] for st in states])
+    w = grid.n_phi * grid.weights[:: grid.n_phi].astype(np.longdouble)
+    gram = np.einsum("t,its,kts->ik", w, rings.astype(np.clongdouble).conj(), rings)
+    chi = np.array([st.component.twice for st in states])
+    gram[(chi[:, None] - chi[None, :]) % (2 * grid.n_phi) != 0] = 0
+    return gram
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+@pytest.mark.parametrize("shape", [(10, 6), (12, 8)])
+def test_gram_on_an_aliased_grid(shape, scheme):
+    """With n_phi <= 2 j_max the trapezoid rule in phi aliases components
+    that differ by n_phi, so off-diagonal entries reach 1. The Gram matrix
+    is exactly 0 between components that differ mod n_phi, Hermitian bit
+    for bit, and within 2e-15 of the ring sums in extended precision. The
+    sums over the samples are no longer exact there, since the samples'
+    rounded phases do not cancel between aliased components: the Gram
+    matrix is within 5e-15 of them in extended precision (3.2e-15
+    measured on 10x6)."""
+    grid = build_grid(*shape)
+    states = fermion_states(grid, 6, scheme)
+    gram = gram_matrix(states)
+    chi = np.array([st.component.twice for st in states])
+    apart = (chi[:, None] - chi[None, :]) % (2 * grid.n_phi) != 0
+    assert not gram[apart].any()
+    assert np.abs(gram - np.diag(np.diag(gram))).max() > 0.9
+    np.testing.assert_array_equal(gram, gram.conj().T)
+    assert not gram.diagonal().imag.any()
+    assert np.abs(gram - _extended_ring_gram(states)).max() < 2e-15
+    assert np.abs(gram - _extended_gram(states)).max() < 5e-15
+
+
+def test_rotated_loaded_and_mixed_lists_take_the_sampled_kernel(monkeypatch, rng):
+    """Only a list of unrotated closed-form states is summed on its rings,
+    from its labels, with no slot scan. A rotated, a JSON-loaded or a
+    mixed list is summed over the samples: every table's slots are
+    scanned, and G is byte for byte that of the same tables with
+    closed_form cleared."""
+    grid = build_grid(8, 17)
+    scanned = []
+    scan = states_module._populated_slots
+    monkeypatch.setattr(states_module, "_populated_slots", lambda t: scanned.append(1) or scan(t))
+    u = random_su2(rng)
+    for scheme in ("spin-orbit", "helicity"):
+        states = fermion_states(grid, 2, scheme)
+        scanned.clear()
+        gram_matrix(states)
+        assert not scanned
+        rotated = [apply_rotation(st, u) for st in states]
+        loaded = [state_from_json(state_to_json(st), FERMION_PAIR) for st in states]
+        for listed in (rotated, loaded, states[:-1] + loaded[-1:], states[:-1] + rotated[-1:]):
+            scanned.clear()
+            gram = gram_matrix(listed)
+            assert len(scanned) == len(listed)
+            assert gram.tobytes() == gram_matrix(_tables(listed)).tobytes()
 
 
 def test_gram_matrix_takes_a_partial_last_chunk():
@@ -315,23 +407,25 @@ def test_gram_matrix_takes_a_partial_last_chunk():
 
 def test_gram_matrix_scratch_stays_small():
     """The 194-state j <= 6 basis on 32x64 is 25 MB; the Gram matrix is
-    built in at most 2 MiB of new memory (1.84 MB measured for the
-    spin-orbit basis, 0.87 MB for the helicity one, 0.6 MB of each the
-    result), so the states are never stacked whole, nor is a slot column
-    copied out of its table."""
+    built in at most 2 MiB of new memory, 0.6 MB of it the result. On the
+    rings of the closed-form states 1.1 MB was measured for either scheme.
+    Over the samples of the same tables 1.84 MB was measured for the
+    spin-orbit basis and 0.87 MB for the helicity one, so the tables are
+    never stacked whole, nor is a slot column copied out of its table."""
     grid = build_grid(32, 64)
     for scheme in ("spin-orbit", "helicity"):
-        states = fermion_states(grid, 6, scheme)
-        gram_matrix(states[:2])
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            gram = gram_matrix(states)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert gram.shape == (194, 194)
-        assert peak <= 2 * 2**20, scheme
+        basis = fermion_states(grid, 6, scheme)
+        for states in (basis, _tables(basis)):
+            gram_matrix(states[:2])
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                gram = gram_matrix(states)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert gram.shape == (194, 194)
+            assert peak <= 2 * 2**20, (scheme, states[0].closed_form)
 
 
 def _single_block_gram(states) -> np.ndarray:
@@ -370,11 +464,11 @@ def _slot_of(state) -> int:
 
 @pytest.mark.parametrize("shape", [(16, 33), (32, 64)])
 def test_spin_orbit_gram_is_one_block_bit_for_bit(shape):
-    """Spin-orbit basis states share slots with each other, so the basis is
-    one block over every slot, and its Gram matrix is the single-block
-    kernel's byte for byte."""
+    """Spin-orbit basis tables share slots with each other, so the sampled
+    kernel takes them as one block over every slot, and their Gram matrix
+    is the single-block kernel's byte for byte."""
     grid = build_grid(*shape)
-    states = fermion_states(grid, 6, "spin-orbit")
+    states = _tables(fermion_states(grid, 6, "spin-orbit"))
     assert _blocks(states) == [(frozenset(range(4)), list(range(194)))]
     assert gram_matrix(states).tobytes() == _single_block_gram(states).tobytes()
 
@@ -420,7 +514,7 @@ def test_a_state_with_no_populated_slot_has_a_zero_row():
     """An all-zero table is in no block: its row and column are exactly 0,
     and the other entries are those of the list without it."""
     grid = build_grid(6, 13)
-    states = fermion_states(grid, 1, "helicity")
+    states = _tables(fermion_states(grid, 1, "helicity"))
     zero = dataclasses.replace(states[1], amplitudes=np.zeros_like(states[1].amplitudes))
     gram = gram_matrix(states[:1] + [zero] + states[1:])
     assert not gram[1].any() and not gram[:, 1].any()
@@ -495,11 +589,21 @@ def test_overlaps_across_specs_raise(spec, label):
         assert "spins (1/2, 1/2) with masses squared (1.0, 1.0)" in str(err.value)
 
 
-@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
-def test_grid_decompose_and_reconstruct_match_the_entry_formula(scheme, rng):
+@pytest.mark.parametrize("scheme, shape", [
+    pytest.param("spin-orbit", (16, 33), id="spin-orbit"),
+    pytest.param("helicity", (16, 33), id="helicity"),
+    pytest.param("spin-orbit", (10, 6), id="spin-orbit-10x6"),
+    pytest.param("helicity", (10, 6), id="helicity-10x6"),
+    pytest.param("spin-orbit", (12, 8), id="spin-orbit-12x8"),
+    pytest.param("helicity", (12, 8), id="helicity-12x8"),
+])
+def test_grid_decompose_and_reconstruct_match_the_entry_formula(scheme, shape, rng):
     """Coefficients are the quadrature overlaps of the closed-form tables,
-    and reconstruct sums coefficient times table, entry by entry."""
-    grid = build_grid(16, 33)
+    and reconstruct sums coefficient times table, entry by entry. The DFT
+    over phi is taken at each order chi - sigma itself, not mod n_phi, so
+    grids that alias components (10x6, 12x8) need nothing more (4.0e-15
+    at worst measured there)."""
+    grid = build_grid(*shape)
     fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
     amps = rng.normal(size=(grid.size, 2, 2)) + 1j * rng.normal(size=(grid.size, 2, 2))
     psi = GridProductState(grid=grid, spec=FERMION_PAIR, amplitudes=amps, scheme=scheme)
@@ -525,10 +629,11 @@ def _grid_product_state(grid, scheme, rng) -> GridProductState:
 
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
 def test_grid_coefficients_match_extended_overlaps(scheme, rng):
-    """Each grid coefficient is one vdot of a basis table with the weighted
-    state. On 32x64 the j <= 6 coefficients of a normalized state are
-    within 5e-16 of the same overlaps summed in extended precision (3.1e-17
-    spin-orbit and 3.8e-17 helicity measured)."""
+    """Each grid coefficient is a ring of a basis table summed against the
+    DFT of the weighted state over phi. On 32x64 the j <= 6 coefficients
+    of a normalized state are within 5e-16 of the table-by-table overlaps
+    summed in extended precision (1.2e-17 spin-orbit and 4.5e-17 helicity
+    measured)."""
     grid = build_grid(32, 64)
     psi = _grid_product_state(grid, scheme, rng)
     dec = decompose_product_state(psi, FERMION_PAIR, PAIR_S, 6, scheme)
@@ -543,9 +648,8 @@ def test_grid_coefficients_match_extended_overlaps(scheme, rng):
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
 def test_grid_decomposition_streams_its_tables(scheme, rng):
     """The 194 j <= 6 tables on 32x64 would stack to 25 MB; a decomposition
-    takes them one at a time, in at most 4 MiB of new memory (3.3 MB
-    measured for spin-orbit, 2.1 MB of it the harmonic table up to l = 7,
-    and 0.6 MB for helicity)."""
+    reads only their phi = 0 rings, in at most 4 MiB of new memory (1.4 MB
+    measured for either scheme)."""
     grid = build_grid(32, 64)
     psi = _grid_product_state(grid, scheme, rng)
     decompose_product_state(psi, FERMION_PAIR, PAIR_S, 1, scheme)
@@ -564,17 +668,17 @@ def test_grid_decomposition_streams_its_tables(scheme, rng):
 def test_delta_coefficients_are_per_label_sums(scheme, monkeypatch):
     """A delta state's coefficients are per-label sums of conjugated
     amplitude times slots, bit for bit (the CLI's decompose output is
-    pinned to those bytes); the grid branch's vdot is never taken."""
+    pinned to those bytes); the grid branch's separation is never taken."""
     psi = bell_state("psi01", 0.9, 0.4)
     slots = psi.coefficients
     if scheme == "helicity":
         slots = states_module._fixed_to_helicity_slots(FERMION_PAIR, psi.theta, psi.phi, slots)
     fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
 
-    def no_vdot(*args):
-        raise AssertionError("the delta branch took a vdot")
+    def no_separation(*args):
+        raise AssertionError("the delta branch separated the tables in phi")
 
-    monkeypatch.setattr(np, "vdot", no_vdot)
+    monkeypatch.setattr(states_module, "_separated", no_separation)
     dec = decompose_product_state(psi, FERMION_PAIR, PAIR_S, 3, scheme)
     for e in dec.entries:
         table = fn(FERMION_PAIR, e.j, e.channel, e.component, psi.theta, psi.phi)
@@ -819,17 +923,26 @@ def test_spin_orbit_rotation_block_structure(rng):
 
 
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
-@pytest.mark.parametrize("j1, j2", [(1, 0.5), (1, 1), (1.5, 0.5), (2, 1.5)])
-def test_rotation_covariance_for_every_constituent_spin(j1, j2, scheme, rng):
+@pytest.mark.parametrize("j1, j2, j_max", [
+    pytest.param(1, 0.5, 1, id="1-0.5"),
+    pytest.param(1, 1, 1, id="1-1"),
+    pytest.param(1.5, 0.5, 1, id="1.5-0.5"),
+    pytest.param(2, 1.5, 1, id="2-1.5"),
+    pytest.param(1, 0.5, 3, id="1-0.5-jmax3"),
+    pytest.param(1, 1, 3, id="1-1-jmax3"),
+])
+def test_rotation_covariance_for_every_constituent_spin(j1, j2, j_max, scheme, rng):
     """For constituents beyond spin 1/2, rotated basis states stay inside
     their (j, channel) block; orbital/spin blocks mix by S† D^j(u) S with
     S = diag((-1)^chi), helicity blocks by the bare D^j(u); and a state
-    loaded from JSON rotates to its closed-form rotation. Measured at these
-    sizes: 1.0e-15, 8.4e-15 and 6.7e-15 at worst."""
+    loaded from JSON rotates to its closed-form rotation. j_max = 3 takes
+    spins (1, 1/2) and (1, 1) above total spin 1. Measured at these sizes:
+    4.7e-15 across blocks, 8.4e-15 against the laws and 8.5e-15 from the
+    closed-form rotation at worst."""
     spec = TwoParticleSpec(1.0, 1.0, j1, j2)
     grid = build_grid(12, 25)
     u = random_su2(rng)
-    states = all_basis_states(grid, spec, PAIR_S, 1, scheme)
+    states = all_basis_states(grid, spec, PAIR_S, j_max, scheme)
     rotated = [apply_rotation(st, u) for st in states]
     overlap = np.einsum(
         "n,incd,kncd->ik", grid.weights,
