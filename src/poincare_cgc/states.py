@@ -17,7 +17,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .cgc import (
     _check_above_threshold,
     _check_chi,
     _check_scheme,
-    _spin_orbit_amplitudes,
     com_normalization,
     coupling_channels,
     helicity_com_table,
@@ -36,8 +35,9 @@ from .cgc import (
 )
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalLabel
 from .halfint import HalfInt, components
+from .labels import _basis_layout, _label_layout, _label_tables
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import _MAX_J, _MAX_L, _harmonic_table, _wigner_D, rep_matrix, wigner_d_small
+from .su2 import _MAX_L, _harmonic_table, _polar_rows, _wigner_D, rep_matrix, wigner_d_small
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -209,7 +209,7 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
     if scheme is None:
         raise InvalidChannel(f"not a channel label: {channel!r}")
     label = _check_label(spec, scheme, j, channel, component)
-    return _basis_states(grid, spec, s, scheme, [label])[0]
+    return _basis_states(grid, spec, s, _label_layout(spec, scheme, (label,)))[0]
 
 
 def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
@@ -220,18 +220,20 @@ def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
     the command-line emitters. j_max must be nonnegative and small enough
     that no evaluated spin exceeds the supported maximum (ValueError).
     """
-    scheme = _check_scheme(scheme)
-    return _basis_states(grid, spec, s, scheme, _basis_labels(spec, j_max, scheme))
+    layout = _basis_layout(spec, _check_scheme(scheme), HalfInt.of(j_max))
+    return _basis_states(grid, spec, s, layout)
 
 
-def _basis_states(grid, spec, s, scheme, labels) -> list[ComBasisState]:
-    """The closed-form basis states of the labels (j, channel, chi) on a
-    grid: one normalization and one :func:`_amplitude_source` pass."""
+def _basis_states(grid, spec, s, layout) -> list[ComBasisState]:
+    """The closed-form basis states of a layout's labels on a grid: one
+    normalization and one :func:`_label_tables` pass, which gives each
+    state its own table."""
     norm = com_normalization(s, spec.s1, spec.s2)
-    tables = _amplitude_source(spec, scheme, labels, *grid.axes)
+    tables = _label_tables(layout, *grid.axes)
     return [
-        ComBasisState(grid, spec, float(s), scheme, *label, amplitudes, norm, closed_form=True)
-        for label, amplitudes in zip(labels, tables)
+        ComBasisState(grid, spec, float(s), layout.scheme, *label,
+                      table.reshape((grid.size,) + spec.spin_shape), norm, closed_form=True)
+        for label, table in zip(layout.labels, tables)
     ]
 
 
@@ -243,53 +245,6 @@ def _check_label(spec, scheme, j, channel, chi) -> tuple:
     if channel not in coupling_channels(spec, j, scheme):
         raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
     return j, channel, chi
-
-
-def _basis_labels(spec: TwoParticleSpec, j_max, scheme: str) -> list[tuple]:
-    """(j, channel, chi) of every basis state with j <= j_max, in basis order.
-
-    Rejects a negative j_max, and one whose largest evaluated spin (j_max
-    itself for helicity d^j, l = j + j1 + j2 for spin-orbit) would exceed
-    the supported maximum, before any amplitude is computed.
-    """
-    j_max = HalfInt.of(j_max)
-    if j_max < HalfInt(0):
-        raise ValueError(f"j_max must be nonnegative, got {j_max}")
-    start = (spec.j1.twice + spec.j2.twice) % 2
-    j_values = [HalfInt(t) for t in range(start, j_max.twice + 1, 2)]
-    if j_values:
-        top = j_values[-1] + (spec.j1 + spec.j2 if scheme == "spin-orbit" else 0)
-        if top > _MAX_J:
-            raise ValueError(
-                f"j_max={j_max} needs spin {top} in the {scheme} scheme, "
-                f"above the supported maximum {_MAX_J}"
-            )
-    return [
-        (j, channel, chi)
-        for j in j_values
-        for channel in coupling_channels(spec, j, scheme)
-        for chi in components(j)
-    ]
-
-
-def _amplitude_source(spec, scheme, labels, theta, phi) -> Iterator[np.ndarray]:
-    """Each label's (j, channel, chi) angular table at fixed angles, in turn.
-
-    Every table is raveled to (-1,) + spec.spin_shape, so a grid's axes
-    give it in the grid's node order. Equal bit for bit to the scheme's
-    angular function at (theta, phi); spin-orbit tables read their rows
-    from one harmonic table up to the labels' largest l.
-    """
-    shape = (-1,) + spec.spin_shape
-    if scheme == "helicity":
-        for label in labels:
-            yield _helicity_wavefunction(spec, *label, theta, phi).reshape(shape)
-        return
-    rows = _harmonic_table(max((int(c.l) for _, c, _ in labels), default=0), theta, phi)
-    for j, channel, chi in labels:
-        l = int(channel.l)
-        table = _spin_orbit_amplitudes(spec, j, channel, chi, rows[l * l : (l + 1) ** 2])
-        yield table.reshape(shape)
 
 
 def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
@@ -587,7 +542,7 @@ def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
     # waves[top - m, i] = sum_k e^{-i m phi_k} (w A)[i, k], every ring in one matmul
     waves = (np.exp(-1j * orders[:, None] * azimuth)
              @ rings.transpose(1, 0, 2).reshape(grid.n_phi, -1)).reshape(orders.size, grid.n_theta, -1)
-    rows = _harmonic_table(top, polar[:, 0], 0.0).real
+    rows = _polar_rows(top, polar[:, 0])
     degrees = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
     row_orders = degrees * (degrees + 1) - np.arange(degrees.size)
     # the rows are summed in blocks, so the gathered waves stay under _HARMONIC_BLOCK entries
@@ -815,14 +770,16 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
             f"the spec has ({spec.j1}, {spec.j2})"
         )
     j_max = HalfInt.of(j_max)
-    labels = _basis_labels(spec, j_max, scheme)
+    layout = _basis_layout(spec, scheme, j_max)
     _check_above_threshold(s, spec.s1, spec.s2)
     if isinstance(psi, DeltaProductState):
         slots = psi.coefficients
         if scheme == "helicity":
             slots = _fixed_to_helicity_slots(spec, psi.theta, psi.phi, slots)
-        tables = _amplitude_source(spec, scheme, labels, psi.theta, psi.phi)
-        overlaps = [complex(np.sum(amp[0].conj() * slots)) for amp in tables]
+        tables = np.empty((len(layout.labels),) + spec.spin_shape, dtype=complex)
+        _label_tables(layout, psi.theta, psi.phi, tables)
+        # each row's slots are one contiguous reduction, as np.sum of its table alone
+        overlaps = np.sum(tables.conj() * slots, axis=(1, 2)).tolist()
         psi_norm2 = math.inf
     else:
         if psi.scheme != scheme:
@@ -830,14 +787,14 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
                 f"grid state carries {psi.scheme!r} slots; cannot decompose in {scheme!r}"
             )
         grid = psi.grid
-        rings, classes, waves = _separated(spec, scheme, labels, grid)
+        rings, classes, waves = _separated(layout, grid)
         weighted = grid.weights[:, None, None] * psi.amplitudes
         weighted = weighted.reshape((grid.n_theta, grid.n_phi) + spec.spin_shape)
         # spectrum[c, t, a, b] = sum_k e^{-i (chi_c - sigma_ab) phi_k} (w psi)[t, k, a, b]
         spectrum = np.einsum("tkab,cabk->ctab", weighted, waves.conj())
         overlaps = np.einsum("ltab,ltab->l", rings.conj(), spectrum[classes]).tolist()
         psi_norm2 = psi.norm2()
-    entries = [DecompositionEntry(*label, c) for label, c in zip(labels, overlaps)]
+    entries = [DecompositionEntry(*label, c) for label, c in zip(layout.labels, overlaps)]
     coeff_norm2 = float(sum(abs(e.coefficient) ** 2 for e in entries))
     residual = math.inf if math.isinf(psi_norm2) else psi_norm2 - coeff_norm2
     return Decomposition(
@@ -852,26 +809,26 @@ def decompose_product_state(psi, spec, s, j_max, scheme="spin-orbit") -> Decompo
     )
 
 
-def _separated(spec, scheme, labels, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The labels' grid tables, separated in phi.
+def _separated(layout, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layout's grid tables, separated in phi.
 
-    Returns the phi = 0 rings (labels, n_theta) + spec.spin_shape, each
-    label's index among the distinct components chi_c, and the waves
+    Returns the phi = 0 rings (labels, n_theta) + spin_shape, each label's
+    index among the distinct components chi_c (ascending), and the waves
     e^{i (chi_c - sigma_ab) phi_k} as (components,) + spin_shape +
     (n_phi,), where sigma_ab is chi1 + chi2 for spin-orbit slots and
     lam1 - lam2 for helicity ones. The table of label i at slot (a, b) is
     rings[i, :, a, b] times waves[index[i], a, b] on the grid's nodes.
     """
     polar, azimuth = grid.axes
-    rings = np.empty((len(labels), grid.n_theta) + spec.spin_shape, dtype=complex)
-    for i, ring in enumerate(_amplitude_source(spec, scheme, labels, polar, 0.0)):
-        rings[i] = ring
-    chis = sorted({chi for _, _, chi in labels})
+    rings = np.empty((len(layout.labels), grid.n_theta) + layout.spin_shape, dtype=complex)
+    _label_tables(layout, polar, 0.0, rings[:, :, None])
+    twice_chi = layout.twice_chi.tolist()
+    chis = sorted(set(twice_chi))
     position = {chi: c for c, chi in enumerate(chis)}
-    index = np.array([position[chi] for _, _, chi in labels], dtype=int)
-    first, second = (np.array([float(m) for m in components(j)]) for j in (spec.j1, spec.j2))
-    sigma = first[:, None] + (second if scheme == "spin-orbit" else -second)[None, :]
-    orders = np.array([float(chi) for chi in chis])[:, None, None] - sigma
+    index = np.array([position[chi] for chi in twice_chi], dtype=int)
+    first, second = (np.arange(n - 1, -n, -2) / 2.0 for n in layout.spin_shape)
+    sigma = first[:, None] + (second if layout.scheme == "spin-orbit" else -second)[None, :]
+    orders = (np.array(chis) / 2.0)[:, None, None] - sigma
     return rings, index, np.exp(1j * orders[..., None] * azimuth[0])
 
 
@@ -890,10 +847,9 @@ def reconstruct(decomposition: Decomposition, grid: QuadratureGrid,
             f"decomposition was made for spins ({made.j1}, {made.j2}); "
             f"the spec has ({spec.j1}, {spec.j2})"
         )
-    entries = decomposition.entries
-    labels = [(e.j, e.channel, e.component) for e in entries]
-    rings, classes, waves = _separated(spec, decomposition.scheme, labels, grid)
-    coefficients = np.array([e.coefficient for e in entries], dtype=complex)
+    layout = _basis_layout(made, decomposition.scheme, decomposition.j_max)
+    rings, classes, waves = _separated(layout, grid)
+    coefficients = np.array([e.coefficient for e in decomposition.entries], dtype=complex)
     # the coefficient-weighted rings summed per class of components, then one inverse DFT
     gather = (classes == np.arange(waves.shape[0])[:, None]) * coefficients
     summed = np.tensordot(gather, rings, axes=1)

@@ -57,18 +57,11 @@ def _d_terms(tj, tmp, tm) -> tuple:
 
 @functools.cache
 def _d_slots(tj) -> tuple:
-    """:func:`_d_terms` of every entry of d^j as arrays (pref, e1, e2, sign,
-    den): the entry axes (m', m) trail, and a leading slot axis holds each
-    entry's terms in order. Slots past an entry's last term have sign 0."""
-    n = tj + 1
-    e1, e2 = np.zeros((n, n, n), dtype=int), np.zeros((n, n, n), dtype=int)
-    sign, den, pref = np.zeros((n, n, n)), np.ones((n, n, n)), np.empty((n, n))
-    for a, tmp in enumerate(range(tj, -tj - 1, -2)):
-        for b, tm in enumerate(range(tj, -tj - 1, -2)):
-            pref[a, b], terms = _d_terms(tj, tmp, tm)
-            for slot, term in enumerate(terms):
-                e1[slot, a, b], e2[slot, a, b], sign[slot, a, b], den[slot, a, b] = term
-    return pref, e1, e2, sign, den
+    """:func:`_d_entry_slots` of every entry of d^j, the entry axes (m', m)
+    trailing."""
+    n, ms = tj + 1, range(tj, -tj - 1, -2)
+    pref, *slots = _d_entry_slots([(tj, tmp, tm) for tmp in ms for tm in ms])
+    return (pref.reshape(n, n), *(a.reshape(n, n, n) for a in slots))
 
 
 def _d_entry(tj, tmp, tm, beta):
@@ -87,18 +80,40 @@ def wigner_d_small(j, beta):
 
     Rows and columns run over m = +j ... -j. beta may be a scalar or an
     array; the matrix axes are the trailing two. All entries are summed at
-    once, slot by slot: each power c**e is taken once, as :func:`_d_entry`
-    takes it, and gathered, so every entry rounds as its _d_entry does (a
-    zero sign adds a signed zero, which leaves a sum as it is).
+    once (:func:`_d_sum`), so every entry rounds as its :func:`_d_entry`
+    does.
     """
-    tj = _check_j(j).twice
-    pref, e1, e2, sign, den = _d_slots(tj)
+    return _d_sum(_d_slots(_check_j(j).twice), beta)
+
+
+def _d_entry_slots(entries) -> tuple:
+    """:func:`_d_slots` of a list of entries (2j, 2m', 2m) of d^j, of any
+    j each: pref has one axis over the entries, and every entry's terms
+    fill as many slots as the largest 2j + 1, in order, with sign 0 after
+    its last term."""
+    shape = (max((tj + 1 for tj, _, _ in entries), default=1), len(entries))
+    e1, e2 = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+    sign, den, pref = np.zeros(shape), np.ones(shape), np.empty(len(entries))
+    for k, entry in enumerate(entries):
+        pref[k], terms = _d_terms(*entry)
+        for slot, term in enumerate(terms):
+            e1[slot, k], e2[slot, k], sign[slot, k], den[slot, k] = term
+    return pref, e1, e2, sign, den
+
+
+def _d_sum(slots, beta):
+    """The entries of d^j(beta) that slots (:func:`_d_slots`,
+    :func:`_d_entry_slots`) describe, all summed at once, slot by slot.
+    Each power c**e is taken once and gathered, so every entry rounds as
+    its :func:`_d_entry` does (a zero sign adds a signed zero, which
+    leaves a sum as it is), whichever entries are summed with it."""
+    pref, e1, e2, sign, den = slots
     beta = np.asarray(beta, dtype=float)
     c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    cp = np.stack([c**e for e in range(tj + 1)], axis=-1)
-    sp = np.stack([s**e for e in range(tj + 1)], axis=-1)
+    cp = np.stack([c**e for e in range(len(sign))], axis=-1)
+    sp = np.stack([s**e for e in range(len(sign))], axis=-1)
     total = np.zeros(beta.shape + pref.shape)
-    for slot in range(tj + 1):
+    for slot in range(len(sign)):
         total = total + sign[slot] * cp[..., e1[slot]] * sp[..., e2[slot]] / den[slot]
     return pref * total
 
@@ -336,6 +351,27 @@ def _harmonic_table(l_max: int, theta, phi) -> np.ndarray:
     for l in range(l_max + 1):
         top = _top_rows(l, range(l, -1, -1), legendre[l, l::-1], phase[l::-1])
         table[l * l : (l + 1) ** 2] = _with_negative_orders(top)
+    return table
+
+
+def _polar_rows(l_max: int, theta) -> np.ndarray:
+    """The real parts of :func:`_harmonic_table` at phi = 0, bit for bit,
+    without the complex table: Y_lm(theta, 0) = N_lm P_l^m(cos theta).
+
+    e^{i m 0} is 1 + 0j, so the complex rows m >= 0 hold N_lm P_l^m
+    exactly. A row m < 0 is the complex product (-1)^m conj(Y_{l,-m}),
+    whose real part (-1)^m N P - 0 * (-0) turns -0.0 into 0.0, as the
+    + 0.0 here does.
+    """
+    _check_l(l_max)
+    theta = np.asarray(theta, dtype=float)
+    legendre = _legendre(l_max, np.cos(theta))
+    table = np.empty(((l_max + 1) ** 2,) + theta.shape)
+    for l in range(l_max + 1):
+        top = _norms(l)[l::-1].reshape((-1,) + (1,) * theta.ndim) * legendre[l, l::-1]
+        signs = (-1.0) ** np.arange(1, l + 1).reshape((-1,) + (1,) * theta.ndim)
+        table[l * l : l * l + l + 1] = top
+        table[l * l + l + 1 : (l + 1) ** 2] = signs * top[:l][::-1] + 0.0
     return table
 
 

@@ -1,6 +1,7 @@
 """Tests for grid states: quadrature, rotations, decomposition, serialization."""
 
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -51,6 +52,7 @@ from poincare_cgc.states import (
     _helicity_wavefunction,
 )
 import poincare_cgc.cgc as cgc_module
+import poincare_cgc.labels as labels_module
 import poincare_cgc.states as states_module
 import poincare_cgc.su2 as su2_module
 from poincare_cgc.cgc import spin_orbit_com_table
@@ -227,6 +229,96 @@ def test_basis_amplitudes_equal_the_closed_forms_bit_for_bit(scheme):
         want = fn(FERMION_PAIR, st.j, st.channel, st.component, grid.theta, grid.phi)
         np.testing.assert_array_equal(st.amplitudes, want)
         np.testing.assert_array_equal(st.evaluator(grid.theta, grid.phi), want)
+
+
+# the label kernel's inputs: constituent spins with the largest j tested
+KERNEL_SPECS = [
+    pytest.param(TwoParticleSpec(1.0, 1.0, 0.5, 0.5), 3, id="spins-half-half"),
+    pytest.param(TwoParticleSpec(1.0, 2.0, 1, 0.5), 2.5, id="spins-1-half"),
+    pytest.param(TwoParticleSpec(1.0, 1.0, 1, 1), 2, id="spins-1-1"),
+    pytest.param(TwoParticleSpec(2.0, 1.0, 1.5, 1), 2.5, id="spins-3half-1"),
+]
+
+# the angles the kernel is called at: grid axes, the phi = 0 rings, scalars
+KERNEL_ANGLES = {
+    "grid-16x33": build_grid(16, 33).axes,
+    "grid-10x6": build_grid(10, 6).axes,
+    "rings": (build_grid(16, 33).axes[0], 0.0),
+    "theta-0": (0.0, 1.3),
+    "theta-pi": (math.pi, 2.1),
+    "phi-0": (0.7, 0.0),
+}
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+@pytest.mark.parametrize("angles", list(KERNEL_ANGLES))
+@pytest.mark.parametrize("spec, j_max", KERNEL_SPECS)
+def test_label_kernel_equals_the_closed_forms_byte_for_byte(spec, j_max, angles, scheme):
+    """_label_tables evaluates each factor once and forms every label's
+    table from them. Each table, in its own array or in a stacked one,
+    has the bytes of its per-label closed form (tobytes, so signed zeros
+    count): on grid axes, an aliased grid's included, on the phi = 0
+    rings, and at scalar angles, where numpy's 0-d arithmetic rounds
+    complex products apart from its array loops."""
+    theta, phi = KERNEL_ANGLES[angles]
+    layout = labels_module._basis_layout(spec, scheme, HalfInt.of(j_max))
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    tables = labels_module._label_tables(layout, theta, phi)
+    stacked = np.empty((len(tables),) + tables[0].shape, dtype=complex)
+    labels_module._label_tables(layout, theta, phi, stacked)
+    for (j, channel, chi), table, row in zip(layout.labels, tables, stacked):
+        want = fn(spec, j, channel, chi, theta, phi)
+        assert table.shape == want.shape, (j, channel, chi)
+        assert table.tobytes() == want.tobytes(), (j, channel, chi)
+        assert row.tobytes() == want.tobytes(), (j, channel, chi)
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+def test_an_empty_basis_runs_end_to_end(scheme):
+    """Spins (1/2, 1) couple only to half-integer j, so j_max = 0 leaves
+    no label: no basis state, a (0, 0) Gram matrix, decompositions of a
+    grid and a delta state without entries, and zero reconstructions."""
+    spec = TwoParticleSpec(1.0, 1.0, 0.5, 1)
+    grid = build_grid(8, 17)
+    states = all_basis_states(grid, spec, PAIR_S, 0, scheme)
+    assert states == []
+    gram = gram_matrix(states)
+    assert gram.shape == (0, 0) and gram.dtype == complex
+    amplitudes = np.ones((grid.size,) + spec.spin_shape, dtype=complex)
+    coefficients = np.zeros(spec.spin_shape)
+    coefficients[0, 1] = 1.0
+    for psi in (GridProductState(grid=grid, spec=spec, amplitudes=amplitudes, scheme=scheme),
+                DeltaProductState(spec=spec, theta=0.4, phi=1.2, coefficients=coefficients)):
+        dec = decompose_product_state(psi, spec, PAIR_S, 0, scheme)
+        assert dec.entries == () and dec.coeff_norm2 == 0.0
+        back = reconstruct(dec, grid, spec)
+        assert back.scheme == scheme
+        assert back.amplitudes.shape == (grid.size,) + spec.spin_shape
+        assert not back.amplitudes.any()
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+def test_basis_tables_are_their_own_arrays(scheme):
+    """all_basis_states writes each state's table into its own array, made
+    just before it is written. On 32x64 at j <= 6 its tracemalloc peak
+    stays within the 194 tables (24.25 MiB) plus 3 MiB (24.5 MiB for
+    either scheme measured; 26.4 and 24.5 MiB with one closed-form call
+    per label), and no two states share memory, so one kept state does
+    not pin the basis."""
+    grid = build_grid(32, 64)
+    fermion_states(grid, 6, scheme)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        states = fermion_states(grid, 6, scheme)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 194
+    assert peak <= sum(st.amplitudes.nbytes for st in states) + 3 * 2**20
+    for i, a in enumerate(states):
+        for b in states[i + 1 :]:
+            assert not np.shares_memory(a.amplitudes, b.amplitudes)
 
 
 GRID_SHAPES = [(16, 33), (8, 17), (32, 64)]
@@ -701,7 +793,7 @@ def test_reconstruct_rejects_a_decomposition_of_other_spins(spec, scheme, monkey
     def no_work(*args):
         raise AssertionError("tables were built for a mismatched decomposition")
 
-    monkeypatch.setattr(states_module, "_amplitude_source", no_work)
+    monkeypatch.setattr(states_module, "_label_tables", no_work)
     with pytest.raises(ValueError, match="spins") as err:
         reconstruct(dec, build_grid(8, 16), spec)
     assert "(1/2, 1/2)" in str(err.value)
@@ -724,7 +816,7 @@ def test_j_max_is_validated_before_any_work(call, monkeypatch):
         return decompose_product_state(bell_state("psi11"), FERMION_PAIR, PAIR_S, j_max, scheme)
 
     with monkeypatch.context() as patched:
-        patched.setattr(states_module, "_amplitude_source", no_work)
+        patched.setattr(states_module, "_label_tables", no_work)
         for scheme in ("spin-orbit", "helicity"):
             with pytest.raises(ValueError, match="nonnegative"):
                 run(-1, scheme)
@@ -835,6 +927,26 @@ def test_separable_fit_equals_the_dense_fit():
                 want = dense @ (grid.weights[:, None] * table)
                 gap = np.abs(_harmonic_fit(grid, table) - want).max()
                 assert gap <= 1e-14, (shape, scheme, state.channel, state.component, gap)
+
+
+def test_polar_rows_are_the_real_harmonic_rows_at_phi_0(monkeypatch, rng):
+    """The fit's real polar rows N_lm P_l^m(cos theta) have the bytes of
+    the complex table's real parts at phi = 0, for Gauss-Legendre polar
+    nodes up to n_theta = 86, so a loaded rotation on 16x33 and on 24x49
+    keeps its bytes when the fit reads the complex table instead."""
+    for n in (2, 3, 16, 17, 33, 64, 86):
+        polar = build_grid(n, 2 * n + 1).axes[0][:, 0]
+        want = _harmonic_table(n - 1, polar, 0.0).real
+        assert su2_module._polar_rows(n - 1, polar).tobytes() == want.tobytes(), n
+    u = random_su2(rng)
+    for shape, scheme in itertools.product(((16, 33), (24, 49)), ("spin-orbit", "helicity")):
+        for state in fermion_states(build_grid(*shape), 1, scheme)[:2]:
+            loaded = state_from_json(state_to_json(state), FERMION_PAIR)
+            rotated = apply_rotation(loaded, u).amplitudes
+            with monkeypatch.context() as patch:
+                patch.setattr(states_module, "_polar_rows",
+                              lambda top, theta: _harmonic_table(top, theta, 0.0).real)
+                assert apply_rotation(loaded, u).amplitudes.tobytes() == rotated.tobytes()
 
 
 def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatch):
@@ -1310,7 +1422,7 @@ def test_basis_state_labels_are_checked_before_any_amplitude(monkeypatch):
     def no_work(*args):
         raise AssertionError("amplitudes were computed for a bad label")
 
-    monkeypatch.setattr(states_module, "_amplitude_source", no_work)
+    monkeypatch.setattr(states_module, "_label_tables", no_work)
     grid = build_grid(6, 13)
     for scheme, j, channel, component, error in _BAD_LABELS:
         with pytest.raises(error):
@@ -1389,7 +1501,7 @@ def test_decompose_rejects_a_state_of_other_spins(kind, monkeypatch):
     def no_work(*args):
         raise AssertionError("amplitudes were computed for a mismatched state")
 
-    monkeypatch.setattr(states_module, "_amplitude_source", no_work)
+    monkeypatch.setattr(states_module, "_label_tables", no_work)
     with pytest.raises(ValueError, match="spins"):
         decompose_product_state(psi, FERMION_PAIR, PAIR_S, 1)
 
