@@ -4,7 +4,10 @@ Rotates the total-spin basis states of a fermion pair and prints the
 resulting mixing structure: orbital/spin channels are left invariant and
 mix components by a sign-conjugated spin-j rotation matrix, while the
 coupled helicity states keep their slot labels and their total spin and
-mix components by the bare spin-j rotation matrix.
+mix components by the bare spin-j rotation matrix. Last, every j <= 1
+state of both schemes goes through JSON and is rotated as a loaded
+table, which is fit in fixed-axis slots, and compared with its
+closed-form rotation.
 
 Run: python3 demos/rotation_covariance.py
 """
@@ -22,6 +25,8 @@ from poincare_cgc import (
     components,
     inner_product,
     rep_matrix,
+    state_from_json,
+    state_to_json,
 )
 
 SPEC = TwoParticleSpec.fermion_pair(1.0)
@@ -100,6 +105,22 @@ def helicity_mixing(u):
     print("helicity slots refer to the Jacob-Wick frames R(phi, theta, -phi)")
     print("and R(phi, theta, -phi) Ry(pi), so the coupled helicity states are")
     print("spin-j states: rotations keep the slot pair and the total spin")
+    print()
+
+
+def loaded_rotation(u):
+    grid = build_grid(16, 33)
+    print("JSON round trip, then rotation of the loaded table, j <= 1")
+    for scheme in ("spin-orbit", "helicity"):
+        gap = 0.0
+        for state in all_basis_states(grid, SPEC, PAIR_S, 1, scheme):
+            loaded = state_from_json(state_to_json(state), SPEC)
+            turned = apply_rotation(loaded, u).amplitudes
+            gap = max(gap, np.abs(turned - apply_rotation(state, u).amplitudes).max())
+        print(f"{scheme:>10}: largest gap to the closed-form rotation {gap:.3e}")
+    print("a table carries no labels: it is fit with harmonics up to l = n_theta - 1")
+    print("in fixed-axis slots and mixed by D(u) x D(u) in either scheme; a helicity")
+    print("table is converted to fixed-axis slots and back at the grid's nodes")
 
 
 if __name__ == "__main__":
@@ -107,3 +128,4 @@ if __name__ == "__main__":
     spin_orbit_mixing(u)
     singlet_invariance(u)
     helicity_mixing(u)
+    loaded_rotation(u)

@@ -37,7 +37,7 @@ from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalL
 from .halfint import HalfInt, components
 from .labels import _basis_layout, _label_layout, _label_tables
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import _MAX_L, _harmonic_table, _polar_rows, _wigner_D, rep_matrix, wigner_d_small
+from .su2 import _MAX_L, _harmonic_sum, _polar_rows, _wigner_D, rep_matrix, wigner_d_small
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -423,6 +423,24 @@ def _helicity_frames(theta, phi, j1, j2):
     return f1, f2 @ wigner_d_small(j2, np.pi)
 
 
+# entries kept by each cache of grid-only tables (_grid_frames, _fit_tables):
+# the grid sizes, and spins for the frames, of a few grids in use at once
+_GRID_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid_frames(n_theta: int, n_phi: int, j1: HalfInt, j2: HalfInt) -> tuple:
+    """The helicity frames (:func:`_helicity_frames`) of spins j1 and j2 at
+    the nodes of the n_theta x n_phi grid, as (N, 2j+1, 2j+1) arrays, once
+    per grid size and spins; read-only, since they are shared. Built from
+    the grid's axes, they have the bytes of the frames at its node arrays."""
+    frames = tuple(f.reshape((n_theta * n_phi,) + f.shape[2:])
+                   for f in _helicity_frames(*build_grid(n_theta, n_phi).axes, j1, j2))
+    for f in frames:
+        f.flags.writeable = False
+    return frames
+
+
 def _zrot_diag(j, w):
     """Diagonal of the spin-j representation of a z-axis rotation.
 
@@ -453,16 +471,32 @@ def _little_group_phase(u, r_img, r_pre):
 
 
 def _unrotated(state: ComBasisState, theta, phi) -> np.ndarray:
-    """A state's unrotated amplitude table at (theta, phi): the closed form
-    of its labels, or the harmonic fit of a table (:func:`_interpolated`)."""
-    if not state.closed_form:
-        return _interpolated(state, theta, phi)
+    """A closed-form state's unrotated amplitude table at (theta, phi): the
+    closed form of its labels."""
     fn = spin_orbit_com_table if state.scheme == "spin-orbit" else _helicity_wavefunction
     return fn(state.spec, state.j, state.channel, state.component, theta, phi)
 
 
-def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
-    """Amplitude table at (theta, phi) of a state rotated by u (None: unrotated).
+def _preimages(u, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Polar angles of the preimages u^-1 n of the directions n = (theta, phi)."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    dirs = np.stack(
+        [st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi)], axis=-1
+    )
+    return polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
+
+
+def _spin_matrices(spec, u) -> tuple[np.ndarray, np.ndarray]:
+    """D^{j1}(u) and D^{j2}(u), which mix fixed-axis spin slots; one matrix
+    serves both particles when j1 == j2."""
+    d1 = rep_matrix(spec.j1, u)
+    return d1, d1 if spec.j2 == spec.j1 else rep_matrix(spec.j2, u)
+
+
+def _rotated(state: ComBasisState, u, theta, phi, image_frames=None) -> np.ndarray:
+    """Amplitude table at (theta, phi) of a closed-form state rotated by u
+    (None: unrotated).
 
     The rotated amplitude at direction n is the unrotated state's
     (:func:`_unrotated`) at the preimage direction u^-1 n, with each
@@ -470,87 +504,117 @@ def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     state's scheme: the constant matrix u itself for fixed-axis
     (spin-orbit) slots, a direction-dependent z-rotation phase between the
     helicity frames at the image and the preimage for helicity slots.
+    image_frames, when given, are the spin-1/2 frames at (theta, phi),
+    such as a grid's cached ones (:func:`_grid_frames`).
     """
     if u is None:
         return _unrotated(state, theta, phi)
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    st = np.sin(theta)
-    dirs = np.stack(
-        [st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi)], axis=-1
-    )
-    thp, php = polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
+    thp, php = _preimages(u, theta, phi)
     amp = _unrotated(state, thp, php)
-    j1, j2 = state.spec.j1, state.spec.j2
     if state.scheme == "spin-orbit":
-        return np.einsum("ac,bd,...cd->...ab", rep_matrix(j1, u), rep_matrix(j2, u), amp)
-    img = _helicity_frames(theta, phi, HalfInt(1), HalfInt(1))
-    pre = _helicity_frames(thp, php, HalfInt(1), HalfInt(1))
-    d1 = _zrot_diag(j1, _little_group_phase(u, img[0], pre[0]))
-    d2 = _zrot_diag(j2, _little_group_phase(u, img[1], pre[1]))
+        return np.einsum("ac,bd,...cd->...ab", *_spin_matrices(state.spec, u), amp)
+    half = HalfInt(1)
+    img = _helicity_frames(theta, phi, half, half) if image_frames is None else image_frames
+    pre = _helicity_frames(thp, php, half, half)
+    d1 = _zrot_diag(state.spec.j1, _little_group_phase(u, img[0], pre[0]))
+    d2 = _zrot_diag(state.spec.j2, _little_group_phase(u, img[1], pre[1]))
     return amp * d1[..., :, None] * d2[..., None, :]
 
 
-# entries per block of the harmonic tables that a loaded rotation
-# evaluates (_interpolated, _harmonic_fit); on a 16x33 grid each is one block
+# entries per block of the tables that a loaded rotation evaluates
+# (_rotated_table's Legendre sweep, _harmonic_fit); on a 16x33 grid each is one block
 _HARMONIC_BLOCK = 1 << 18
 
 
-def _interpolated(state: ComBasisState, theta, phi) -> np.ndarray:
-    """A table's amplitudes at arbitrary angles, from a harmonic fit.
+def _rotated_table(state: ComBasisState, u) -> np.ndarray:
+    """A table's amplitudes on its grid, rotated by u, in one fixed-axis law
+    for both schemes.
 
     The table is projected onto scalar harmonics with l <= n_theta - 1
     slot by slot (:func:`_harmonic_fit`), in fixed-axis slots: helicity
     slots are not band-limited where the frames turn, since a cell
     e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south pole.
-    A helicity table is therefore converted before the fit, and its
-    helicity slots are restored by the frames at (theta, phi). Exact for
+    A helicity table is therefore converted with the frames at the grid's
+    nodes first. The fit is summed at the preimage nodes order by order
+    (:func:`poincare_cgc.su2._harmonic_sum`) and its slots are mixed by the
+    constant D^{j1}(u) x D^{j2}(u); a helicity table is converted back with
+    the frames at the image nodes, which are the grid's own. Exact for
     tables band-limited below the grid resolution, an approximation
-    otherwise. The fit is read back in blocks of nodes whose harmonic
-    table holds at most _HARMONIC_BLOCK entries, so the memory grows with
-    the number of nodes, not with n_theta**2 times it.
+    otherwise. The preimage nodes are taken in blocks whose Legendre sweep
+    holds at most _HARMONIC_BLOCK entries, so the memory grows with the
+    number of nodes, not with n_theta**2 times it.
     """
-    grid = state.grid
-    fixed = state if state.scheme == "spin-orbit" else convert_slots_to_canonical(state)
-    coeffs = _harmonic_fit(grid, fixed.amplitudes)
-    th, ph = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    flat_th, flat_ph = th.ravel(), ph.ravel()
-    top = grid.n_theta - 1
-    step = max(1, _HARMONIC_BLOCK // (top + 1) ** 2)
-    slots = np.empty((flat_th.size, coeffs.shape[1]), dtype=complex)
-    for lo in range(0, flat_th.size, step):
-        block = slice(lo, lo + step)
-        slots[block] = _harmonic_table(top, flat_th[block], flat_ph[block]).T @ coeffs
-    slots = slots.reshape(th.shape + fixed.amplitudes.shape[1:])
+    grid, spec, table = state.grid, state.spec, state.amplitudes
+    if state.scheme == "helicity":
+        f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, spec.j1, spec.j2)
+        table = _sandwich(f1, table, f2)
+    coeffs = _harmonic_fit(grid, table)
+    step = max(1, _HARMONIC_BLOCK // grid.n_theta**2)
+    slots = _harmonic_sum(coeffs, *_preimages(u, grid.theta, grid.phi), step)
+    # (D^{j1} x D^{j2}) slots node by node, as one product with the Kronecker matrix
+    mixed = (slots @ np.kron(*_spin_matrices(spec, u)).T).reshape(table.shape)
     if state.scheme == "spin-orbit":
-        return slots
-    return _fixed_to_helicity_slots(state.spec, theta, phi, slots)
+        return mixed
+    return _sandwich(f1.conj().swapaxes(1, 2), mixed, f2.conj().swapaxes(1, 2))
+
+
+def _sandwich(left, slots, right) -> np.ndarray:
+    """left[n] @ slots[n] @ right[n]^T at every node n, the spin axes
+    trailing: a sum of broadcast products, one per column of left, then
+    one per column of right, so small spin matrices cost a few array
+    operations rather than an einsum over every index at once."""
+    inner = left[:, :, 0, None] * slots[:, None, 0, :]
+    for c in range(1, left.shape[-1]):
+        inner += left[:, :, c, None] * slots[:, None, c, :]
+    out = inner[:, :, None, 0] * right[:, None, :, 0]
+    for d in range(1, right.shape[-1]):
+        out += inner[:, :, None, d] * right[:, None, :, d]
+    return out
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _fit_tables(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid-only tables of :func:`_harmonic_fit` on the n_theta x n_phi
+    grid, once per size; read-only, since they are shared. With L =
+    n_theta - 1: the DFT matrix e^{-i m phi_k}, rows m = L ... -L; the
+    real polar rows (:func:`_polar_rows`) at the polar nodes; and, per
+    polar row l**2 + l - m, the DFT row L - m that it meets."""
+    top = n_theta - 1
+    polar, azimuth = build_grid(n_theta, n_phi).axes
+    orders = np.arange(top, -top - 1, -1)
+    dft = np.exp(-1j * orders[:, None] * azimuth)
+    rows = _polar_rows(top, polar[:, 0])
+    degrees = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
+    meets = top - (degrees * (degrees + 1) - np.arange(degrees.size))
+    for array in (dft, rows, meets):
+        array.flags.writeable = False
+    return dft, rows, meets
 
 
 def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
     """Quadrature coefficients conj(Y) (w A) of a grid table A on every Y_lm
-    with l <= n_theta - 1, row l**2 + l - m as in :func:`_harmonic_table`.
+    with l <= n_theta - 1, row l**2 + l - m as in
+    :func:`poincare_cgc.su2._harmonic_table`.
 
     Separated as in Driscoll and Healy, Adv. Appl. Math. 15, 202 (1994):
     Y_lm(theta, phi) = Y_lm(theta, 0) e^{i m phi} with Y_lm(theta, 0) real,
     so a DFT over phi per polar ring comes first, then a sum over the rings
     with the polar rows; the (L+1)^2 x N table on the grid is never built.
+    The DFT matrix and the polar rows depend on the grid alone
+    (:func:`_fit_tables`).
     """
-    top = grid.n_theta - 1
-    polar, azimuth = grid.axes
-    orders = np.arange(top, -top - 1, -1)
+    dft, rows, meets = _fit_tables(grid.n_theta, grid.n_phi)
     rings = grid.weights[:: grid.n_phi, None, None] * table.reshape(grid.n_theta, grid.n_phi, -1)
-    # waves[top - m, i] = sum_k e^{-i m phi_k} (w A)[i, k], every ring in one matmul
-    waves = (np.exp(-1j * orders[:, None] * azimuth)
-             @ rings.transpose(1, 0, 2).reshape(grid.n_phi, -1)).reshape(orders.size, grid.n_theta, -1)
-    rows = _polar_rows(top, polar[:, 0])
-    degrees = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
-    row_orders = degrees * (degrees + 1) - np.arange(degrees.size)
+    # waves[L - m, i] = sum_k e^{-i m phi_k} (w A)[i, k], every ring in one matmul
+    waves = dft @ rings.transpose(1, 0, 2).reshape(grid.n_phi, -1)
+    waves = waves.reshape(len(dft), grid.n_theta, -1)
     # the rows are summed in blocks, so the gathered waves stay under _HARMONIC_BLOCK entries
     step = max(1, _HARMONIC_BLOCK // waves[0].size)
+    # the real rows meet the waves' real and imaginary parts alike, as floats
     return np.concatenate([
-        np.einsum("ri,ris->rs", rows[r : r + step], waves[top - row_orders[r : r + step]])
+        np.einsum("ri,ris->rs", rows[r : r + step], waves[meets[r : r + step]].view(float))
         for r in range(0, rows.shape[0], step)
-    ])
+    ]).view(complex)
 
 
 def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
@@ -568,19 +632,20 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
 
     Node directions map forward under the rotation; the new table is built
     by evaluating the state at preimage nodes, and each particle's spin
-    slots are mixed by its little-group representation matrix in the
-    state's scheme (:func:`_rotated`).
+    slots are mixed by its little-group representation matrix.
 
-    Helicity little-group elements are taken between the Jacob-Wick frames
-    of :func:`_helicity_frames` at each node and at its preimage. Those
+    A closed-form state records u @ state.rotation and is evaluated once
+    from its labels (:func:`_rotated`), so no interpolation error enters
+    and rotations compose: u then v equals v @ u. Its helicity
+    little-group elements are taken between the Jacob-Wick frames of
+    :func:`_helicity_frames` at each node and at its preimage. Those
     frames are single valued on SU(2), so the phases are continuous across
     the phi = 0 seam and need no choice of branch there.
 
-    A closed-form state records u @ state.rotation and is evaluated once
-    from its labels, so no interpolation error enters and rotations
-    compose: u then v equals v @ u. A table is read at the preimage nodes
-    through :func:`_interpolated`, exact for tables band-limited below the
-    grid resolution, as a basis state is when j + j1 + j2 <= n_theta - 1.
+    A table is fit in fixed-axis slots, read at the preimage nodes and
+    mixed by the constant D^{j1}(u) x D^{j2}(u) in either scheme
+    (:func:`_rotated_table`), exact for tables band-limited below the grid
+    resolution, as a basis state is when j + j1 + j2 <= n_theta - 1.
 
     Only rotations are accepted: they preserve the fixed-s sphere the
     states live on. Anything outside SU(2) raises NotARotation. A table's
@@ -593,7 +658,10 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     grid = state.grid
     if state.closed_form:
         u = u if state.rotation is None else u @ state.rotation
-        amplitudes = _rotated(state, u, grid.theta, grid.phi)
+        frames = None
+        if state.scheme == "helicity":
+            frames = _grid_frames(grid.n_theta, grid.n_phi, HalfInt(1), HalfInt(1))
+        amplitudes = _rotated(state, u, grid.theta, grid.phi, frames)
         return dataclasses.replace(state, rotation=u, amplitudes=amplitudes)
     if grid.n_theta - 1 > _MAX_L:
         raise InvalidOrbitalLabel(
@@ -601,7 +669,7 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
             f"l = {grid.n_theta - 1}; the fit supports l <= {_MAX_L}, i.e. n_theta <= {_MAX_L + 1}"
         )
     _require_finite(state.amplitudes)
-    return dataclasses.replace(state, amplitudes=_rotated(state, u, grid.theta, grid.phi))
+    return dataclasses.replace(state, amplitudes=_rotated_table(state, u))
 
 
 def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
@@ -616,9 +684,9 @@ def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
     """
     if state.scheme != "helicity":
         raise ValueError("slot conversion applies to helicity-scheme states")
-    grid = state.grid
-    f1, f2 = (f.reshape((grid.size,) + f.shape[2:])
-              for f in _helicity_frames(*grid.axes, state.spec.j1, state.spec.j2))
+    grid, spec = state.grid, state.spec
+    f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, spec.j1, spec.j2)
+    # one sum over every index, not _sandwich: verify's readings of converted states keep their bits
     amps = np.einsum("nac,nbd,ncd->nab", f1, f2, state.amplitudes)
     return dataclasses.replace(
         state, scheme="spin-orbit", amplitudes=amps, rotation=None, closed_form=False

@@ -237,20 +237,50 @@ def _lpmv_scale(l: int, m: int) -> float:
     return rg if m else 1.0
 
 
-def _lpmv_series(l, n: int, r0, x) -> np.ndarray:
-    """lpmv's series for an integer degree (specfun lpmv0) at the degrees l
-    (an int array) and the orders m = l - n: (-1)^l c0 pmv in that order,
-    with c0 = r0[m] rg, r0[m] = 2^-m (1 - x^2)^(m/2) / m! as lpmv carries
-    it, rg from :func:`_lpmv_scale` and pmv the n terms in (1 + x)."""
-    shape = (-1,) + (1,) * x.ndim
-    l = l.reshape(shape)
+def _series_factors(degrees, n: int, ndim: int) -> tuple:
+    """The x-free data of lpmv's series (specfun lpmv0) for an integer
+    degree at the degrees listed and the orders m = l - n: (m, sign, rg,
+    steps) with sign (-1)^l, rg from :func:`_lpmv_scale` and steps the
+    factors (-l + m + k - 1.0, l + m + k, k (k + m)) of the terms k = 1
+    ... n, each shaped to broadcast against ndim trailing axes."""
+    l = np.asarray(degrees).reshape((-1,) + (1,) * ndim)
     m = l - n
+    steps = [(-l + m + k - 1.0, l + m + k, k * (k + m)) for k in range(1, n + 1)]
+    rg = np.array([_lpmv_scale(int(a), int(a) - n) for a in l.flat]).reshape(l.shape)
+    return m.ravel(), np.where(l % 2, -1.0, 1.0), rg, steps
+
+
+def _lpmv_series(factors, r0, x) -> np.ndarray:
+    """lpmv's series at the degrees and orders of factors
+    (:func:`_series_factors`): (-1)^l c0 pmv in that order, with c0 =
+    r0[m] rg, r0[m] = 2^-m (1 - x^2)^(m/2) / m! as lpmv carries it, and
+    pmv the n terms in (1 + x)."""
+    m, sign, rg, steps = factors
     pmv = r = 1.0
-    for k in range(1, n + 1):
-        r = 0.5 * r * (-l + m + k - 1.0) * (l + m + k) / (k * (k + m)) * (1.0 + x)
+    for up, factor, down in steps:
+        r = 0.5 * r * up * factor / down * (1.0 + x)
         pmv = pmv + r
-    rg = np.array([_lpmv_scale(int(a), int(a) - n) for a in l.flat]).reshape(shape)
-    return np.where(l % 2, -1.0, 1.0) * (r0[m.ravel()] * rg) * pmv
+    return sign * (r0[m] * rg) * pmv
+
+
+@functools.cache
+def _sweep_factors(l_max: int, ndim: int) -> tuple:
+    """The x-free data of :func:`_legendre` for l_max and an x of ndim
+    axes, once per pair; read-only, since it is shared. The degrees, the
+    series factors (:func:`_series_factors`) of the top two orders of
+    every degree and of P_2^0, and per degree l the recurrence's integer
+    factors (l - 1 + m, l - m) over its orders m = 0 ... l - 2: the arrays
+    the sweep used to build on every call, with the same values and
+    types, so every step rounds as before."""
+    ls = np.arange(l_max + 1)
+    series = [_series_factors(ls, 0, ndim), _series_factors(ls[1:], 1, ndim),
+              _series_factors([2], 2, ndim)]
+    orders = [np.arange(max(l - 1, 0)).reshape((-1,) + (1,) * ndim) for l in range(l_max + 1)]
+    recurrence = [(l - 1 + m, l - m) for l, m in enumerate(orders)]
+    arrays = [ls, *(a for m, sign, rg, steps in series for a in (m, sign, rg, *sum(steps, ())))]
+    for array in arrays + [a for pair in recurrence for a in pair]:
+        array.flags.writeable = False
+    return ls, series, recurrence
 
 
 def _legendre(l_max: int, x) -> np.ndarray:
@@ -263,23 +293,26 @@ def _legendre(l_max: int, x) -> np.ndarray:
     ((2l-1) x P[l-1] - (l-1+m) P[l-2]) / (l-m), over all orders at once.
     lpmv returns its series value for l <= 2 but recurs through its own
     P_2^0, so the sweep does too and P[2, 0] is set to the series last.
+    The factors that do not depend on x come from :func:`_sweep_factors`.
     """
     x = np.asarray(x, dtype=float)
+    ls, (top, below, p20), recurrence = _sweep_factors(l_max, x.ndim)
     out = np.zeros((l_max + 1, l_max + 1) + x.shape)
     xq = np.sqrt(1.0 - x * x)
     r0 = np.empty((l_max + 1,) + x.shape)
     r0[0] = 1.0
     for j in range(1, l_max + 1):
         r0[j] = 0.5 * r0[j - 1] * xq / j
-    ls = np.arange(l_max + 1)
-    out[ls, ls] = _lpmv_series(ls, 0, r0, x)
-    out[ls[1:], ls[:-1]] = _lpmv_series(ls[1:], 1, r0, x)
+    out[ls, ls] = _lpmv_series(top, r0, x)
+    out[ls[1:], ls[:-1]] = _lpmv_series(below, r0, x)
     for l in range(2, l_max + 1):
-        m = np.arange(l - 1).reshape((-1,) + (1,) * x.ndim)
-        out[l, : l - 1] = ((2 * l - 1) * x * out[l - 1, : l - 1]
-                           - (l - 1 + m) * out[l - 2, : l - 1]) / (l - m)
+        rise, drop = recurrence[l]
+        row = out[l, : l - 1]
+        np.multiply((2 * l - 1) * x, out[l - 1, : l - 1], out=row)
+        row -= rise * out[l - 2, : l - 1]
+        row /= drop
     if l_max >= 2:
-        out[2, 0] = _lpmv_series(np.array([2]), 2, r0, x)[0]
+        out[2, 0] = _lpmv_series(p20, r0, x)[0]
     return out
 
 
@@ -352,6 +385,94 @@ def _harmonic_table(l_max: int, theta, phi) -> np.ndarray:
         top = _top_rows(l, range(l, -1, -1), legendre[l, l::-1], phase[l::-1])
         table[l * l : (l + 1) ** 2] = _with_negative_orders(top)
     return table
+
+
+def _order_terms(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, norms, signs) by which :func:`_harmonic_sum` gathers its
+    coefficients order by order. rows[0][m, l] and rows[1][m, l] are the
+    rows l**2 + l - m and l**2 + l + m of Y_{l,m} and Y_{l,-m} in
+    :func:`_harmonic_table`'s order, norms[m, l] is N_lm, and signs[m] is
+    (-1)^m, 0 at m = 0, where there is no negative order. Entries with
+    l < m read row 0 with norm 0."""
+    m, l = np.ogrid[: l_max + 1, : l_max + 1]
+    held = l >= m
+    rows = np.stack([np.where(held, l * l + l - m, 0), np.where(held, l * l + l + m, 0)])
+    norms = np.zeros((l_max + 1, l_max + 1))
+    for degree in range(l_max + 1):
+        norms[: degree + 1, degree] = _norms(degree)
+    return rows, norms, np.where(m[:, 0] % 2, -1.0, 1.0) * (m[:, 0] > 0)
+
+
+def _waves(l_max: int, phi) -> np.ndarray:
+    """e^{i m phi} for m = 0 ... l_max along a trailing axis, phi a 1-D
+    array. Order m is the product of the waves e^{i 2^k phi} of the bits
+    of m, each from one exp of an exact multiple of phi, so it carries at
+    most a few roundings more than the exp of m phi, where a running
+    product would carry m of them."""
+    waves = np.empty((l_max + 1,) + phi.shape, dtype=complex)
+    waves[0] = 1.0
+    power = 1
+    while power <= l_max:
+        width = min(power, l_max + 1 - power)
+        np.multiply(waves[:width], np.exp(1j * (power * phi)), out=waves[power : power + width])
+        power *= 2
+    return waves.T.copy()
+
+
+def _harmonic_sum(coeffs, theta, phi, step: int) -> np.ndarray:
+    """sum_lm c_lm Y_lm(theta_n, phi_n) at the 1-D angle arrays theta and
+    phi, as (nodes, columns), for coefficients c_lm in the rows l**2 + l -
+    m of :func:`_harmonic_table` (l <= l_max), columns trailing.
+
+    The harmonic table is never built; the sum runs order by order. With
+    P_l^m the real sweep (:func:`_legendre`) at x = cos theta, and
+    Y_{l,-m} = (-1)^m conj(Y_lm),
+
+        f(n) = sum_m e^{i m phi_n} sum_l N_lm P_l^m(x_n) c_{l,m}
+             + sum_{m>0} e^{-i m phi_n} sum_l (-1)^m N_lm P_l^m(x_n) c_{l,-m}
+             = sum_m cos(m phi_n) S+_m(n) + sin(m phi_n) S-_m(n),
+
+    where S+/-_m are the l-sums against N_lm (c_{l,m} +/- (-1)^m c_{l,-m}),
+    times i for S-. Those are real batched matmuls over m against the
+    coefficients viewed as floats, the norms folded in; the sum over m is
+    then one small matmul per node. The nodes are taken step (at least 2)
+    at a time, so the sweep holds (l_max + 1)**2 * step values, and the
+    orders in groups whose l-sums hold at most a quarter of that: the
+    sweep stays the one large buffer of a block. (With l-sums as large as
+    the sweep, malloc gave their memory back to the system after each
+    block and faulted it in again, which doubled a rotation's time on
+    16x33.) Every node rounds alike in any block of two nodes or more, so
+    a last block of one node, whose l-sums numpy would take as a
+    matrix-vector product, joins the block before it.
+    """
+    l_max = math.isqrt(len(coeffs)) - 1
+    _check_l(l_max)
+    rows, norms, signs = _order_terms(l_max)
+    ahead, behind = coeffs[rows[0]], signs[:, None, None] * coeffs[rows[1]]
+    folded = norms[..., None, None] * np.stack([ahead + behind, 1j * (ahead - behind)], axis=2)
+    # (m, l, 2 * 2 columns) floats: S+ then S-, each a real and an imaginary part per column
+    folded = folded.view(float).reshape(l_max + 1, l_max + 1, -1)
+    width = folded.shape[-1]
+    group = max(1, (l_max + 1) ** 2 // (4 * width))
+    out = np.zeros((theta.size, coeffs.shape[1]), dtype=complex)
+    starts = list(range(0, theta.size, max(step, 2)))
+    if len(starts) > 1 and starts[-1] == theta.size - 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [theta.size]):
+        block = slice(lo, hi)
+        legendre = _legendre(l_max, np.cos(theta[block])).transpose(1, 2, 0)
+        nodes = legendre.shape[1]
+        # (cos m phi, sin m phi) per node and order, the floats of e^{i m phi}
+        trig = _waves(l_max, phi[block]).view(float)
+        total = out[block].view(float)
+        sums = np.empty((nodes, group, width))
+        for m in range(0, l_max + 1, group):
+            k = min(group, l_max + 1 - m)
+            # sums[n, i] = (S+, S-) of order m + i at node n, written node-major
+            np.matmul(legendre[m : m + k], folded[m : m + k], out=sums[:, :k].transpose(1, 0, 2))
+            part = sums[:, :k].reshape(nodes, 2 * k, -1)
+            total += np.matmul(trig[:, None, 2 * m : 2 * (m + k)], part)[:, 0]
+    return out
 
 
 def _polar_rows(l_max: int, theta) -> np.ndarray:

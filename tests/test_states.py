@@ -844,11 +844,72 @@ def test_loaded_helicity_rotation_matches_closed_form(rng):
             assert np.abs(gap).max() < 1e-12, (scheme, state.channel, state.component)
 
 
+@pytest.mark.parametrize("spins", [(1, 0.5), (0.5, 1), (1, 1), (1.5, 1)],
+                         ids=["spins-1-half", "spins-half-1", "spins-1-1", "spins-3half-1"])
+def test_loaded_rotation_matches_closed_form_for_other_spins(spins, rng):
+    """Both schemes' loaded rotations follow one fixed-axis law, whatever
+    the spins: on 16x33 every basis state with j <= 3/2 of the pairs
+    (1, 1/2), (1/2, 1), (1, 1) and (3/2, 1) rotates from its JSON table as
+    from its closed form (measured gap at most 7.1e-15)."""
+    spec = TwoParticleSpec(1.0, 1.0, *spins)
+    grid = build_grid(16, 33)
+    u = random_su2(rng)
+    for scheme in ("spin-orbit", "helicity"):
+        for state in all_basis_states(grid, spec, PAIR_S, 1.5, scheme):
+            loaded = state_from_json(state_to_json(state), spec)
+            gap = apply_rotation(loaded, u).amplitudes - apply_rotation(state, u).amplitudes
+            assert np.abs(gap).max() < 1e-12, (scheme, state.j, state.channel, state.component)
+
+
+def test_grid_only_tables_are_cached_read_only():
+    """The helicity frames at a grid's nodes and the fit's DFT matrix,
+    polar rows and row orders are built once per grid size (and spins) and
+    shared, so none of them can be written; the frames have the bytes of
+    _helicity_frames at the grid's node arrays."""
+    grid = build_grid(16, 33)
+    spins = FERMION_PAIR.j1, FERMION_PAIR.j2
+    frames = states_module._grid_frames(grid.n_theta, grid.n_phi, *spins)
+    assert states_module._grid_frames(16, 33, HalfInt(1), HalfInt(1)) is frames
+    direct = _helicity_frames(grid.theta, grid.phi, FERMION_PAIR.j1, FERMION_PAIR.j2)
+    for cached, want in zip(frames, direct):
+        assert cached.tobytes() == want.tobytes()
+    tables = states_module._fit_tables(grid.n_theta, grid.n_phi)
+    assert states_module._fit_tables(grid.n_theta, grid.n_phi) is tables
+    for array in (*frames, *tables):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_rotations_keep_their_bytes_with_a_cold_cache(rng):
+    """A rotation that builds the grid-only tables and one that reads them
+    give the same bytes: loaded and closed-form rotations of both schemes,
+    and slot conversion, on 16x33."""
+    grid = build_grid(16, 33)
+    u = random_su2(rng)
+
+    def outputs():
+        out = []
+        for scheme in ("spin-orbit", "helicity"):
+            for state in fermion_states(grid, 1, scheme)[:3]:
+                loaded = state_from_json(state_to_json(state), FERMION_PAIR)
+                out += [apply_rotation(state, u), apply_rotation(loaded, u)]
+                if scheme == "helicity":
+                    out.append(convert_slots_to_canonical(loaded))
+        return [st.amplitudes.tobytes() for st in out]
+
+    states_module._fit_tables.cache_clear()
+    states_module._grid_frames.cache_clear()
+    cold = outputs()
+    assert outputs() == cold
+
+
 def test_loaded_rotation_takes_two_legendre_sweeps_and_no_lpmv(monkeypatch, rng):
-    """A loaded rotation on 16x33 evaluates two harmonic tables, one
-    _legendre sweep each: the fit's polar rows at the n_theta polar nodes,
-    then the table at the N preimage nodes. The sweep computes its own top
-    orders, so lpmv is never called."""
+    """The first loaded rotation on a grid size takes two _legendre sweeps:
+    the fit's polar rows at the n_theta polar nodes, which the grid-only
+    cache then keeps, and the sum at the N preimage nodes. Every later
+    rotation on that size takes the second alone. The sweep computes its
+    own top orders, so lpmv is never called."""
     sweeps = []
     sweep = su2_module._legendre
 
@@ -861,6 +922,8 @@ def test_loaded_rotation_takes_two_legendre_sweeps_and_no_lpmv(monkeypatch, rng)
 
     grid = build_grid(16, 33)
     u = random_su2(rng)
+    states_module._fit_tables.cache_clear()
+    first = True
     for scheme in ("spin-orbit", "helicity"):
         for state in fermion_states(grid, 1, scheme):
             loaded = state_from_json(state_to_json(state), FERMION_PAIR)
@@ -869,16 +932,19 @@ def test_loaded_rotation_takes_two_legendre_sweeps_and_no_lpmv(monkeypatch, rng)
                 patch.setattr(su2_module, "_legendre", counted_sweep)
                 patch.setattr(su2_module, "lpmv", forbidden)
                 apply_rotation(loaded, u)
-            assert sweeps == [grid.n_theta, grid.size], (scheme, sweeps)
+            want = [grid.n_theta, grid.size] if first else [grid.size]
+            assert sweeps == want, (scheme, sweeps)
+            first = False
 
 
 def test_loaded_rotation_memory_is_linear_in_the_grid(rng):
-    """A loaded rotation evaluates its harmonic tables in blocks of at most
-    _HARMONIC_BLOCK entries. On 48x97 one j = 1 state peaks at 7.4 MB
-    (spin-orbit) and 7.7 MB (helicity) under tracemalloc, about 25 times
-    its 0.30 MB amplitude array, where the whole table at the preimage
-    nodes took 275.6 MB. The gap to the closed form is unchanged (6.2e-13
-    and 9.4e-13 measured)."""
+    """A loaded rotation evaluates its Legendre sweep and its fit in blocks
+    of at most _HARMONIC_BLOCK entries. On 48x97 one j = 1 state peaks at
+    7.3 MB (spin-orbit) and 8.1 MB (helicity) under tracemalloc with a
+    cold grid-only cache, which the first rotation on the grid builds
+    (6.1 and 6.4 MB warm), about 25 times its 0.30 MB amplitude array,
+    where the whole harmonic table at the preimage nodes took 275.6 MB.
+    The gap to the closed form is 3.7e-13 and 8.6e-13."""
     grid = build_grid(48, 97)
     u = random_su2(rng)
     for label in ((1, SpinOrbitChannel(1, 1), 1), (1, HelicityChannel(0.5, -0.5), -1)):
@@ -897,7 +963,7 @@ def test_loaded_rotation_memory_is_linear_in_the_grid(rng):
 
 
 def test_loaded_rotation_blocks_keep_the_bits(monkeypatch, rng):
-    """On 24x49 the default budget takes 3 node blocks for the table at the
+    """On 24x49 the default budget takes 3 node blocks for the sweep at the
     preimage nodes; 147 node blocks and 12 row blocks of the fit, or one
     block of each, give the same bits."""
     grid = build_grid(24, 49)
@@ -946,7 +1012,10 @@ def test_polar_rows_are_the_real_harmonic_rows_at_phi_0(monkeypatch, rng):
             with monkeypatch.context() as patch:
                 patch.setattr(states_module, "_polar_rows",
                               lambda top, theta: _harmonic_table(top, theta, 0.0).real)
+                # the grid-only cache holds the polar rows; a cold one reads the patch
+                states_module._fit_tables.cache_clear()
                 assert apply_rotation(loaded, u).amplitudes.tobytes() == rotated.tobytes()
+            states_module._fit_tables.cache_clear()
 
 
 def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatch):
