@@ -242,10 +242,11 @@ def _series_factors(degrees, n: int, ndim: int) -> tuple:
     degree at the degrees listed and the orders m = l - n: (m, sign, rg,
     steps) with sign (-1)^l, rg from :func:`_lpmv_scale` and steps the
     factors (-l + m + k - 1.0, l + m + k, k (k + m)) of the terms k = 1
-    ... n, each shaped to broadcast against ndim trailing axes."""
+    ... n as floats, each shaped to broadcast against ndim trailing
+    axes."""
     l = np.asarray(degrees).reshape((-1,) + (1,) * ndim)
     m = l - n
-    steps = [(-l + m + k - 1.0, l + m + k, k * (k + m)) for k in range(1, n + 1)]
+    steps = [(-l + m + k - 1.0, (l + m + k) * 1.0, (k * (k + m)) * 1.0) for k in range(1, n + 1)]
     rg = np.array([_lpmv_scale(int(a), int(a) - n) for a in l.flat]).reshape(l.shape)
     return m.ravel(), np.where(l % 2, -1.0, 1.0), rg, steps
 
@@ -268,19 +269,21 @@ def _sweep_factors(l_max: int, ndim: int) -> tuple:
     """The x-free data of :func:`_legendre` for l_max and an x of ndim
     axes, once per pair; read-only, since it is shared. The degrees, the
     series factors (:func:`_series_factors`) of the top two orders of
-    every degree and of P_2^0, and per degree l the recurrence's integer
-    factors (l - 1 + m, l - m) over its orders m = 0 ... l - 2: the arrays
-    the sweep used to build on every call, with the same values and
-    types, so every step rounds as before."""
+    every degree and of P_2^0, the factors 2l - 1 per degree, and per
+    degree l the recurrence's factors (l - 1 + m, l - m) over its orders
+    m = 0 ... l - 2. They are the integers the sweep used to compute on
+    every call, held as floats, which hold them exactly and which numpy
+    would cast them to, so every step rounds as before."""
     ls = np.arange(l_max + 1)
     series = [_series_factors(ls, 0, ndim), _series_factors(ls[1:], 1, ndim),
               _series_factors([2], 2, ndim)]
-    orders = [np.arange(max(l - 1, 0)).reshape((-1,) + (1,) * ndim) for l in range(l_max + 1)]
+    odd = (2.0 * ls - 1.0).reshape((-1,) + (1,) * ndim)
+    orders = [np.arange(max(l - 1, 0.0)).reshape((-1,) + (1,) * ndim) for l in range(l_max + 1)]
     recurrence = [(l - 1 + m, l - m) for l, m in enumerate(orders)]
-    arrays = [ls, *(a for m, sign, rg, steps in series for a in (m, sign, rg, *sum(steps, ())))]
+    arrays = [ls, odd, *(a for m, sign, rg, steps in series for a in (m, sign, rg, *sum(steps, ())))]
     for array in arrays + [a for pair in recurrence for a in pair]:
         array.flags.writeable = False
-    return ls, series, recurrence
+    return ls, series, odd, recurrence
 
 
 def _legendre(l_max: int, x) -> np.ndarray:
@@ -296,7 +299,7 @@ def _legendre(l_max: int, x) -> np.ndarray:
     The factors that do not depend on x come from :func:`_sweep_factors`.
     """
     x = np.asarray(x, dtype=float)
-    ls, (top, below, p20), recurrence = _sweep_factors(l_max, x.ndim)
+    ls, (top, below, p20), odd, recurrence = _sweep_factors(l_max, x.ndim)
     out = np.zeros((l_max + 1, l_max + 1) + x.shape)
     xq = np.sqrt(1.0 - x * x)
     r0 = np.empty((l_max + 1,) + x.shape)
@@ -305,10 +308,12 @@ def _legendre(l_max: int, x) -> np.ndarray:
         r0[j] = 0.5 * r0[j - 1] * xq / j
     out[ls, ls] = _lpmv_series(top, r0, x)
     out[ls[1:], ls[:-1]] = _lpmv_series(below, r0, x)
+    # (2l - 1) x for every degree at once
+    odd_x = odd * x
     for l in range(2, l_max + 1):
         rise, drop = recurrence[l]
         row = out[l, : l - 1]
-        np.multiply((2 * l - 1) * x, out[l - 1, : l - 1], out=row)
+        np.multiply(odd_x[l], out[l - 1, : l - 1], out=row)
         row -= rise * out[l - 2, : l - 1]
         row /= drop
     if l_max >= 2:

@@ -870,8 +870,7 @@ def test_grid_only_tables_are_cached_read_only():
     spins = FERMION_PAIR.j1, FERMION_PAIR.j2
     frames = states_module._grid_frames(grid.n_theta, grid.n_phi, *spins)
     assert states_module._grid_frames(16, 33, HalfInt(1), HalfInt(1)) is frames
-    direct = _helicity_frames(grid.theta, grid.phi, FERMION_PAIR.j1, FERMION_PAIR.j2)
-    for cached, want in zip(frames, direct):
+    for cached, want in zip(frames, _helicity_frames(grid.theta, grid.phi, *spins)):
         assert cached.tobytes() == want.tobytes()
     tables = states_module._fit_tables(grid.n_theta, grid.n_phi)
     assert states_module._fit_tables(grid.n_theta, grid.n_phi) is tables

@@ -394,9 +394,9 @@ def test_harmonic_sum_is_the_dense_sum(rng):
 def test_legendre_sweep_factors_are_cached_read_only():
     """The sweep's x-free factors are built once per (l_max, ndim) and are
     shared, so none of them can be written."""
-    ls, series, recurrence = su2_module._sweep_factors(15, 1)
+    ls, series, odd, recurrence = su2_module._sweep_factors(15, 1)
     assert su2_module._sweep_factors(15, 1)[1] is series
-    arrays = [ls, *(a for m, sign, rg, steps in series for a in (m, sign, rg, *sum(steps, ())))]
+    arrays = [ls, odd, *(a for m, sign, rg, steps in series for a in (m, sign, rg, *sum(steps, ())))]
     arrays += [a for pair in recurrence for a in pair]
     for array in arrays:
         assert not array.flags.writeable
