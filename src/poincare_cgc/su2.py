@@ -246,7 +246,8 @@ def _series_factors(degrees, n: int, ndim: int) -> tuple:
     axes."""
     l = np.asarray(degrees).reshape((-1,) + (1,) * ndim)
     m = l - n
-    steps = [(-l + m + k - 1.0, (l + m + k) * 1.0, (k * (k + m)) * 1.0) for k in range(1, n + 1)]
+    steps = [(-l + m + k - 1.0, (l + m + k).astype(float), (k * (k + m)).astype(float))
+             for k in range(1, n + 1)]
     rg = np.array([_lpmv_scale(int(a), int(a) - n) for a in l.flat]).reshape(l.shape)
     return m.ravel(), np.where(l % 2, -1.0, 1.0), rg, steps
 
@@ -278,7 +279,8 @@ def _sweep_factors(l_max: int, ndim: int) -> tuple:
     series = [_series_factors(ls, 0, ndim), _series_factors(ls[1:], 1, ndim),
               _series_factors([2], 2, ndim)]
     odd = (2.0 * ls - 1.0).reshape((-1,) + (1,) * ndim)
-    orders = [np.arange(max(l - 1, 0.0)).reshape((-1,) + (1,) * ndim) for l in range(l_max + 1)]
+    orders = [np.arange(max(l - 1, 0), dtype=float).reshape((-1,) + (1,) * ndim)
+              for l in range(l_max + 1)]
     recurrence = [(l - 1 + m, l - m) for l, m in enumerate(orders)]
     arrays = [ls, odd, *(a for m, sign, rg, steps in series for a in (m, sign, rg, *sum(steps, ())))]
     for array in arrays + [a for pair in recurrence for a in pair]:
