@@ -310,7 +310,6 @@ def _legendre(l_max: int, x) -> np.ndarray:
         r0[j] = 0.5 * r0[j - 1] * xq / j
     out[ls, ls] = _lpmv_series(top, r0, x)
     out[ls[1:], ls[:-1]] = _lpmv_series(below, r0, x)
-    # (2l - 1) x for every degree at once
     odd_x = odd * x
     for l in range(2, l_max + 1):
         rise, drop = recurrence[l]
