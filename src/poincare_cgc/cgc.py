@@ -295,17 +295,23 @@ def discrete_symmetry_labels(l, s) -> tuple[int, int]:
     return (-1) ** (li + 1), (-1) ** (li + si)
 
 
-def _finite_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """theta and phi as float arrays; ValueError unless theta + phi is finite.
+# the largest |angle| accepted: below it no phase m phi with |m| <= 86 overflows
+_MAX_ANGLE = 1e300
 
-    One test per call, a plain float test for scalar angles. Every
-    rest-frame table runs it, also when a general-frame table calls it.
+
+def _finite_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """theta and phi as float arrays; ValueError naming the angle unless
+    each is finite and at most _MAX_ANGLE in magnitude.
+
+    A plain float test for a scalar angle. Every rest-frame table runs it,
+    also when a general-frame table calls it.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    total = theta + phi
-    if not (math.isfinite(total) if total.ndim == 0 else np.isfinite(total).all()):
-        raise ValueError("angles theta and phi must be finite")
+    for name, angle in (("theta", theta), ("phi", phi)):
+        # "not <=" so that NaN fails too
+        if not (abs(float(angle)) if angle.ndim == 0 else np.abs(angle).max(initial=0.0)) <= _MAX_ANGLE:
+            raise ValueError(f"angle {name} must be finite and at most {_MAX_ANGLE:g} in magnitude")
     return theta, phi
 
 
@@ -327,8 +333,8 @@ def spin_orbit_com_table(
 
         <j1 chi1 j2 chi2 | s s3> <l l3 s s3 | j chi> (-1)**chi Y_{l l3}
 
-    with s3 = chi1 + chi2 and l3 = chi - s3. Non-finite angles raise
-    ValueError.
+    with s3 = chi1 + chi2 and l3 = chi - s3. Angles that fail
+    :func:`_finite_angles` raise ValueError.
     """
     theta, phi = _finite_angles(theta, phi)
     rows = _harmonic_rows(int(channel.l), theta, phi)
@@ -393,8 +399,8 @@ def helicity_com_scalar(
     """Scalar rest-frame amplitude of a helicity channel.
 
     sqrt((2j+1)/4pi) exp(-i chi phi) d^j_{chi, mu}(theta) exp(+i mu phi)
-    with mu = lam1 - lam2; identically zero when |mu| > j. Non-finite
-    angles raise ValueError.
+    with mu = lam1 - lam2; identically zero when |mu| > j. Angles that
+    fail :func:`_finite_angles` raise ValueError.
     """
     theta, phi = _finite_angles(theta, phi)
     j, chi = _check_chi(j, chi)

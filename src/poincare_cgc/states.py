@@ -28,6 +28,7 @@ from .cgc import (
     _check_above_threshold,
     _check_chi,
     _check_scheme,
+    _finite_angles,
     com_normalization,
     coupling_channels,
     helicity_com_table,
@@ -37,7 +38,7 @@ from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalL
 from .halfint import HalfInt, components
 from .labels import _basis_layout, _label_layout, _label_tables
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import _MAX_L, _harmonic_sum, _polar_rows, _wigner_D, rep_matrix, wigner_d_small
+from .su2 import _MAX_L, _harmonic_sum, _harmonic_table, _wigner_D, rep_matrix, wigner_d_small
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -294,14 +295,9 @@ def gram_matrix(states) -> np.ndarray:
     otherwise n_phi sum_theta w_theta sum_s conj(A_i) A_k on the rings. A
     block is one such class of components, its columns the raveled rings.
 
-    Any other list (tables, rotated states, or a mix) is summed over the
-    samples. States that share a populated spin slot, directly or through
-    others, form a block (:func:`_slot_blocks`), and a state with no
-    nonzero entry has a zero row. A block over every slot sums the raveled
-    tables in chunks of _GRAM_CHUNK node-slot entries; any other block
-    sums its strided slot columns one by one, in chunks of the nodes such
-    a chunk spans. The scratch is O(n^2 + n * _GRAM_CHUNK), and the states
-    are never stacked whole.
+    Any other list (tables, rotated states, or a mix) is one block over
+    the samples, its columns the raveled tables. The scratch is
+    O(n^2 + n * _GRAM_CHUNK), and the states are never stacked whole.
     """
     states = list(states)
     for b in states:
@@ -311,7 +307,9 @@ def gram_matrix(states) -> np.ndarray:
     if all(st.closed_form and st.rotation is None for st in states):
         blocks = _component_blocks(states)
     else:
-        blocks = _sampled_blocks(states)
+        # build_grid's weights are Gauss-Legendre times trapezoid weights, all positive
+        root_w = np.repeat(np.sqrt(states[0].grid.weights), states[0].amplitudes[0].size)
+        blocks = [(list(range(len(states))), ([st.amplitudes.reshape(-1) for st in states], root_w))]
     parts = [(np.ix_(members, members), _gram_parts(*block)) for members, block in blocks]
     out = np.zeros((len(states),) * 2, dtype=complex)
     for block, (sym, cross) in parts:
@@ -332,76 +330,32 @@ def _component_blocks(states) -> list[tuple[list[int], tuple]]:
     classes = {}
     for i, st in enumerate(states):
         classes.setdefault(st.component.twice % (2 * grid.n_phi), []).append(i)
-    return [
-        (members, ([[rings[i] for i in members]], root_w, _GRAM_CHUNK))
-        for members in classes.values()
-    ]
+    return [(members, ([rings[i] for i in members], root_w)) for members in classes.values()]
 
 
-def _sampled_blocks(states) -> list[tuple[list[int], tuple]]:
-    """(state indices, :func:`_gram_parts` arguments) of each slot block
-    (:func:`_slot_blocks`) of the states' sampled tables."""
-    grid = states[0].grid
-    tables = [st.amplitudes.reshape(grid.size, -1) for st in states]
-    n_slots = tables[0].shape[1]
-    # build_grid's weights are Gauss-Legendre times trapezoid weights, all positive
-    root_w = np.sqrt(grid.weights)
-    blocks = []
-    for slots, members in _slot_blocks([_populated_slots(t) for t in tables]):
-        if len(slots) == n_slots:
-            columns = [[tables[i].reshape(-1) for i in members]]
-            block = columns, np.repeat(root_w, n_slots), _GRAM_CHUNK
-        else:
-            columns = [[tables[i][:, k] for i in members] for k in sorted(slots)]
-            block = columns, root_w, max(1, _GRAM_CHUNK // n_slots)
-        blocks.append((members, block))
-    return blocks
-
-
-def _populated_slots(table) -> frozenset:
-    """The slots of a (nodes, slots) table that hold a nonzero entry. The
-    first node settles most populated slots; only the others are read in
-    full."""
-    first = (table[0] != 0).tolist()
-    return frozenset(k for k, hit in enumerate(first) if hit or table[1:, k].any())
-
-
-def _slot_blocks(slot_sets) -> list[tuple[frozenset, list[int]]]:
-    """(slots, state indices) of each block of states that share populated
-    slots, directly or through other states; indices ascend within a block,
-    and a state with no populated slot is in no block."""
-    merged = []
-    for slots in set(slot_sets) - {frozenset()}:
-        joined = [b for b in merged if b & slots]
-        merged = [b for b in merged if not b & slots] + [slots.union(*joined)]
-    return [(b, [i for i, slots in enumerate(slot_sets) if b & slots]) for b in merged]
-
-
-def _gram_parts(columns, root_w, width) -> tuple[np.ndarray, np.ndarray]:
+def _gram_parts(flats, root_w) -> tuple[np.ndarray, np.ndarray]:
     """Br Br^T + Bi Bi^T and Br Bi^T of :func:`gram_matrix` for one block.
 
-    columns holds a list of the states' 1-D columns (raveled tables, or
-    one slot's strided columns) per group, each as long as root_w. Each
-    chunk of width entries is copied into one reused buffer, then the two
-    symmetric rank-k updates and Br Bi^T are added in, group after group;
-    the buffers are freed before gram_matrix allocates the result.
+    flats holds the states' 1-D columns, each as long as root_w. Each
+    chunk of _GRAM_CHUNK entries is copied into one reused buffer, then
+    the two symmetric rank-k updates and Br Bi^T are added in; the buffers
+    are freed before gram_matrix allocates the result.
     """
-    n, size = len(columns[0]), root_w.size
-    width = min(width, size)
+    n, size = len(flats), root_w.size
+    width = min(_GRAM_CHUNK, size)
     chunk, buf = np.empty(n * width, dtype=complex), np.empty(2 * n * width)
     sym, cross = np.zeros((n, n)), np.zeros((n, n))
-    for flats in columns:
-        for lo in range(0, size, width):
-            hi = min(lo + width, size)
-            k = hi - lo
-            z = np.concatenate([f[lo:hi] for f in flats], out=chunk[: n * k]).reshape(n, k)
-            br, bi = buf[: 2 * n * k].reshape(2, n, k)
-            np.multiply(z.real, root_w[lo:hi], out=br)
-            np.multiply(z.imag, root_w[lo:hi], out=bi)
-            # numpy hands a @ a.T to syrk and mirrors it exactly
-            sym += br @ br.T
-            sym += bi @ bi.T
-            cross += br @ bi.T
+    for lo in range(0, size, width):
+        hi = min(lo + width, size)
+        k = hi - lo
+        z = np.concatenate([f[lo:hi] for f in flats], out=chunk[: n * k]).reshape(n, k)
+        br, bi = buf[: 2 * n * k].reshape(2, n, k)
+        np.multiply(z.real, root_w[lo:hi], out=br)
+        np.multiply(z.imag, root_w[lo:hi], out=bi)
+        # numpy hands a @ a.T to syrk and mirrors it exactly
+        sym += br @ br.T
+        sym += bi @ bi.T
+        cross += br @ bi.T
     return sym, cross
 
 
@@ -577,13 +531,13 @@ def _fit_tables(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.nd
     """The grid-only tables of :func:`_harmonic_fit` on the n_theta x n_phi
     grid, once per size; read-only, since they are shared. With L =
     n_theta - 1: the DFT matrix e^{-i m phi_k}, rows m = L ... -L; the
-    real polar rows (:func:`_polar_rows`) at the polar nodes; and, per
-    polar row l**2 + l - m, the DFT row L - m that it meets."""
+    real polar rows Y_lm(theta, 0) at the polar nodes, from the complex
+    table; and, per polar row l**2 + l - m, the DFT row L - m that it meets."""
     top = n_theta - 1
     polar, azimuth = build_grid(n_theta, n_phi).axes
     orders = np.arange(top, -top - 1, -1)
     dft = np.exp(-1j * orders[:, None] * azimuth)
-    rows = _polar_rows(top, polar[:, 0])
+    rows = np.ascontiguousarray(_harmonic_table(top, polar[:, 0], 0.0).real)
     degrees = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
     meets = top - (degrees * (degrees + 1) - np.arange(degrees.size))
     for array in (dft, rows, meets):
@@ -699,7 +653,7 @@ class DeltaProductState:
 
     coefficients[i1, i2] weights the pair with fixed-axis spin components
     (chi1, chi2), slot indices descending; the table must be normalized to
-    sum |c|^2 = 1.
+    sum |c|^2 = 1. The angles are tested as the rest-frame tables' are.
     """
 
     spec: TwoParticleSpec
@@ -712,8 +666,7 @@ class DeltaProductState:
         if c.shape != self.spec.spin_shape:
             raise ValueError(f"coefficient table must have shape {self.spec.spin_shape}")
         theta, phi = float(self.theta), float(self.phi)
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError(f"angles must be finite, got theta = {theta}, phi = {phi}")
+        _finite_angles(theta, phi)
         # "not <=" so that a NaN norm fails too
         if not abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-8:
             raise ValueError("delta-state coefficients must satisfy sum |c|^2 = 1")

@@ -481,27 +481,6 @@ def _harmonic_sum(coeffs, theta, phi, step: int) -> np.ndarray:
     return out
 
 
-def _polar_rows(l_max: int, theta) -> np.ndarray:
-    """The real parts of :func:`_harmonic_table` at phi = 0, bit for bit,
-    without the complex table: Y_lm(theta, 0) = N_lm P_l^m(cos theta).
-
-    e^{i m 0} is 1 + 0j, so the complex rows m >= 0 hold N_lm P_l^m
-    exactly. A row m < 0 is the complex product (-1)^m conj(Y_{l,-m}),
-    whose real part (-1)^m N P - 0 * (-0) turns -0.0 into 0.0, as the
-    + 0.0 here does.
-    """
-    _check_l(l_max)
-    theta = np.asarray(theta, dtype=float)
-    legendre = _legendre(l_max, np.cos(theta))
-    table = np.empty(((l_max + 1) ** 2,) + theta.shape)
-    for l in range(l_max + 1):
-        top = _norms(l)[l::-1].reshape((-1,) + (1,) * theta.ndim) * legendre[l, l::-1]
-        signs = (-1.0) ** np.arange(1, l + 1).reshape((-1,) + (1,) * theta.ndim)
-        table[l * l : l * l + l + 1] = top
-        table[l * l + l + 1 : (l + 1) ** 2] = signs * top[:l][::-1] + 0.0
-    return table
-
-
 def spherical_harmonic(l, m, theta, phi):
     """Spherical harmonic Y_{l m}(theta, phi), Condon-Shortley phase.
 

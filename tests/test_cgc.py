@@ -488,14 +488,26 @@ def test_amplitude_argument_validation():
         helicity_com_scalar(FERMION_PAIR, 1, HelicityChannel(1.5, 0.5), 1, 0.1, 0.2)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308, -1e301])
 def test_rest_frame_amplitudes_reject_non_finite_angles(bad):
+    """Each angle is tested on its own: NaN, an infinity or a magnitude
+    above 1e300 raises ValueError, before any phase overflows."""
     for theta, phi in ((bad, 0.2), (0.1, bad), (np.array([0.1, bad]), 0.2)):
         with pytest.raises(ValueError, match="finite"):
             spin_orbit_com_table(FERMION_PAIR, 1, SpinOrbitChannel(1, 1), 0, theta, phi)
         for table_fn in (helicity_com_scalar, helicity_com_table):
             with pytest.raises(ValueError, match="finite"):
                 table_fn(FERMION_PAIR, 1, HelicityChannel(0.5, 0.5), 0, theta, phi)
+
+
+def test_rest_frame_amplitudes_are_finite_at_the_angle_bound():
+    """At |theta| = |phi| = 1e300 no phase m phi overflows: the j = 6
+    tables are finite, with no RuntimeWarning."""
+    for theta, phi in ((1e300, 1e300), (-1e300, np.array([1e300, -1e300]))):
+        tables = [spin_orbit_com_table(FERMION_PAIR, 6, SpinOrbitChannel(7, 1), 6, theta, phi)]
+        tables += [fn(FERMION_PAIR, 6, HelicityChannel(0.5, -0.5), -6, theta, phi)
+                   for fn in (helicity_com_scalar, helicity_com_table)]
+        assert all(np.isfinite(table).all() for table in tables)
 
 
 @pytest.mark.parametrize("angles", ["scalar", "grid"])

@@ -129,6 +129,28 @@ def test_non_finite_angles_exit_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--j", "2", "--scheme", "helicity", "--phi", "1e308"],
+        ["decompose", "psi11", "--j-max", "2", "--scheme", "helicity", "--phi", "1e308"],
+        ["table", "--j", "1", "--theta", "1e308", "--phi", "1e308"],
+    ],
+)
+def test_huge_finite_angles_exit_2_without_a_warning(argv):
+    """An angle above 1e300 is an error, not NaN rows: the commands exit 2
+    with the ValueError message, print nothing and warn nothing, also with
+    RuntimeWarnings turned into errors."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "poincare_cgc.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: angle") and "at most 1e+300" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_table_builds_one_table_per_channel_and_component(capsys, monkeypatch):
     """table --j 1 reads its 48 spin-orbit rows from 12 tables."""
     real = cli_module.spin_orbit_com_table

@@ -1,7 +1,6 @@
 """Tests for grid states: quadrature, rotations, decomposition, serialization."""
 
 import dataclasses
-import itertools
 import json
 import math
 import pickle
@@ -460,39 +459,47 @@ def test_gram_on_an_aliased_grid(shape, scheme):
 
 def test_rotated_loaded_and_mixed_lists_take_the_sampled_kernel(monkeypatch, rng):
     """Only a list of unrotated closed-form states is summed on its rings,
-    from its labels, with no slot scan. A rotated, a JSON-loaded or a
-    mixed list is summed over the samples: every table's slots are
-    scanned, and G is byte for byte that of the same tables with
-    closed_form cleared."""
+    from its labels: every block's columns are n_theta nodes long. A
+    rotated, a JSON-loaded or a mixed list is one block over the samples,
+    its columns as long as the grid, and G is byte for byte that of the
+    same tables with closed_form cleared."""
     grid = build_grid(8, 17)
-    scanned = []
-    scan = states_module._populated_slots
-    monkeypatch.setattr(states_module, "_populated_slots", lambda t: scanned.append(1) or scan(t))
+    lengths = []
+    parts = states_module._gram_parts
+
+    def measured(flats, root_w):
+        # the nodes a column spans, at four spin slots a node
+        lengths.append(root_w.size // 4)
+        return parts(flats, root_w)
+
+    monkeypatch.setattr(states_module, "_gram_parts", measured)
     u = random_su2(rng)
     for scheme in ("spin-orbit", "helicity"):
         states = fermion_states(grid, 2, scheme)
-        scanned.clear()
+        lengths.clear()
         gram_matrix(states)
-        assert not scanned
+        assert lengths and set(lengths) == {grid.n_theta}
         rotated = [apply_rotation(st, u) for st in states]
         loaded = [state_from_json(state_to_json(st), FERMION_PAIR) for st in states]
         for listed in (rotated, loaded, states[:-1] + loaded[-1:], states[:-1] + rotated[-1:]):
-            scanned.clear()
+            lengths.clear()
             gram = gram_matrix(listed)
-            assert len(scanned) == len(listed)
+            assert lengths == [grid.size]
             assert gram.tobytes() == gram_matrix(_tables(listed)).tobytes()
 
 
 def test_gram_matrix_takes_a_partial_last_chunk():
-    """A spin-(1, 1/2) pair on 6x13 has 468 node-slot entries per state,
-    not a multiple of the chunk, so the last chunk is a short one."""
+    """A spin-(1, 1/2) pair on 6x13 has 468 node-slot entries per table,
+    not a multiple of the chunk, so the sampled kernel ends in a short
+    chunk of 468 % 128 = 84 entries, in either scheme."""
     spec = TwoParticleSpec(1.0, 1.0, 1, 0.5)
     grid = build_grid(6, 13)
-    states = all_basis_states(grid, spec, PAIR_S, 2.5, "spin-orbit")
-    assert states[0].amplitudes.size == 468
     assert 468 % states_module._GRAM_CHUNK != 0
-    _assert_gram_kernel(states)
-    _assert_gram_kernel(states[:1])
+    for scheme in ("spin-orbit", "helicity"):
+        states = _tables(all_basis_states(grid, spec, PAIR_S, 2.5, scheme))
+        assert states[0].amplitudes.size == 468
+        _assert_gram_kernel(states)
+        _assert_gram_kernel(states[:1])
     empty = gram_matrix([])
     assert empty.shape == (0, 0) and empty.dtype == complex
 
@@ -500,10 +507,9 @@ def test_gram_matrix_takes_a_partial_last_chunk():
 def test_gram_matrix_scratch_stays_small():
     """The 194-state j <= 6 basis on 32x64 is 25 MB; the Gram matrix is
     built in at most 2 MiB of new memory, 0.6 MB of it the result. On the
-    rings of the closed-form states 1.1 MB was measured for either scheme.
-    Over the samples of the same tables 1.84 MB was measured for the
-    spin-orbit basis and 0.87 MB for the helicity one, so the tables are
-    never stacked whole, nor is a slot column copied out of its table."""
+    rings of the closed-form states 1.1 MB was measured for either scheme,
+    and over the samples of the same tables 1.8 MB, so the tables are
+    never stacked whole."""
     grid = build_grid(32, 64)
     for scheme in ("spin-orbit", "helicity"):
         basis = fermion_states(grid, 6, scheme)
@@ -540,14 +546,6 @@ def _single_block_gram(states) -> np.ndarray:
     return out
 
 
-def _blocks(states) -> list:
-    """The (slots, state indices) blocks gram_matrix forms for the states."""
-    grid = states[0].grid
-    return states_module._slot_blocks(
-        [states_module._populated_slots(st.amplitudes.reshape(grid.size, -1)) for st in states]
-    )
-
-
 def _slot_of(state) -> int:
     """The one populated slot of a helicity basis state, raveled."""
     (slot,) = np.flatnonzero(np.abs(state.amplitudes.reshape(state.grid.size, -1)).max(axis=0))
@@ -555,34 +553,35 @@ def _slot_of(state) -> int:
 
 
 @pytest.mark.parametrize("shape", [(16, 33), (32, 64)])
-def test_spin_orbit_gram_is_one_block_bit_for_bit(shape):
-    """Spin-orbit basis tables share slots with each other, so the sampled
-    kernel takes them as one block over every slot, and their Gram matrix
-    is the single-block kernel's byte for byte."""
+def test_sampled_gram_is_one_block_bit_for_bit(shape):
+    """The sampled kernel takes a list of tables as one block over every
+    slot, in either scheme: their Gram matrix is the single-block
+    kernel's byte for byte."""
     grid = build_grid(*shape)
-    states = _tables(fermion_states(grid, 6, "spin-orbit"))
-    assert _blocks(states) == [(frozenset(range(4)), list(range(194)))]
-    assert gram_matrix(states).tobytes() == _single_block_gram(states).tobytes()
+    for scheme in ("spin-orbit", "helicity"):
+        states = _tables(fermion_states(grid, 6, scheme))
+        assert gram_matrix(states).tobytes() == _single_block_gram(states).tobytes(), scheme
 
 
 def test_helicity_gram_is_exactly_zero_between_slots():
-    """A helicity basis state populates its own slot only, so its Gram
-    matrix splits into four one-slot blocks, and every entry between two
-    slots is exactly 0."""
+    """A helicity basis state populates its own slot only, so every entry
+    of its Gram matrix between two slots is exactly 0, on the rings and
+    over the samples alike: one factor of every product is 0."""
     grid = build_grid(16, 33)
     states = fermion_states(grid, 6, "helicity")
     slots = np.array([_slot_of(st) for st in states])
     assert sorted(set(slots)) == [0, 1, 2, 3]
-    gram = gram_matrix(states)
     between = slots[:, None] != slots[None, :]
-    assert not gram[between].real.any() and not gram[between].imag.any()
-    assert np.abs(gram[~between]).max() > 0.5
+    for listed in (states, _tables(states)):
+        gram = gram_matrix(listed)
+        assert not gram[between].real.any() and not gram[between].imag.any()
+        assert np.abs(gram[~between]).max() > 0.5
 
 
 def test_a_state_in_two_slots_joins_their_blocks():
-    """A JSON-loaded table populated in two slots joins the blocks of both
-    slots into one; its overlaps with the states of either slot come out
-    of that block's kernel."""
+    """A JSON-loaded table populated in the slots of two helicity basis
+    states overlaps each of them by 1, summed over the samples beside the
+    closed-form states of every slot."""
     grid = build_grid(8, 17)
     states = fermion_states(grid, 2, "helicity")
     a, b = states[0], next(st for st in states if _slot_of(st) != _slot_of(states[0]))
@@ -591,11 +590,6 @@ def test_a_state_in_two_slots_joins_their_blocks():
     payload["amplitudes"] = np.stack([flat.real, flat.imag], axis=-1).tolist()
     both = state_from_json(json.dumps(payload), FERMION_PAIR)
     listed = states + [both]
-    blocks = _blocks(listed)
-    assert sorted(len(slots) for slots, _ in blocks) == [1, 1, 2]
-    joined = next(members for slots, members in blocks if len(slots) == 2)
-    assert len(listed) - 1 in joined
-    assert {_slot_of(listed[i]) for i in joined[:-1]} == {_slot_of(a), _slot_of(b)}
     _assert_gram_kernel(listed)
     gram = gram_matrix(listed)
     assert abs(gram[0, -1] - 1.0) < 1e-12
@@ -603,8 +597,8 @@ def test_a_state_in_two_slots_joins_their_blocks():
 
 
 def test_a_state_with_no_populated_slot_has_a_zero_row():
-    """An all-zero table is in no block: its row and column are exactly 0,
-    and the other entries are those of the list without it."""
+    """An all-zero table has a row and a column of exact zeros, and the
+    other entries are those of the list without it."""
     grid = build_grid(6, 13)
     states = _tables(fermion_states(grid, 1, "helicity"))
     zero = dataclasses.replace(states[1], amplitudes=np.zeros_like(states[1].amplitudes))
@@ -613,24 +607,10 @@ def test_a_state_with_no_populated_slot_has_a_zero_row():
     rest = np.delete(np.delete(gram, 1, axis=0), 1, axis=1)
     assert rest.tobytes() == gram_matrix(states).tobytes()
     assert not gram_matrix([zero]).any()
-    # a slot that is zero at the first node only is still populated
+    # a table that is zero at the first node only
     late = states[1].amplitudes.copy()
     late[0] = 0.0
     _assert_gram_kernel(states + [dataclasses.replace(states[1], amplitudes=late)])
-
-
-def test_one_slot_blocks_take_a_partial_last_chunk():
-    """A spin-(1, 1/2) pair has 6 slots, so a one-slot block takes chunks
-    of 128 // 6 = 21 nodes, and the 78 nodes of a 6x13 grid end in a
-    short chunk of 15."""
-    spec = TwoParticleSpec(1.0, 1.0, 1, 0.5)
-    grid = build_grid(6, 13)
-    states = all_basis_states(grid, spec, PAIR_S, 2.5, "helicity")
-    blocks = _blocks(states)
-    assert len(blocks) == 6 and all(len(slots) == 1 for slots, _ in blocks)
-    assert grid.size % (states_module._GRAM_CHUNK // 6) != 0
-    _assert_gram_kernel(states)
-    _assert_gram_kernel(states[:1])
 
 
 def test_gram_matrix_checks_every_state():
@@ -994,29 +974,6 @@ def test_separable_fit_equals_the_dense_fit():
                 assert gap <= 1e-14, (shape, scheme, state.channel, state.component, gap)
 
 
-def test_polar_rows_are_the_real_harmonic_rows_at_phi_0(monkeypatch, rng):
-    """The fit's real polar rows N_lm P_l^m(cos theta) have the bytes of
-    the complex table's real parts at phi = 0, for Gauss-Legendre polar
-    nodes up to n_theta = 86, so a loaded rotation on 16x33 and on 24x49
-    keeps its bytes when the fit reads the complex table instead."""
-    for n in (2, 3, 16, 17, 33, 64, 86):
-        polar = build_grid(n, 2 * n + 1).axes[0][:, 0]
-        want = _harmonic_table(n - 1, polar, 0.0).real
-        assert su2_module._polar_rows(n - 1, polar).tobytes() == want.tobytes(), n
-    u = random_su2(rng)
-    for shape, scheme in itertools.product(((16, 33), (24, 49)), ("spin-orbit", "helicity")):
-        for state in fermion_states(build_grid(*shape), 1, scheme)[:2]:
-            loaded = state_from_json(state_to_json(state), FERMION_PAIR)
-            rotated = apply_rotation(loaded, u).amplitudes
-            with monkeypatch.context() as patch:
-                patch.setattr(states_module, "_polar_rows",
-                              lambda top, theta: _harmonic_table(top, theta, 0.0).real)
-                # the grid-only cache holds the polar rows; a cold one reads the patch
-                states_module._fit_tables.cache_clear()
-                assert apply_rotation(loaded, u).amplitudes.tobytes() == rotated.tobytes()
-            states_module._fit_tables.cache_clear()
-
-
 def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatch):
     """A table's fit needs harmonics up to l = n_theta - 1, and Y_lm stops
     at l = 85. A loaded rotation on a finer grid raises InvalidOrbitalLabel
@@ -1264,6 +1221,42 @@ def test_converted_states_leave_fixed_axis_span():
         assert abs(recoupling - value) < 1e-12
         assert abs(weights[(l, s)] - value) < 1e-10
     assert abs(sum(weights.values()) - 1.0) < 1e-10
+
+
+def _recoupling(spec, so, hel) -> complex:
+    """Jacob and Wick's overlap of a spin-orbit basis state with a
+    converted helicity one of the same (j, chi), mu = lam1 - lam2:
+    (-1)^(j2 - lam2) i^(-2 chi) sqrt((2l+1)/(2j+1)) <l 0 s mu|j mu>
+    <j1 lam1 j2 -lam2|s mu>; i^(-2 chi) undoes the (-1)^chi of the
+    spin-orbit cells."""
+    (l, s), (lam1, lam2), j = so.channel.eta, hel.channel.eta, so.j
+    mu = lam1 - lam2
+    sign = -1.0 if int(spec.j2 - lam2) % 2 else 1.0
+    return (sign * 1j ** -so.component.twice * math.sqrt((2 * int(l) + 1) / (j.twice + 1))
+            * su2_cgc(j, l, s, mu, 0, mu) * su2_cgc(s, spec.j1, spec.j2, mu, lam1, -lam2))
+
+
+@pytest.mark.parametrize("j1, j2", [(0.5, 0.5), (1, 0.5), (0.5, 1), (1, 1), (1.5, 0.5), (1.5, 1)])
+def test_helicity_states_recouple_to_spin_orbit_states(j1, j2):
+    """The paper's two formulations are one closed-form recoupling apart
+    (Jacob and Wick, Ann. Phys. 7, 404 (1959)): on 16x33 at s = 10.89 with
+    s1 = 1 and s2 = 1.69, every overlap of a spin-orbit basis state with
+    a converted helicity one is :func:`_recoupling` within 1e-12 for
+    every j <= 2 (integer) or j <= 5/2 (half-integer) and every chi, and
+    vanishes between different (j, chi)."""
+    spec = TwoParticleSpec(1.0, 1.69, j1, j2)
+    grid = build_grid(16, 33)
+    j_max = 2.5 if (HalfInt.of(j1) + HalfInt.of(j2)).twice % 2 else 2
+    so_states = all_basis_states(grid, spec, 10.89, j_max, "spin-orbit")
+    hel_states = all_basis_states(grid, spec, 10.89, j_max, "helicity")
+    gap = 0.0
+    for hel in hel_states:
+        conv = convert_slots_to_canonical(hel)
+        for so in so_states:
+            same = (so.j, so.component) == (hel.j, hel.component)
+            want = _recoupling(spec, so, hel) if same else 0.0
+            gap = max(gap, abs(inner_product(so, conv) - want))
+    assert gap < 1e-12
 
 
 def test_singlet_projection_of_antialigned_state():
@@ -1612,6 +1605,16 @@ def test_delta_state_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match="sum"):
         DeltaProductState(spec=FERMION_PAIR, theta=0.0, phi=0.0,
                           coefficients=np.array([[bad, 0.0], [0.0, 0.0]]))
+
+
+def test_delta_state_rejects_angles_above_the_bound():
+    """Each angle is tested on its own, as the rest-frame tables test
+    them: 1e308 raises ValueError, also for theta = phi = 1e308, whose
+    sum would overflow."""
+    for theta, phi in ((1e308, 0.0), (0.0, -1e308), (1e308, 1e308)):
+        with pytest.raises(ValueError, match=r"must be finite and at most 1e\+300"):
+            DeltaProductState(spec=FERMION_PAIR, theta=theta, phi=phi,
+                              coefficients=np.eye(2) / math.sqrt(2.0))
 
 
 def test_rotation_by_a_non_finite_matrix_is_rejected():
