@@ -494,15 +494,15 @@ _FRAME_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def _frame(spec, convention, key) -> tuple:
-    """Per-frame part of a general-frame table: (theta, phi, D^{j1}, D^{j2}).
+    """Per-frame part of a general-frame table: (theta, phi, D^{j1} x D^{j2}).
 
     key is the exact bytes of (E1, p1, E2, p2), so frames are told apart
     bit for bit (0.0 and -0.0 included). The pair is checked once per
     frame: above threshold in :func:`relative_direction`, then on the mass
     shell of spec; a bad pair raises on every call, as nothing is cached
     for it. theta and phi are the polar angles of the rest-frame relative
-    direction; the D matrices rotate the rest-frame spin slots to the
-    frame of the momenta, and are read-only because they are shared.
+    direction; the Kronecker matrix turns the raveled rest-frame spin slots
+    to the frame of the momenta, and is read-only because it is shared.
     """
     pair = FourMomentum.from_array(np.frombuffer(key, dtype=float).reshape(2, 4))
     p1, p2 = pair[0], pair[1]
@@ -515,17 +515,17 @@ def _frame(spec, convention, key) -> tuple:
         d1, d2 = rep_matrix(spec.j1, w)
     else:
         d1, d2 = rep_matrix(spec.j1, w[0]), rep_matrix(spec.j2, w[1])
-    d1.flags.writeable = False
-    d2.flags.writeable = False
-    return theta, phi, d1, d2
+    kron = np.kron(d1, d2)
+    kron.flags.writeable = False
+    return theta, phi, kron
 
 
 def _angular_general(spec, j, channel, chi, p1, p2, convention, com_table):
     """A general-frame table: the rest-frame com_table at the frame's
-    angles, its spin slots turned by the frame's Wigner rotations."""
+    angles, its raveled spin slots turned by the frame's Kronecker matrix."""
     key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
-    theta, phi, d1, d2 = _frame(spec, convention, key)
-    return np.einsum("ac,bd,cd->ab", d1, d2, com_table(spec, j, channel, chi, theta, phi))
+    theta, phi, kron = _frame(spec, convention, key)
+    return (kron @ com_table(spec, j, channel, chi, theta, phi).ravel()).reshape(spec.spin_shape)
 
 
 def spin_orbit_general_table(

@@ -44,6 +44,7 @@ from .cgc import (
     spin_orbit_com_table,
 )
 from .halfint import HalfInt, components
+from .labels import _check_top_spin
 from .reference_tables import reference_cells
 from .states import BELL_LABELS, bell_state, decompose_product_state
 
@@ -250,6 +251,7 @@ def _with_symbolic(records, scheme, j, theta, phi) -> list[OutputRecord]:
 def cmd_table(args) -> int:
     if args.j < 0:
         raise ValueError("total spin --j must be a nonnegative integer")
+    _check_top_spin(_SPEC, HalfInt.of(args.j), args.scheme, f"--j {args.j}")
     records = _table_records(args.scheme, args.j, args.theta, args.phi)
     fields = _TABLE_FIELDS
     if args.symbolic_check:

@@ -23,24 +23,29 @@ from .halfint import HalfInt, components
 from .su2 import _MAX_J, _d_entry_slots, _d_sum, _harmonic_table
 
 
+def _check_top_spin(spec: TwoParticleSpec, j: HalfInt, scheme: str, given: str) -> None:
+    """ValueError unless the largest spin that total spin j evaluates (j
+    itself for helicity d^j, l = j + j1 + j2 for spin-orbit) is within the
+    supported maximum; given names the input that asked for j."""
+    top = j + (spec.j1 + spec.j2 if scheme == "spin-orbit" else 0)
+    if top > _MAX_J:
+        raise ValueError(
+            f"{given} needs spin {top} in the {scheme} scheme, above the supported maximum {_MAX_J}"
+        )
+
+
 def _basis_labels(spec: TwoParticleSpec, j_max: HalfInt, scheme: str) -> list[tuple]:
     """(j, channel, chi) of every basis state with j <= j_max, in basis order.
 
-    Rejects a negative j_max, and one whose largest evaluated spin (j_max
-    itself for helicity d^j, l = j + j1 + j2 for spin-orbit) would exceed
-    the supported maximum, before any amplitude is computed.
+    Rejects a negative j_max, and one whose largest j fails
+    :func:`_check_top_spin`, before any amplitude is computed.
     """
     if j_max < HalfInt(0):
         raise ValueError(f"j_max must be nonnegative, got {j_max}")
     start = (spec.j1.twice + spec.j2.twice) % 2
     j_values = [HalfInt(t) for t in range(start, j_max.twice + 1, 2)]
     if j_values:
-        top = j_values[-1] + (spec.j1 + spec.j2 if scheme == "spin-orbit" else 0)
-        if top > _MAX_J:
-            raise ValueError(
-                f"j_max={j_max} needs spin {top} in the {scheme} scheme, "
-                f"above the supported maximum {_MAX_J}"
-            )
+        _check_top_spin(spec, j_values[-1], scheme, f"j_max={j_max}")
     return [
         (j, channel, chi)
         for j in j_values

@@ -385,9 +385,9 @@ _GRID_CACHE_SIZE = 8
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _grid_frames(n_theta: int, n_phi: int, j1: HalfInt, j2: HalfInt) -> tuple:
     """The helicity frames (:func:`_helicity_frames`) of spins j1 and j2 at
-    the nodes of the n_theta x n_phi grid, as (N, 2j+1, 2j+1) arrays, once
-    per grid size and spins; read-only, since they are shared. Built from
-    the grid's axes, they have the bytes of the frames at its node arrays."""
+    the nodes of the n_theta x n_phi grid, as (N, 2j+1, 2j+1) arrays, for
+    loaded rotations and slot conversion; once per grid size and spins,
+    read-only, with the bytes of the frames at the grid's node arrays."""
     frames = tuple(f.reshape((n_theta * n_phi,) + f.shape[2:])
                    for f in _helicity_frames(*build_grid(n_theta, n_phi).axes, j1, j2))
     for f in frames:
@@ -405,30 +405,27 @@ def _zrot_diag(j, w):
     return np.power(np.asarray(w)[..., None], tw)
 
 
-def _little_group_phase(u, r_img, r_pre):
-    """Upper-left entry of r_img^-1 u r_pre for a rotation u.
+def _little_group_phase(u, theta, phi, thp, php):
+    """Particle 1's helicity phase w = xi(n)^dagger u xi(n') at directions
+    n = (theta, phi) and their preimages n' = (thp, php) under u.
 
-    r_img and r_pre are SU(2) frames at an image direction and at its
-    preimage under u; the product then fixes the z axis, so it is a z-axis
-    rotation whose diagonal determines the helicity-slot mixing. The
-    off-diagonal is checked, not assumed.
+    xi(n) = (cos theta/2, e^{i phi} sin theta/2) is the first column of the
+    spin-1/2 frame R(phi, theta, -phi) (:func:`_helicity_frames`), so
+    R(n)^-1 u R(n') = diag(w, conj(w)); particle 2's frame R(n) Ry(pi) swaps
+    that diagonal, so its phase is conj(w). The off-diagonal is checked, not
+    assumed, as twice |W10|, since |W01| = |W10| in SU(2).
     """
-    w = np.einsum("...ba,bc,...cd->...ad", r_img.conj(), u, r_pre)
-    off = float(np.max(np.abs(w[..., 0, 1])) + np.max(np.abs(w[..., 1, 0])))
+    a, b = np.cos(0.5 * thp), np.sin(0.5 * thp) * np.exp(1j * php)
+    v0, v1 = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)
+    off = 2.0 * float(np.max(np.abs(c * v1 - s * v0)))
     if off > 1e-8:
         raise ValueError(
             f"little-group element is not a z-rotation (off-diagonal {off:.2e}); "
             "the rotation does not map the given directions onto each other"
         )
-    val = w[..., 0, 0]
-    return val / np.abs(val)
-
-
-def _unrotated(state: ComBasisState, theta, phi) -> np.ndarray:
-    """A closed-form state's unrotated amplitude table at (theta, phi): the
-    closed form of its labels."""
-    fn = spin_orbit_com_table if state.scheme == "spin-orbit" else _helicity_wavefunction
-    return fn(state.spec, state.j, state.channel, state.component, theta, phi)
+    w = c * v0 + s.conj() * v1
+    return w / np.abs(w)
 
 
 def _preimages(u, theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -441,37 +438,33 @@ def _preimages(u, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
 
 
-def _spin_matrices(spec, u) -> tuple[np.ndarray, np.ndarray]:
-    """D^{j1}(u) and D^{j2}(u), which mix fixed-axis spin slots; one matrix
-    serves both particles when j1 == j2."""
+def _spin_matrices(spec, u) -> np.ndarray:
+    """D^{j1}(u) x D^{j2}(u), the Kronecker matrix that mixes raveled
+    fixed-axis spin slots; D^{j1}(u) serves both particles when j1 == j2."""
     d1 = rep_matrix(spec.j1, u)
-    return d1, d1 if spec.j2 == spec.j1 else rep_matrix(spec.j2, u)
+    return np.kron(d1, d1 if spec.j2 == spec.j1 else rep_matrix(spec.j2, u))
 
 
-def _rotated(state: ComBasisState, u, theta, phi, image_frames=None) -> np.ndarray:
+def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     """Amplitude table at (theta, phi) of a closed-form state rotated by u
-    (None: unrotated).
+    (None: unrotated, the closed form of its labels).
 
-    The rotated amplitude at direction n is the unrotated state's
-    (:func:`_unrotated`) at the preimage direction u^-1 n, with each
-    particle's spin slots mixed by its little-group element in the
-    state's scheme: the constant matrix u itself for fixed-axis
-    (spin-orbit) slots, a direction-dependent z-rotation phase between the
-    helicity frames at the image and the preimage for helicity slots.
-    image_frames, when given, are the spin-1/2 frames at (theta, phi),
-    such as a grid's cached ones (:func:`_grid_frames`).
+    The rotated amplitude at direction n is the labels' closed form at the
+    preimage u^-1 n, its spin slots mixed by the constant Kronecker matrix
+    of u (:func:`_spin_matrices`) in the spin-orbit scheme, and by one phase
+    per direction (:func:`_little_group_phase`) in the helicity scheme.
     """
+    fn = spin_orbit_com_table if state.scheme == "spin-orbit" else _helicity_wavefunction
+    labels = (state.spec, state.j, state.channel, state.component)
     if u is None:
-        return _unrotated(state, theta, phi)
+        return fn(*labels, theta, phi)
     thp, php = _preimages(u, theta, phi)
-    amp = _unrotated(state, thp, php)
+    amp = fn(*labels, thp, php)
     if state.scheme == "spin-orbit":
-        return np.einsum("ac,bd,...cd->...ab", *_spin_matrices(state.spec, u), amp)
-    half = HalfInt(1)
-    img = _helicity_frames(theta, phi, half, half) if image_frames is None else image_frames
-    pre = _helicity_frames(thp, php, half, half)
-    d1 = _zrot_diag(state.spec.j1, _little_group_phase(u, img[0], pre[0]))
-    d2 = _zrot_diag(state.spec.j2, _little_group_phase(u, img[1], pre[1]))
+        slots = amp.reshape(amp.shape[:-2] + (-1,))
+        return (slots @ _spin_matrices(state.spec, u).T).reshape(amp.shape)
+    w = _little_group_phase(u, theta, phi, thp, php)
+    d1, d2 = _zrot_diag(state.spec.j1, w), _zrot_diag(state.spec.j2, w.conj())
     return amp * d1[..., :, None] * d2[..., None, :]
 
 
@@ -505,8 +498,7 @@ def _rotated_table(state: ComBasisState, u) -> np.ndarray:
     coeffs = _harmonic_fit(grid, table)
     step = max(1, _HARMONIC_BLOCK // grid.n_theta**2)
     slots = _harmonic_sum(coeffs, *_preimages(u, grid.theta, grid.phi), step)
-    # (D^{j1} x D^{j2}) slots node by node, as one product with the Kronecker matrix
-    mixed = (slots @ np.kron(*_spin_matrices(spec, u)).T).reshape(table.shape)
+    mixed = (slots @ _spin_matrices(spec, u).T).reshape(table.shape)
     if state.scheme == "spin-orbit":
         return mixed
     return _sandwich(f1.conj().swapaxes(1, 2), mixed, f2.conj().swapaxes(1, 2))
@@ -612,10 +604,7 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     grid = state.grid
     if state.closed_form:
         u = u if state.rotation is None else u @ state.rotation
-        frames = None
-        if state.scheme == "helicity":
-            frames = _grid_frames(grid.n_theta, grid.n_phi, HalfInt(1), HalfInt(1))
-        amplitudes = _rotated(state, u, grid.theta, grid.phi, frames)
+        amplitudes = _rotated(state, u, grid.theta, grid.phi)
         return dataclasses.replace(state, rotation=u, amplitudes=amplitudes)
     if grid.n_theta - 1 > _MAX_L:
         raise InvalidOrbitalLabel(
@@ -640,8 +629,7 @@ def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
         raise ValueError("slot conversion applies to helicity-scheme states")
     grid, spec = state.grid, state.spec
     f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, spec.j1, spec.j2)
-    # one sum over every index, not _sandwich: verify's readings of converted states keep their bits
-    amps = np.einsum("nac,nbd,ncd->nab", f1, f2, state.amplitudes)
+    amps = _sandwich(f1, state.amplitudes, f2)
     return dataclasses.replace(
         state, scheme="spin-orbit", amplitudes=amps, rotation=None, closed_form=False
     )
@@ -667,8 +655,10 @@ class DeltaProductState:
             raise ValueError(f"coefficient table must have shape {self.spec.spin_shape}")
         theta, phi = float(self.theta), float(self.phi)
         _finite_angles(theta, phi)
-        # "not <=" so that a NaN norm fails too
-        if not abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-8:
+        # a square past the float range reads inf, and "not <=" fails a NaN norm too
+        with np.errstate(over="ignore"):
+            norm2 = float(np.sum(np.abs(c) ** 2))
+        if not abs(norm2 - 1.0) <= 1e-8:
             raise ValueError("delta-state coefficients must satisfy sum |c|^2 = 1")
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "theta", theta)

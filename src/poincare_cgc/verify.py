@@ -302,17 +302,20 @@ def _check_cgc_orthogonality() -> float:
 
 
 def _check_spherical_harmonics() -> float:
+    """Y_lm for l <= 4 and both signs of m against the independent
+    sqrt((2l+1)/4pi) e^{i m phi} d^l_{m0}(theta), and the addition theorem
+    sum_m |Y_lm|^2 = (2l+1)/4pi."""
     theta = np.linspace(0.1, np.pi - 0.1, 10)[:, None]
     phi = np.linspace(0.0, 2 * np.pi, 10, endpoint=False)[None, :]
     worst = 0.0
     for l in range(5):
+        d = su2.wigner_d_small(l, theta)
+        norm = np.sqrt((2 * l + 1) / (4 * np.pi))
         total = np.zeros_like(theta * phi)
         for m in range(-l, l + 1):
             y = su2.spherical_harmonic(l, m, theta, phi)
-            flipped = su2.spherical_harmonic(l, -m, theta, phi)
-            worst = max(
-                worst, float(np.abs(np.conj(y) - (-1.0) ** m * flipped).max())
-            )
+            want = norm * np.exp(1j * m * phi) * d[..., l - m, l]
+            worst = max(worst, float(np.abs(y - want).max()))
             total = total + np.abs(y) ** 2
         worst = max(
             worst, float(np.abs(total - (2 * l + 1) / (4 * np.pi)).max())

@@ -615,7 +615,7 @@ def _uncached_general_table(scheme, j, channel, chi, p1, p2):
     a_com = com_fn(FERMION_PAIR, j, channel, chi, theta, phi)
     d1 = rep_matrix(FERMION_PAIR.j1, inverse_com_wigner(p, p1, convention).matrix)
     d2 = rep_matrix(FERMION_PAIR.j2, inverse_com_wigner(p, p2, convention).matrix)
-    return np.einsum("ac,bd,cd->ab", d1, d2, a_com)
+    return (np.kron(d1, d2) @ a_com.ravel()).reshape(a_com.shape)
 
 
 def test_general_tables_share_a_frame_bit_for_bit(rng):
@@ -667,15 +667,17 @@ def test_frame_cache_tells_signed_zeros_apart():
 
 
 def test_cached_frame_matrices_are_read_only():
+    """A frame keeps one Kronecker matrix D^{j1}(W1) x D^{j2}(W2), shared
+    and so read-only."""
     kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
     p1, p2 = kin.momenta([0.3, -0.2, 0.9])
     key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
     for convention in ("canonical", "helicity"):
-        _, _, d1, d2 = cgc_module._frame(FERMION_PAIR, convention, key)
-        for d in (d1, d2):
-            assert not d.flags.writeable
-            with pytest.raises(ValueError):
-                d[0, 0] = 0.0
+        _, _, kron = cgc_module._frame(FERMION_PAIR, convention, key)
+        assert kron.shape == (4, 4)
+        assert not kron.flags.writeable
+        with pytest.raises(ValueError):
+            kron[0, 0] = 0.0
 
 
 def test_general_frame_off_shell_guard():

@@ -151,6 +151,22 @@ def test_huge_finite_angles_exit_2_without_a_warning(argv):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "scheme, largest, too_large",
+    [("spin-orbit", "9", "10"), ("helicity", "10", "11")],
+)
+def test_table_spin_limit_follows_the_scheme(capsys, scheme, largest, too_large):
+    """--j is checked against the largest spin the scheme evaluates, j + j1
+    + j2 for spin-orbit and j for helicity: the largest accepted j prints its
+    table, and the next one exits 2 naming the scheme and the spin it needs."""
+    code, out, err = run_cli(capsys, "table", "--scheme", scheme, "--j", largest)
+    assert code == 0 and out and err == ""
+    code, out, err = run_cli(capsys, "table", "--scheme", scheme, "--j", too_large)
+    assert code == 2 and out == ""
+    assert err == (f"error: --j {too_large} needs spin 11 in the {scheme} scheme, "
+                   "above the supported maximum 10\n")
+
+
 def test_table_builds_one_table_per_channel_and_component(capsys, monkeypatch):
     """table --j 1 reads its 48 spin-orbit rows from 12 tables."""
     real = cli_module.spin_orbit_com_table

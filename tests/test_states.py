@@ -49,6 +49,9 @@ from poincare_cgc.states import (
     _harmonic_fit,
     _helicity_frames,
     _helicity_wavefunction,
+    _little_group_phase,
+    _preimages,
+    _sandwich,
 )
 import poincare_cgc.cgc as cgc_module
 import poincare_cgc.labels as labels_module
@@ -340,7 +343,8 @@ def test_grid_axes_broadcast_to_the_nodes(shape):
 def test_grid_tables_equal_node_by_node_evaluation(shape, scheme):
     """Basis tables and slot conversions are evaluated on the grid's axes;
     they must equal, bit for bit, the same functions evaluated at every
-    node (grid.theta, grid.phi)."""
+    node (grid.theta, grid.phi): the conversion is _sandwich with the
+    frames built at the node arrays."""
     grid = build_grid(*shape)
     fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
     f1, f2 = _helicity_frames(grid.theta, grid.phi, FERMION_PAIR.j1, FERMION_PAIR.j2)
@@ -350,7 +354,7 @@ def test_grid_tables_equal_node_by_node_evaluation(shape, scheme):
         if scheme == "helicity":
             np.testing.assert_array_equal(
                 convert_slots_to_canonical(st).amplitudes,
-                np.einsum("nac,nbd,ncd->nab", f1, f2, want),
+                _sandwich(f1, want, f2),
             )
 
 
@@ -1149,6 +1153,30 @@ def test_helicity_rotation_structure(rng):
     assert np.abs(r0.amplitudes - h0.amplitudes).max() < 1e-12
 
 
+def test_little_group_phase_is_the_frames_upper_left_entry(rng):
+    """The phase law of closed-form helicity rotations: at the 16x33 nodes,
+    at both poles and on both sides of the phi = 0 seam, the phase taken
+    from the spinors xi(n) equals the upper-left entry of R(n)^-1 u R(n')
+    with particle 1's spin-1/2 Jacob-Wick frames, and its conjugate equals
+    that entry with particle 2's frames, within 1e-15. A rotation that does
+    not map the preimages onto the images raises ValueError."""
+    grid = build_grid(16, 33)
+    edges = np.array([0.0, 1.0, np.pi - 1.0, np.pi])
+    seam = np.array([0.0, -0.0, 2.0 * np.pi - 1e-12, 1e-12])
+    theta = np.concatenate((grid.theta, np.repeat([0.0, np.pi], 4), np.tile(edges, 4)))
+    phi = np.concatenate((grid.phi, np.tile([0.0, 1.0, 3.0, 5.0], 2), np.repeat(seam, 4)))
+    half = HalfInt(1)
+    for u in random_su2(rng, 4):
+        thp, php = _preimages(u, theta, phi)
+        w = _little_group_phase(u, theta, phi, thp, php)
+        for frame_img, frame_pre, want in zip(_helicity_frames(theta, phi, half, half),
+                                              _helicity_frames(thp, php, half, half), (w, w.conj())):
+            entry = (frame_img.conj().swapaxes(-1, -2) @ u @ frame_pre)[:, 0, 0]
+            assert np.abs(want - entry).max() <= 1e-15
+        with pytest.raises(ValueError, match="not a z-rotation"):
+            _little_group_phase(u, theta, phi, theta, phi)
+
+
 def test_conversion_commutes_with_rotation(rng):
     """Rotating in helicity slots then converting to fixed-axis slots equals
     converting first and rotating with constant spin matrices."""
@@ -1615,6 +1643,15 @@ def test_delta_state_rejects_angles_above_the_bound():
         with pytest.raises(ValueError, match=r"must be finite and at most 1e\+300"):
             DeltaProductState(spec=FERMION_PAIR, theta=theta, phi=phi,
                               coefficients=np.eye(2) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("big", [1e308, 1e308 + 1e308j])
+def test_delta_state_with_an_overflowing_norm_raises_without_a_warning(big):
+    """A coefficient whose square (or modulus) is past the float range gives
+    an infinite norm: the ValueError is what the caller sees, with no
+    RuntimeWarning (the suite turns those into errors)."""
+    with pytest.raises(ValueError, match=r"sum \|c\|\^2 = 1"):
+        DeltaProductState(spec=FERMION_PAIR, theta=0.3, phi=0.4, coefficients=[[big, 0], [0, 0]])
 
 
 def test_rotation_by_a_non_finite_matrix_is_rejected():
