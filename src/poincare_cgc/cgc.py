@@ -30,7 +30,8 @@ from .lorentz import (
     standard_boost,
     wigner_rotation,
 )
-from .su2 import _check_j, _d_entry, _harmonic_rows, _wigner_D, rep_matrix, su2_cgc
+from .su2 import (_check_j, _d_entry, _finite_angles, _harmonic_rows, _wigner_D, rep_matrix,
+                  su2_cgc)
 
 SCHEMES = ("spin-orbit", "helicity")
 
@@ -295,26 +296,6 @@ def discrete_symmetry_labels(l, s) -> tuple[int, int]:
     return (-1) ** (li + 1), (-1) ** (li + si)
 
 
-# the largest |angle| accepted: below it no phase m phi with |m| <= 86 overflows
-_MAX_ANGLE = 1e300
-
-
-def _finite_angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """theta and phi as float arrays; ValueError naming the angle unless
-    each is finite and at most _MAX_ANGLE in magnitude.
-
-    A plain float test for a scalar angle. Every rest-frame table runs it,
-    also when a general-frame table calls it.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    for name, angle in (("theta", theta), ("phi", phi)):
-        # "not <=" so that NaN fails too
-        if not (abs(float(angle)) if angle.ndim == 0 else np.abs(angle).max(initial=0.0)) <= _MAX_ANGLE:
-            raise ValueError(f"angle {name} must be finite and at most {_MAX_ANGLE:g} in magnitude")
-    return theta, phi
-
-
 def _check_chi(j, chi) -> tuple[HalfInt, HalfInt]:
     j, chi = HalfInt.of(j), HalfInt.of(chi)
     if not compatible(j, chi):
@@ -336,7 +317,7 @@ def spin_orbit_com_table(
     with s3 = chi1 + chi2 and l3 = chi - s3. Angles that fail
     :func:`_finite_angles` raise ValueError.
     """
-    theta, phi = _finite_angles(theta, phi)
+    theta, phi = _finite_angles(theta=theta, phi=phi)
     rows = _harmonic_rows(int(channel.l), theta, phi)
     return _spin_orbit_amplitudes(spec, j, channel, chi, rows)
 
@@ -402,7 +383,7 @@ def helicity_com_scalar(
     with mu = lam1 - lam2; identically zero when |mu| > j. Angles that
     fail :func:`_finite_angles` raise ValueError.
     """
-    theta, phi = _finite_angles(theta, phi)
+    theta, phi = _finite_angles(theta=theta, phi=phi)
     j, chi = _check_chi(j, chi)
     if abs(channel.lam1) > spec.j1 or abs(channel.lam2) > spec.j2:
         raise InvalidChannel(f"channel ({channel.label()}) exceeds the constituent spins")

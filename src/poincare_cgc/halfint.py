@@ -19,6 +19,9 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
+        # a plain int first: the Integral ABC check is slow on every construction
+        if type(self.twice) is int:
+            return
         if not isinstance(self.twice, Integral):
             raise TypeError("twice must be an integer; use HalfInt.of for values")
         object.__setattr__(self, "twice", int(self.twice))
@@ -27,14 +30,18 @@ class HalfInt:
     def of(cls, value) -> "HalfInt":
         """Coerce an int, float, Fraction or HalfInt to a HalfInt.
 
-        The value must be a half-integer exactly; nothing is rounded.
+        The value must be a half-integer exactly; nothing is rounded, and
+        NaN or an infinity is not one (ValueError).
         """
         if isinstance(value, HalfInt):
             return value
-        if isinstance(value, Integral):
+        if type(value) is int or isinstance(value, Integral):
             return cls(2 * int(value))
-        doubled = Fraction(value) * 2
-        if doubled.denominator != 1:
+        try:
+            doubled = Fraction(value) * 2
+        except (OverflowError, ValueError):  # NaN, an infinity, text Fraction cannot read
+            doubled = None
+        if doubled is None or doubled.denominator != 1:
             raise ValueError(f"{value!r} is not a half-integer")
         return cls(int(doubled))
 

@@ -123,28 +123,30 @@ def _label_tables(layout, theta, phi, out=None):
     """Each label's angular table at (theta, phi), of the shape
     np.broadcast(theta, phi).shape + spin_shape, written into out[i].
 
-    Without out, each label gets its own array, made just before it is
-    written, and the list is returned; with out, a stacked array, out is
-    overwritten and returned. Each distinct factor is evaluated once
-    (:func:`_cell_operands`), and each cell is formed from its operands
-    by the products of the closed form (spin_orbit_com_table,
+    out is a stacked array, overwritten and returned; without it, one
+    such block is made once the operands are evaluated, so a basis takes
+    one allocation, not one per label. Each distinct factor is evaluated
+    once (:func:`_cell_operands`), and each cell is formed from its
+    operands by the products of the closed form (spin_orbit_com_table,
     _helicity_wavefunction), in the same order and with operands of the
     same shapes and memory order, so every table equals the closed form
-    bit for bit. Stacked tables at array angles (the phi = 0 rings) take
-    every cell in one product, the operands gathered along a leading cell
-    axis. Otherwise the cells are taken one by one: a grid table's
-    products stay as large as the table, and at scalar angles they stay
-    numpy's 0-d arithmetic, which rounds complex products apart from its
-    array loops.
+    bit for bit. A caller's block at array angles (the phi = 0 rings)
+    takes every cell in one product, the operands gathered along a
+    leading cell axis. Otherwise the cells are taken one by one: a grid
+    table's products stay as large as the table, and at scalar angles
+    they stay numpy's 0-d arithmetic, which rounds complex products
+    apart from its array loops.
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     shape = np.broadcast(theta, phi).shape
     if not layout.labels:
-        return [] if out is None else out
-    stacked = out is not None and bool(shape)
-    operands, value, blank = _cell_operands(layout, theta, phi, shape, stacked)
-    if stacked:
-        out[...] = blank
+        return np.empty((0,) + shape + layout.spin_shape, dtype=complex) if out is None else out
+    one_product = out is not None and bool(shape)
+    operands, value, blank = _cell_operands(layout, theta, phi, shape)
+    if out is None:
+        out = np.empty((len(layout.labels),) + shape + layout.spin_shape, dtype=complex)
+    out[...] = blank
+    if one_product:
         gathered = [table[index] for table, index in operands]
         # the operands broadcast against each other behind the cell axis
         gathered = [x.reshape(x.shape[:1] + (1,) * (len(shape) + 1 - x.ndim) + x.shape[1:])
@@ -152,15 +154,9 @@ def _label_tables(layout, theta, phi, out=None):
         label, a, b = layout.cells.T
         out[label, ..., a, b] = value(*gathered)
         return out
-    if out is None:
-        out = [None] * len(layout.labels)
     first, slots = layout.first.tolist(), layout.cells[:, 1:].tolist()
     operands = [(table, index.tolist()) for table, index in operands]
-    for n in range(len(out)):
-        if out[n] is None:
-            out[n] = np.empty(shape + layout.spin_shape, dtype=complex)
-        table = out[n]
-        table[...] = blank
+    for n, table in enumerate(out):
         for k in range(first[n], first[n + 1]):
             a, b = slots[k]
             table[..., a, b] = value(*[rows[index[k]] for rows, index in operands])
@@ -171,14 +167,14 @@ def _label_tables(layout, theta, phi, out=None):
 _BLANK_HELICITY = complex(0.0, -0.0)
 
 
-def _cell_operands(layout, theta, phi, shape, stacked) -> tuple[list, Callable, complex]:
+def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable, complex]:
     """(operands, value, blank) of :func:`_label_tables` at float angles.
 
     operands lists (table, index) pairs: the table holds one evaluated
     factor per row, and cell k reads its row index[k]. value maps a
     cell's operands to its slot; blank fills the other slots.
     Spin-orbit: the cell weight times Y_{l l3}, a row of one harmonic
-    table, which cells taken one by one read through :class:`_ReadRows`.
+    table.
     Helicity: conj(left d^j_{chi mu}(theta) e^{i mu phi} + 0), with
     left = sqrt((2j+1)/4pi) e^{-i chi phi} once per (j, chi), each wave
     once per order and the cells' d^j entries in one sum.
@@ -186,8 +182,6 @@ def _cell_operands(layout, theta, phi, shape, stacked) -> tuple[list, Callable, 
     own = np.arange(len(layout.cells))
     if layout.scheme == "spin-orbit":
         rows = _harmonic_table(layout.l_max, theta, phi)
-        if not stacked:
-            rows = _ReadRows(rows, np.bincount(layout.rows, minlength=len(rows)).tolist())
         return [(layout.weights, own), (rows, layout.rows)], operator.mul, 0.0
     spins = layout.spins.tolist()
     # each distinct (2j, 2chi) and 2mu, numbered in order of first use
@@ -206,23 +200,3 @@ def _cell_operands(layout, theta, phi, shape, stacked) -> tuple[list, Callable, 
 
     tables = [np.array(lefts), entries, np.array(waves)]
     return list(zip(tables, (left, own, wave))), value, _BLANK_HELICITY
-
-
-class _ReadRows:
-    """The rows of a table, each dropped after its last read.
-
-    reads[r] is the number of reads of row r; the rows are copies, so a
-    grid basis, whose labels read the harmonic rows in order of degree,
-    does not keep the whole table while its last tables are written.
-    """
-
-    def __init__(self, table, reads):
-        self._rows = [row.copy() for row in table]
-        self._reads = reads
-
-    def __getitem__(self, r):
-        row = self._rows[r]
-        self._reads[r] -= 1
-        if not self._reads[r]:
-            self._rows[r] = None
-        return row

@@ -28,7 +28,6 @@ from .cgc import (
     _check_above_threshold,
     _check_chi,
     _check_scheme,
-    _finite_angles,
     com_normalization,
     coupling_channels,
     helicity_com_table,
@@ -38,7 +37,8 @@ from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalL
 from .halfint import HalfInt, components
 from .labels import _basis_layout, _label_layout, _label_tables
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import _MAX_L, _harmonic_sum, _harmonic_table, _wigner_D, rep_matrix, wigner_d_small
+from .su2 import (_MAX_L, _finite_angles, _harmonic_sum, _harmonic_table, _wigner_D, rep_matrix,
+                  wigner_d_small)
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -227,8 +227,8 @@ def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
 
 def _basis_states(grid, spec, s, layout) -> list[ComBasisState]:
     """The closed-form basis states of a layout's labels on a grid: one
-    normalization and one :func:`_label_tables` pass, which gives each
-    state its own table."""
+    normalization and one :func:`_label_tables` pass, whose block gives
+    each state its own row, so a kept state keeps the block."""
     norm = com_normalization(s, spec.s1, spec.s2)
     tables = _label_tables(layout, *grid.axes)
     return [
@@ -654,7 +654,7 @@ class DeltaProductState:
         if c.shape != self.spec.spin_shape:
             raise ValueError(f"coefficient table must have shape {self.spec.spin_shape}")
         theta, phi = float(self.theta), float(self.phi)
-        _finite_angles(theta, phi)
+        _finite_angles(theta=theta, phi=phi)
         # a square past the float range reads inf, and "not <=" fails a NaN norm too
         with np.errstate(over="ignore"):
             norm2 = float(np.sum(np.abs(c) ** 2))

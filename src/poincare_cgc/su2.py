@@ -75,15 +75,38 @@ def _d_entry(tj, tmp, tm, beta):
     return pref * total
 
 
+# the largest |angle| accepted: below it no phase m phi with |m| <= 86 overflows
+_MAX_ANGLE = 1e300
+
+
+def _finite_angles(**angles) -> tuple[np.ndarray, ...]:
+    """The angles, by name, as float arrays in the order given; ValueError
+    naming the angle unless each is finite and at most _MAX_ANGLE in
+    magnitude.
+
+    A plain float test for a scalar angle. Every rest-frame table runs it,
+    also when a general-frame table calls it, and so do
+    :func:`wigner_d_small` and :func:`spherical_harmonic`.
+    """
+    arrays = tuple(np.asarray(angle, dtype=float) for angle in angles.values())
+    for name, angle in zip(angles, arrays):
+        # "not <=" so that NaN fails too
+        if not (abs(float(angle)) if angle.ndim == 0 else np.abs(angle).max(initial=0.0)) <= _MAX_ANGLE:
+            raise ValueError(f"angle {name} must be finite and at most {_MAX_ANGLE:g} in magnitude")
+    return arrays
+
+
 def wigner_d_small(j, beta):
     """Real rotation matrix d^j(beta) about the y axis.
 
     Rows and columns run over m = +j ... -j. beta may be a scalar or an
     array; the matrix axes are the trailing two. All entries are summed at
     once (:func:`_d_sum`), so every entry rounds as its :func:`_d_entry`
-    does.
+    does. A beta that fails :func:`_finite_angles` raises ValueError.
     """
-    return _d_sum(_d_slots(_check_j(j).twice), beta)
+    tj = _check_j(j).twice
+    (beta,) = _finite_angles(beta=beta)
+    return _d_sum(_d_slots(tj), beta)
 
 
 def _d_entry_slots(entries) -> tuple:
@@ -485,9 +508,10 @@ def spherical_harmonic(l, m, theta, phi):
     """Spherical harmonic Y_{l m}(theta, phi), Condon-Shortley phase.
 
     l must be a nonnegative integer spin; m with |m| > l gives complex
-    zeros, with nothing evaluated. theta and phi broadcast as arrays. Only
-    the order |m| is evaluated; m < 0 follows from it as in
-    :func:`_harmonic_rows`, bit for bit.
+    zeros, with nothing evaluated. theta and phi broadcast as arrays; ones
+    that fail :func:`_finite_angles` raise ValueError. Only the order |m|
+    is evaluated; m < 0 follows from it as in :func:`_harmonic_rows`, bit
+    for bit.
     """
     l, m = HalfInt.of(l), HalfInt.of(m)
     if not l.is_integer or l < HalfInt(0):
@@ -496,6 +520,7 @@ def spherical_harmonic(l, m, theta, phi):
         raise InvalidOrbitalLabel(f"orbital component must be an integer, got {m}")
     l, m = int(l), int(m)
     _check_l(l)
+    theta, phi = _finite_angles(theta=theta, phi=phi)
     if abs(m) > l:
         return np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
     y = _harmonic_top(l, [abs(m)], theta, phi)[0]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poincare_cgc import TwoParticleSpec, all_basis_states, build_grid
 from poincare_cgc.halfint import (
     HalfInt,
     compatible,
@@ -36,6 +37,32 @@ def test_of_does_not_round(bad):
     """Values within a rounding distance of a half-integer are rejected, not snapped."""
     with pytest.raises(ValueError, match="not a half-integer"):
         HalfInt.of(bad)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"), np.float64("inf")],
+                         ids=["inf", "-inf", "nan", "numpy-inf"])
+def test_of_rejects_non_finite_values(bad):
+    """NaN and the infinities are not half-integers: ValueError, not the
+    OverflowError or the integer-ratio message of Fraction."""
+    with pytest.raises(ValueError, match="not a half-integer"):
+        HalfInt.of(bad)
+
+
+def test_non_finite_spins_fail_at_the_api_boundary():
+    """An infinite j_max or constituent spin raises the same ValueError."""
+    spec = TwoParticleSpec.fermion_pair(1.0)
+    with pytest.raises(ValueError, match="not a half-integer"):
+        all_basis_states(build_grid(4, 8), spec, 9.0, float("inf"), "spin-orbit")
+    with pytest.raises(ValueError, match="not a half-integer"):
+        TwoParticleSpec(1, 1, float("inf"), 0.5)
+
+
+@pytest.mark.parametrize("twice", [3, np.int64(3), np.int8(3), True])
+def test_twice_is_stored_as_a_plain_int(twice):
+    """Plain ints take the fast path; numpy integers and bools take the
+    Integral check and are stored as int."""
+    half = HalfInt(twice)
+    assert type(half.twice) is int and half.twice == int(twice)
 
 
 @pytest.mark.parametrize(

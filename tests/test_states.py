@@ -257,11 +257,12 @@ KERNEL_ANGLES = {
 @pytest.mark.parametrize("spec, j_max", KERNEL_SPECS)
 def test_label_kernel_equals_the_closed_forms_byte_for_byte(spec, j_max, angles, scheme):
     """_label_tables evaluates each factor once and forms every label's
-    table from them. Each table, in its own array or in a stacked one,
-    has the bytes of its per-label closed form (tobytes, so signed zeros
-    count): on grid axes, an aliased grid's included, on the phi = 0
-    rings, and at scalar angles, where numpy's 0-d arithmetic rounds
-    complex products apart from its array loops."""
+    table from them. Each table, in the kernel's own block or in a
+    caller's (which takes the one-product path at array angles), has the
+    bytes of its per-label closed form (tobytes, so signed zeros count):
+    on grid axes, an aliased grid's included, on the phi = 0 rings, and
+    at scalar angles, where numpy's 0-d arithmetic rounds complex
+    products apart from its array loops."""
     theta, phi = KERNEL_ANGLES[angles]
     layout = labels_module._basis_layout(spec, scheme, HalfInt.of(j_max))
     fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
@@ -300,13 +301,13 @@ def test_an_empty_basis_runs_end_to_end(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
-def test_basis_tables_are_their_own_arrays(scheme):
-    """all_basis_states writes each state's table into its own array, made
-    just before it is written. On 32x64 at j <= 6 its tracemalloc peak
-    stays within the 194 tables (24.25 MiB) plus 3 MiB (24.5 MiB for
-    either scheme measured; 26.4 and 24.5 MiB with one closed-form call
-    per label), and no two states share memory, so one kept state does
-    not pin the basis."""
+def test_basis_tables_are_disjoint_and_peak_near_their_size(scheme):
+    """all_basis_states writes every state's table into one block, made
+    once the harmonic table or the d^j entries are evaluated. On 32x64 at
+    j <= 6 its tracemalloc peak stays within the 194 tables (24.25 MiB)
+    plus 3 MiB (26.35 MiB spin-orbit, whose 2 MiB harmonic table lives
+    through the pass, and 24.5 MiB helicity measured), and no two states
+    share memory. A kept state keeps the whole block; .copy() detaches it."""
     grid = build_grid(32, 64)
     fermion_states(grid, 6, scheme)
     tracemalloc.start()
@@ -321,6 +322,22 @@ def test_basis_tables_are_their_own_arrays(scheme):
     for i, a in enumerate(states):
         for b in states[i + 1 :]:
             assert not np.shares_memory(a.amplitudes, b.amplitudes)
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+def test_basis_tables_are_consecutive_rows_of_one_block(scheme):
+    """One all_basis_states call makes one C-contiguous block: state i's
+    table is its row i, viewed as (nodes,) + spin_shape, so a basis takes
+    one allocation, not one per state."""
+    states = fermion_states(build_grid(8, 17), 2, scheme)
+    block = states[0].amplitudes.base
+    assert block is not None and block.flags.c_contiguous
+    assert block.shape[0] == len(states)
+    assert block.nbytes == sum(st.amplitudes.nbytes for st in states)
+    start = block.__array_interface__["data"][0]
+    for i, st in enumerate(states):
+        assert st.amplitudes.base is block and st.amplitudes.flags.c_contiguous
+        assert st.amplitudes.__array_interface__["data"][0] == start + i * st.amplitudes.nbytes
 
 
 GRID_SHAPES = [(16, 33), (8, 17), (32, 64)]

@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from scipy.special import lpmv, sph_harm_y
 
 from conftest import quaternion_su2, random_su2
+import poincare_cgc.cgc as cgc_module
 import poincare_cgc.su2 as su2_module
 from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
 from poincare_cgc.halfint import HalfInt, components, hrange
@@ -403,6 +404,29 @@ def test_legendre_sweep_factors_are_cached_read_only():
         if array.size:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308, -1e301])
+def test_su2_functions_reject_angles_as_the_tables_do(bad):
+    """wigner_d_small and spherical_harmonic test their angles by the one
+    rule of the rest-frame tables (cgc imports it from su2): NaN, an
+    infinity or a magnitude above 1e300 raises ValueError naming the
+    angle, with no RuntimeWarning and no value returned, for every order m."""
+    assert cgc_module._finite_angles is su2_module._finite_angles
+    for beta in (bad, np.array([0.3, bad])):
+        with pytest.raises(ValueError, match="angle beta must be finite"):
+            wigner_d_small(1, beta)
+    for m in (1, -1, 3):
+        with pytest.raises(ValueError, match="angle theta must be finite"):
+            spherical_harmonic(2, m, bad, 0.2)
+        with pytest.raises(ValueError, match="angle phi must be finite"):
+            spherical_harmonic(2, m, 0.3, np.array([0.2, bad]))
+
+
+def test_su2_functions_are_finite_at_the_angle_bound():
+    """At |angle| = 1e300 both functions return finite values."""
+    assert np.isfinite(wigner_d_small(6, np.array([1e300, -1e300]))).all()
+    assert np.isfinite(spherical_harmonic(7, -5, -1e300, np.array([1e300, -1e300]))).all()
 
 
 def test_spherical_harmonic_rejects_bad_labels():
