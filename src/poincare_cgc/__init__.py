@@ -11,8 +11,8 @@ su2
     Wigner d and D matrices, SU(2) Clebsch-Gordan coefficients, spherical
     harmonics.
 cgc
-    Two-particle coupling channels, the generated coefficient tables in
-    both schemes, their general-frame forms, and discrete symmetry labels.
+    Two-particle coupling channels, both schemes' coefficient tables from
+    one label kernel, their general-frame forms, discrete symmetry labels.
 states
     Quadrature grids, basis states, rotations, product-state
     decomposition, serialization.

@@ -6,6 +6,10 @@ helicity channel (lambda1, lambda2). The center-of-momentum amplitudes
 here are the matrix elements projecting a two-particle plane-wave pair
 at relative direction (theta, phi) onto the coupled state; general-frame
 amplitudes follow from them by Wigner rotations of each spin slot.
+
+A basis label is (j, channel, chi): a total spin, a channel that couples
+to it, and a component. Every closed-form table, of one label or many,
+comes from one kernel, :func:`_label_tables`, reading a cached layout.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -24,14 +30,13 @@ from .halfint import HalfInt, compatible, component_index, components, hrange, t
 from .lorentz import (
     FourMomentum,
     SpinorTransform,
-    apply_lorentz,
     polar_angles,
     spinor_to_lorentz,
     standard_boost,
     wigner_rotation,
 )
-from .su2 import (_check_j, _d_entry, _finite_angles, _harmonic_rows, _wigner_D, rep_matrix,
-                  su2_cgc)
+from .su2 import (_MAX_J, _check_j, _d_entry_slots, _d_sum, _finite_angles, _harmonic_table,
+                  _wigner_D, rep_matrix, su2_cgc)
 
 SCHEMES = ("spin-orbit", "helicity")
 
@@ -315,36 +320,24 @@ def spin_orbit_com_table(
         <j1 chi1 j2 chi2 | s s3> <l l3 s s3 | j chi> (-1)**chi Y_{l l3}
 
     with s3 = chi1 + chi2 and l3 = chi - s3. Angles that fail
-    :func:`_finite_angles` raise ValueError.
+    :func:`_finite_angles`, and labels that fail :func:`_one_label_layout`, raise.
     """
+    return _label_table(spec, "spin-orbit", j, channel, chi, theta, phi)
+
+
+def _label_table(spec, scheme, j, channel, chi, theta, phi) -> np.ndarray:
+    """The kernel's table of one label (:func:`_one_label_layout`) at
+    angles that pass :func:`_finite_angles`."""
     theta, phi = _finite_angles(theta=theta, phi=phi)
-    rows = _harmonic_rows(int(channel.l), theta, phi)
-    return _spin_orbit_amplitudes(spec, j, channel, chi, rows)
+    return _label_tables(_one_label_layout(spec.j1, spec.j2, scheme, j, channel, chi), theta, phi)[0]
 
 
-def _spin_orbit_amplitudes(spec, j, channel, chi, rows) -> np.ndarray:
-    """Fill the table of :func:`spin_orbit_com_table` from its spin cells.
-
-    rows are the channel's harmonics Y_{l l3} at the angles, l3 = l ... -l
-    (:func:`poincare_cgc.su2._harmonic_rows`); each slot is its cell
-    weight times one row.
-    """
-    cells = _spin_orbit_cells(spec.j1, spec.j2, j, channel.l, channel.s, chi)
-    out = np.zeros(rows.shape[1:] + spec.spin_shape, dtype=complex)
-    for a, b, row, weight in cells:
-        out[..., a, b] = weight * rows[row]
-    return out
-
-
-@functools.cache
 def _spin_orbit_cells(j1, j2, j, l, s, chi) -> tuple:
     """Nonzero slots (a, b, l - l3, CG * CG * (-1)**chi) of an orbital/spin table.
 
-    l - l3 is the row of Y_{l l3} in the channel's harmonic rows. Memoised
-    on the spin labels alone, which _MAX_J bounds; invalid labels raise
-    (and nothing is cached for them).
+    l - l3 is the row of Y_{l l3} among the degree-l rows of the harmonic
+    table. j and chi come checked; a channel not coupling to j raises.
     """
-    j, chi = _check_chi(j, chi)
     if not (triangle_rule(j1, j2, s) and triangle_rule(l, s, j)):
         raise InvalidChannel(f"channel (l={l},s={s}) does not couple to spin {j}")
     phase = _minus_one_to(chi)
@@ -360,6 +353,227 @@ def _spin_orbit_cells(j1, j2, j, l, s, chi) -> tuple:
                 continue
             cells.append((a, b, int(l - l3), weight * phase))
     return tuple(cells)
+
+
+def _check_top_spin(spec: TwoParticleSpec, j: HalfInt, scheme: str, given: str) -> None:
+    """ValueError unless the largest spin that total spin j evaluates (j
+    itself for helicity d^j, l = j + j1 + j2 for spin-orbit) is within the
+    supported maximum; given names the input that asked for j."""
+    top = j + (spec.j1 + spec.j2 if scheme == "spin-orbit" else 0)
+    if top > _MAX_J:
+        raise ValueError(
+            f"{given} needs spin {top} in the {scheme} scheme, above the supported maximum {_MAX_J}"
+        )
+
+
+def _spin_labels(spec: TwoParticleSpec, j: HalfInt, scheme: str) -> list[tuple]:
+    """(j, channel, chi) of every basis state of total spin j, in basis order."""
+    return [(j, channel, chi) for channel in coupling_channels(spec, j, scheme) for chi in components(j)]
+
+
+def _basis_labels(spec: TwoParticleSpec, j_max: HalfInt, scheme: str) -> list[tuple]:
+    """(j, channel, chi) of every basis state with j <= j_max, in basis order.
+
+    Rejects a negative j_max, and one whose largest j fails
+    :func:`_check_top_spin`, before any amplitude is computed.
+    """
+    if j_max < HalfInt(0):
+        raise ValueError(f"j_max must be nonnegative, got {j_max}")
+    start = (spec.j1.twice + spec.j2.twice) % 2
+    j_values = [HalfInt(t) for t in range(start, j_max.twice + 1, 2)]
+    if j_values:
+        _check_top_spin(spec, j_values[-1], scheme, f"j_max={j_max}")
+    return [label for j in j_values for label in _spin_labels(spec, j, scheme)]
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Checked labels (j, channel, chi) as :func:`_label_tables` reads them.
+
+    Each populated spin slot of a label is a cell, cells[k] = (label, a, b),
+    ordered by label: label n's are cells first[n]:first[n + 1]. A
+    spin-orbit cell is weights[k] (from :func:`_spin_orbit_cells`) times
+    row rows[k], Y_{l l3}, of the harmonic table up to l_max. A helicity
+    label has one cell, its channel's slot (lam1, lam2), unless |mu| > j,
+    with spins[k] = (2j, 2chi, 2mu), mu = lam1 - lam2, and d_slots
+    describing the cells' d^j_{chi mu} (:func:`su2._d_entry_slots`).
+    twice_chi holds 2chi per label. Every array is read-only.
+    """
+
+    scheme: str
+    spin_shape: tuple
+    labels: tuple
+    twice_chi: np.ndarray
+    cells: np.ndarray
+    first: np.ndarray
+    l_max: int = 0
+    rows: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    spins: np.ndarray | None = None
+    d_slots: tuple = ()
+
+
+def _label_layout(j1, j2, scheme, labels) -> _Layout:
+    """The layout of checked labels (:func:`poincare_cgc.states._check_label`,
+    :func:`_one_label_layout`) of constituent spins j1 and j2."""
+    if scheme == "spin-orbit":
+        found = [(n, a, b, int(c.l) ** 2 + row, weight) for n, (j, c, chi) in enumerate(labels)
+                 for a, b, row, weight in _spin_orbit_cells(j1, j2, j, c.l, c.s, chi)]
+        fields = dict(rows=np.array([f[3] for f in found], dtype=int),
+                      weights=np.array([f[4] for f in found], dtype=complex),
+                      l_max=max((int(c.l) for _, c, _ in labels), default=0))
+    else:
+        found = [(n, (j1.twice - c.lam1.twice) // 2, (j2.twice - c.lam2.twice) // 2)
+                 for n, (j, c, _) in enumerate(labels) if abs(c.mu) <= j]
+        spins = [(j.twice, chi.twice, c.mu.twice) for j, c, chi in labels if abs(c.mu) <= j]
+        fields = dict(spins=np.array(spins, dtype=int).reshape(-1, 3),
+                      d_slots=_d_entry_slots(spins))
+    cells = np.array([f[:3] for f in found], dtype=int).reshape(-1, 3)
+    fields.update(twice_chi=np.array([chi.twice for _, _, chi in labels], dtype=int), cells=cells,
+                  first=np.searchsorted(cells[:, 0], np.arange(len(labels) + 1)))
+    for array in [*fields.values(), *fields.get("d_slots", ())]:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return _Layout(scheme, (j1.twice + 1, j2.twice + 1), tuple(labels), **fields)
+
+
+# layouts kept by _basis_layout: both schemes of a few pairs and j_max values
+_LAYOUT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _basis_layout(spec, scheme, j_max: HalfInt) -> _Layout:
+    """The layout of every basis label with j <= j_max (:func:`_basis_labels`),
+    once per (spec, scheme, j_max); shared, so read-only. A rejected j_max
+    raises on every call, as nothing is cached for it."""
+    return _label_layout(spec.j1, spec.j2, scheme, _basis_labels(spec, j_max, scheme))
+
+
+@functools.cache
+def _spin_layout(j1, j2, scheme, j: HalfInt) -> _Layout:
+    """The layout of every basis label of a checked total spin j
+    (:func:`_spin_labels`), memoised on the spins and j; read-only."""
+    # the channels depend on the spins alone, so unit masses stand in for the pair's
+    return _label_layout(j1, j2, scheme, _spin_labels(TwoParticleSpec(1.0, 1.0, j1, j2), j, scheme))
+
+
+@functools.cache
+def _one_label_layout(j1, j2, scheme, j, channel, chi) -> _Layout:
+    """The layout of one label of constituent spins j1 and j2, checked: chi
+    a component of j (ValueError); a spin-orbit channel that couples to j
+    (:func:`_spin_orbit_cells`); a helicity channel's lam1 and lam2
+    components of j1 and j2 (InvalidChannel) and, unless |mu| > j, where
+    the table is zero, mu a component of a supported j (ValueError).
+    Memoised on the spins and the label; a label that raises is not cached."""
+    j, chi = _check_chi(j, chi)
+    if scheme == "helicity":
+        if not (compatible(j1, channel.lam1) and compatible(j2, channel.lam2)):
+            raise InvalidChannel(f"channel ({channel.label()}) needs components of spins {j1} and {j2}")
+        if abs(channel.mu) <= j:
+            component_index(j, channel.mu)
+            _check_j(j)
+    return _label_layout(j1, j2, scheme, ((j, channel, chi),))
+
+
+@functools.cache
+def _block_row(j1, j2, scheme, j, channel, chi) -> tuple[int, int | None]:
+    """(2j, n) of a label checked by :func:`_one_label_layout`: twice its j,
+    and its row among the labels of that j (:func:`_spin_layout`), None for
+    a helicity channel with |mu| > j. Memoised as _one_label_layout is."""
+    label = _one_label_layout(j1, j2, scheme, j, channel, chi).labels[0]
+    labels = _spin_layout(j1, j2, scheme, label[0]).labels
+    return label[0].twice, labels.index(label) if label in labels else None
+
+
+def _label_tables(layout, theta, phi, out=None):
+    """Each label's angular table at (theta, phi), of the shape
+    np.broadcast(theta, phi).shape + spin_shape, written into out[i].
+
+    out is a stacked array, overwritten and returned; without it, one
+    such block is made once the operands are evaluated, so a basis takes
+    one allocation, not one per label. Each distinct factor is evaluated
+    once (:func:`_cell_operands`). A caller's block at array angles (the
+    phi = 0 rings) takes every cell in one product, the operands gathered
+    along a leading cell axis. Otherwise the cells are taken one by one:
+    a grid table's products stay as large as the table, and at scalar
+    angles they stay numpy's 0-d arithmetic, which rounds complex products
+    apart from its array loops. Either way each cell is formed from
+    operands of the same shapes and memory order, so a label's table has
+    the same bytes in every block, of one label or of many.
+    """
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    shape = np.broadcast(theta, phi).shape
+    if not layout.labels:
+        return np.empty((0,) + shape + layout.spin_shape, dtype=complex) if out is None else out
+    one_product = out is not None and bool(shape)
+    operands, value, blank = _cell_operands(layout, theta, phi, shape)
+    if out is None:
+        out = np.empty((len(layout.labels),) + shape + layout.spin_shape, dtype=complex)
+    out[...] = blank
+    if one_product:
+        gathered = [table[index] for table, index in operands]
+        # the operands broadcast against each other behind the cell axis
+        gathered = [x.reshape(x.shape[:1] + (1,) * (len(shape) + 1 - x.ndim) + x.shape[1:])
+                    for x in gathered]
+        label, a, b = layout.cells.T
+        out[label, ..., a, b] = value(*gathered)
+        return out
+    first, slots = layout.first.tolist(), layout.cells[:, 1:].tolist()
+    operands = [(table, index.tolist()) for table, index in operands]
+    for n, table in enumerate(out):
+        for k in range(first[n], first[n + 1]):
+            a, b = slots[k]
+            table[..., a, b] = value(*[rows[index[k]] for rows, index in operands])
+    return out
+
+
+# what a helicity table holds outside its slot: conj(0 + 0j)
+_BLANK_HELICITY = complex(0.0, -0.0)
+
+
+def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable, complex]:
+    """(operands, value, blank) of :func:`_label_tables` at float angles.
+
+    operands lists (table, index) pairs: the table holds one evaluated
+    factor per row, and cell k reads its row index[k]. value maps a
+    cell's operands to its slot; blank fills the other slots.
+    Spin-orbit: the cell weight times Y_{l l3}, a row of one harmonic
+    table.
+    Helicity: conj(left d^j_{chi mu}(theta) e^{i mu phi} + 0), with
+    left = sqrt((2j+1)/4pi) e^{-i chi phi} once per (j, chi), each wave
+    once per order and the cells' d^j entries in one sum: the basis
+    state's wavefunction, the conjugate of :func:`helicity_com_table`.
+    """
+    own = np.arange(len(layout.cells))
+    if layout.scheme == "spin-orbit":
+        rows = _harmonic_table(layout.l_max, theta, phi)
+        return [(layout.weights, own), (rows, layout.rows)], operator.mul, 0.0
+    spins = layout.spins.tolist()
+    # each distinct (2j, 2chi) and 2mu, numbered in order of first use
+    pairs, mus = {}, {}
+    left = np.array([pairs.setdefault((tj, tchi), len(pairs)) for tj, tchi, _ in spins])
+    wave = np.array([mus.setdefault(tmu, len(mus)) for _, _, tmu in spins])
+    chi_waves = {tchi: np.exp(-1j * (tchi / 2.0) * phi) for _, tchi in pairs}
+    lefts = [np.sqrt((tj + 1.0) / (4.0 * np.pi)) * chi_waves[tchi] for tj, tchi in pairs]
+    waves = [np.exp(1j * (tmu / 2.0) * phi) for tmu in mus]
+    # the cells' entries of d^j leading, so each is as contiguous as _d_entry's
+    entries = np.moveaxis(_d_sum(layout.d_slots, theta), -1, 0).copy()
+    zero = np.zeros(shape)
+
+    def value(left, entry, wave):
+        return np.conj(left * entry * wave + zero)
+
+    tables = [np.array(lefts), entries, np.array(waves)]
+    return list(zip(tables, (left, own, wave))), value, _BLANK_HELICITY
+
+
+def _spin_tables(spec, scheme, j: HalfInt, theta, phi) -> tuple[tuple, np.ndarray]:
+    """The basis labels of a checked total spin j, and the block of their
+    rest-frame tables (:func:`spin_orbit_com_table`, :func:`helicity_com_table`)
+    at angles that pass :func:`_finite_angles`, from one kernel call."""
+    layout = _spin_layout(spec.j1, spec.j2, scheme, j)
+    block = _label_tables(layout, *_finite_angles(theta=theta, phi=phi))
+    return layout.labels, block.conj() if scheme == "helicity" else block
 
 
 def angular_spin_orbit_com(spec: TwoParticleSpec, j, l, s, chi, chi1, chi2, theta, phi):
@@ -380,23 +594,13 @@ def helicity_com_scalar(
     """Scalar rest-frame amplitude of a helicity channel.
 
     sqrt((2j+1)/4pi) exp(-i chi phi) d^j_{chi, mu}(theta) exp(+i mu phi)
-    with mu = lam1 - lam2; identically zero when |mu| > j. Angles that
-    fail :func:`_finite_angles` raise ValueError.
+    with mu = lam1 - lam2; identically zero when |mu| > j. The channel's
+    own slot of :func:`helicity_com_table`, with its checks.
     """
-    theta, phi = _finite_angles(theta=theta, phi=phi)
-    j, chi = _check_chi(j, chi)
-    if abs(channel.lam1) > spec.j1 or abs(channel.lam2) > spec.j2:
-        raise InvalidChannel(f"channel ({channel.label()}) exceeds the constituent spins")
-    shape = np.broadcast(theta, phi).shape
-    mu = channel.mu
-    if abs(mu) > j:
-        return np.zeros(shape, dtype=complex)
-    if not compatible(j, mu):
-        raise ValueError(f"component {mu} invalid for j={j}")
-    # d^j_{chi mu} alone, not the whole (2j+1)^2 matrix
-    d = _d_entry(_check_j(j).twice, chi.twice, mu.twice, theta)
-    norm = np.sqrt((j.twice + 1.0) / (4.0 * np.pi))
-    return norm * np.exp(-1j * float(chi) * phi) * d * np.exp(1j * float(mu) * phi) + np.zeros(shape)
+    table = _label_table(spec, "helicity", j, channel, chi, theta, phi)
+    slot = component_index(spec.j1, channel.lam1), component_index(spec.j2, channel.lam2)
+    # the kernel holds the conjugate; conj of a 0-d slot is a scalar
+    return np.conj(table[(...,) + slot])
 
 
 def helicity_com_table(
@@ -406,14 +610,9 @@ def helicity_com_table(
 
     Same layout as :func:`spin_orbit_com_table` but the trailing axes
     index the constituent helicities (descending); only the slot at the
-    channel's (lam1, lam2) is populated.
+    channel's (lam1, lam2) is populated. Bad angles and labels raise alike.
     """
-    scalar = helicity_com_scalar(spec, j, channel, chi, theta, phi)
-    out = np.zeros(scalar.shape + spec.spin_shape, dtype=complex)
-    a = component_index(spec.j1, channel.lam1)
-    b = component_index(spec.j2, channel.lam2)
-    out[..., a, b] = scalar
-    return out
+    return _label_table(spec, "helicity", j, channel, chi, theta, phi).conj()
 
 
 def angular_helicity_com(spec: TwoParticleSpec, j, lam1, lam2, lam, theta1, phi1):
@@ -475,7 +674,8 @@ _FRAME_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
 def _frame(spec, convention, key) -> tuple:
-    """Per-frame part of a general-frame table: (theta, phi, D^{j1} x D^{j2}).
+    """Per-frame part of a general-frame table: (theta, phi, D^{j1} x D^{j2},
+    blocks).
 
     key is the exact bytes of (E1, p1, E2, p2), so frames are told apart
     bit for bit (0.0 and -0.0 included). The pair is checked once per
@@ -484,6 +684,8 @@ def _frame(spec, convention, key) -> tuple:
     for it. theta and phi are the polar angles of the rest-frame relative
     direction; the Kronecker matrix turns the raveled rest-frame spin slots
     to the frame of the momenta, and is read-only because it is shared.
+    blocks, filled by :func:`_angular_general`, keeps the frame's rest-frame
+    tables, so they go with it when it is evicted.
     """
     pair = FourMomentum.from_array(np.frombuffer(key, dtype=float).reshape(2, 4))
     p1, p2 = pair[0], pair[1]
@@ -498,15 +700,27 @@ def _frame(spec, convention, key) -> tuple:
         d1, d2 = rep_matrix(spec.j1, w[0]), rep_matrix(spec.j2, w[1])
     kron = np.kron(d1, d2)
     kron.flags.writeable = False
-    return theta, phi, kron
+    return theta, phi, kron, {}
 
 
-def _angular_general(spec, j, channel, chi, p1, p2, convention, com_table):
-    """A general-frame table: the rest-frame com_table at the frame's
-    angles, its raveled spin slots turned by the frame's Kronecker matrix."""
+def _angular_general(spec, scheme, j, channel, chi, p1, p2):
+    """A general-frame table: the label's rest-frame table at the frame's
+    angles, its raveled spin slots turned by the frame's Kronecker matrix.
+
+    The rest-frame table is the label's row (:func:`_block_row`) of the
+    frame's read-only block of its j, kept under 2j and made on the first
+    table of that j (:func:`_spin_tables`); a helicity channel with
+    |mu| > j has no row, and a zero table.
+    """
+    convention = "canonical" if scheme == "spin-orbit" else "helicity"
     key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
-    theta, phi, kron = _frame(spec, convention, key)
-    return (kron @ com_table(spec, j, channel, chi, theta, phi).ravel()).reshape(spec.spin_shape)
+    theta, phi, kron, blocks = _frame(spec, convention, key)
+    twice_j, n = _block_row(spec.j1, spec.j2, scheme, j, channel, chi)
+    if n is not None and twice_j not in blocks:
+        blocks[twice_j] = _spin_tables(spec, scheme, HalfInt(twice_j), theta, phi)[1]
+        blocks[twice_j].flags.writeable = False
+    row = np.zeros(spec.spin_shape, dtype=complex) if n is None else blocks[twice_j][n]
+    return (kron @ row.ravel()).reshape(spec.spin_shape)
 
 
 def spin_orbit_general_table(
@@ -519,7 +733,7 @@ def spin_orbit_general_table(
     runs over the constituents' canonical spin components in the frame
     where p1 and p2 are given.
     """
-    return _angular_general(spec, j, channel, chi, p1, p2, "canonical", spin_orbit_com_table)
+    return _angular_general(spec, "spin-orbit", j, channel, chi, p1, p2)
 
 
 def angular_spin_orbit_general(
@@ -543,7 +757,7 @@ def helicity_general_table(
     the frame where p1 and p2 are given; chi is relative to the rest frame
     reached by the inverse helicity boost of p1 + p2.
     """
-    return _angular_general(spec, j, channel, chi, p1, p2, "helicity", helicity_com_table)
+    return _angular_general(spec, "helicity", j, channel, chi, p1, p2)
 
 
 def angular_helicity_general(

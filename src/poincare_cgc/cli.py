@@ -36,15 +36,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import verify as verify_suite
-from .cgc import (
-    SCHEMES,
-    TwoParticleSpec,
-    coupling_channels,
-    helicity_com_table,
-    spin_orbit_com_table,
-)
+from .cgc import SCHEMES, TwoParticleSpec, _check_top_spin, _spin_tables
 from .halfint import HalfInt, components
-from .labels import _check_top_spin
 from .reference_tables import reference_cells
 from .states import BELL_LABELS, bell_state, decompose_product_state
 
@@ -215,16 +208,16 @@ def records_from_json(text: str) -> list[OutputRecord]:
 
 
 def _table_records(scheme, j, theta, phi) -> list[OutputRecord]:
-    """Rows of one table: one coupling table per (channel, chi), read slot
-    by slot; a helicity amplitude lives on the channel's own slot only."""
+    """Rows of one table: the coupling tables of every (channel, chi), from
+    one kernel call, read slot by slot; a helicity amplitude lives on the
+    channel's own slot only."""
     j = HalfInt.of(j)
-    com_table = spin_orbit_com_table if scheme == "spin-orbit" else helicity_com_table
+    labels, tables = _spin_tables(_SPEC, scheme, j, theta, phi)
     pairs = list(product(components(_SPEC.j1), components(_SPEC.j2)))
     return [
         OutputRecord(scheme, j, channel.eta, chi, pair, theta, phi, complex(value))
-        for channel in coupling_channels(_SPEC, j, scheme)
-        for chi in components(j)
-        for pair, value in zip(pairs, com_table(_SPEC, j, channel, chi, theta, phi).ravel())
+        for (_, channel, chi), table in zip(labels, tables)
+        for pair, value in zip(pairs, table.ravel())
         if scheme == "spin-orbit" or pair == channel.eta
     ]
 

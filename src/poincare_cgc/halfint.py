@@ -31,15 +31,15 @@ class HalfInt:
         """Coerce an int, float, Fraction or HalfInt to a HalfInt.
 
         The value must be a half-integer exactly; nothing is rounded, and
-        NaN or an infinity is not one (ValueError).
+        NaN, an infinity or a string is not one (ValueError).
         """
         if isinstance(value, HalfInt):
             return value
         if type(value) is int or isinstance(value, Integral):
             return cls(2 * int(value))
         try:
-            doubled = Fraction(value) * 2
-        except (OverflowError, ValueError):  # NaN, an infinity, text Fraction cannot read
+            doubled = None if isinstance(value, str) else Fraction(value) * 2
+        except (OverflowError, ValueError):  # NaN or an infinity
             doubled = None
         if doubled is None or doubled.denominator != 1:
             raise ValueError(f"{value!r} is not a half-integer")

@@ -172,8 +172,11 @@ def is_proper_orthochronous(lam: np.ndarray, tol: float = 1e-10) -> bool:
 
 def polar_angles(v):
     """Polar and azimuthal angles of 3-vectors, shape (3,) or (..., 3): +z
-    maps to (0, 0), -z to (pi, 0), zero to (0, 0); phi lies in [0, 2pi)."""
+    maps to (0, 0), -z to (pi, 0), zero to (0, 0); phi lies in [0, 2pi).
+    A component that is NaN or infinite raises ValueError."""
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("vectors must have finite components")
     single = v.ndim == 1
     v = np.atleast_2d(v)
     rho = np.hypot(v[..., 0], v[..., 1])

@@ -25,17 +25,18 @@ from .cgc import (
     HelicityChannel,
     SpinOrbitChannel,
     TwoParticleSpec,
+    _basis_layout,
     _check_above_threshold,
     _check_chi,
     _check_scheme,
+    _label_table,
+    _label_tables,
+    _one_label_layout,
     com_normalization,
     coupling_channels,
-    helicity_com_table,
-    spin_orbit_com_table,
 )
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalLabel
 from .halfint import HalfInt, components
-from .labels import _basis_layout, _label_layout, _label_tables
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
 from .su2 import (_MAX_L, _finite_angles, _harmonic_sum, _harmonic_table, _wigner_D, rep_matrix,
                   wigner_d_small)
@@ -188,17 +189,6 @@ def _require_finite(amplitudes) -> None:
         raise ValueError("the table 'amplitudes' must be finite")
 
 
-def _helicity_wavefunction(spec, j, channel, chi, theta, phi) -> np.ndarray:
-    """Helicity basis amplitude: the complex conjugate of helicity_com_table.
-
-    The tabulated cell sqrt((2j+1)/4pi) e^{-i chi phi} d^j_{chi mu}(theta)
-    e^{i mu phi} is the coefficient <j chi | theta phi lam1 lam2>; the state's
-    wavefunction in the frames of :func:`_helicity_frames` is its conjugate,
-    sqrt((2j+1)/4pi) D^{j*}_{chi mu}(phi, theta, -phi) (Jacob and Wick).
-    """
-    return helicity_com_table(spec, j, channel, chi, theta, phi).conj()
-
-
 def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState:
     """Sample one partial-wave channel's angular amplitude on a grid.
 
@@ -210,7 +200,7 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
     if scheme is None:
         raise InvalidChannel(f"not a channel label: {channel!r}")
     label = _check_label(spec, scheme, j, channel, component)
-    return _basis_states(grid, spec, s, _label_layout(spec, scheme, (label,)))[0]
+    return _basis_states(grid, spec, s, _one_label_layout(spec.j1, spec.j2, scheme, *label))[0]
 
 
 def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
@@ -454,12 +444,11 @@ def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     of u (:func:`_spin_matrices`) in the spin-orbit scheme, and by one phase
     per direction (:func:`_little_group_phase`) in the helicity scheme.
     """
-    fn = spin_orbit_com_table if state.scheme == "spin-orbit" else _helicity_wavefunction
-    labels = (state.spec, state.j, state.channel, state.component)
+    labels = (state.spec, state.scheme, state.j, state.channel, state.component)
     if u is None:
-        return fn(*labels, theta, phi)
+        return _label_table(*labels, theta, phi)
     thp, php = _preimages(u, theta, phi)
-    amp = fn(*labels, thp, php)
+    amp = _label_table(*labels, thp, php)
     if state.scheme == "spin-orbit":
         slots = amp.reshape(amp.shape[:-2] + (-1,))
         return (slots @ _spin_matrices(state.spec, u).T).reshape(amp.shape)

@@ -21,10 +21,11 @@ from . import su2
 from .cgc import (
     Kinematics,
     TwoParticleSpec,
+    _spin_layout,
+    _spin_tables,
     coupling_channels,
     discrete_symmetry_labels,
     enumerate_channels,
-    helicity_com_table,
     relative_momentum,
     spin_orbit_com_table,
     spin_orbit_general_table,
@@ -341,16 +342,16 @@ def _check_reference_tables() -> float:
     worst = 0.0
     angles = [(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)) for _ in range(20)]
     for scheme in ("spin-orbit", "helicity"):
-        table_fn = spin_orbit_com_table if scheme == "spin-orbit" else helicity_com_table
-        for j in (0, 1):
-            for cell in reference_cells(scheme, j):
-                a = component_index(_SPEC.j1, cell.pair[0])
-                b = component_index(_SPEC.j2, cell.pair[1])
-                for theta, phi in angles:
-                    got = table_fn(_SPEC, cell.j, cell.channel, cell.component, theta, phi)
-                    worst = max(
-                        worst, float(abs(got[a, b] - complex(cell.value(theta, phi))))
-                    )
+        for j in (HalfInt(0), HalfInt(2)):
+            # every label's table of j from one kernel call per angle, as `table` reads them
+            labels = _spin_layout(_SPEC.j1, _SPEC.j2, scheme, j).labels
+            cells = [(labels.index((cell.j, cell.channel, cell.component)),
+                      component_index(_SPEC.j1, cell.pair[0]), component_index(_SPEC.j2, cell.pair[1]), cell)
+                     for cell in reference_cells(scheme, j)]
+            for theta, phi in angles:
+                tables = _spin_tables(_SPEC, scheme, j, theta, phi)[1]
+                for n, a, b, cell in cells:
+                    worst = max(worst, float(abs(tables[n, a, b] - complex(cell.value(theta, phi)))))
     return worst
 
 

@@ -649,6 +649,59 @@ def test_general_tables_share_a_frame_bit_for_bit(rng):
             np.testing.assert_array_equal(got, expected)
 
 
+def test_general_tables_are_fresh_arrays():
+    """A table is its frame's shared block row turned into a new array:
+    writing into one leaves the next call's table as it was."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    p1, p2 = kin.momenta([0.3, -0.2, 0.9])
+    for scheme, channel in (("spin-orbit", SpinOrbitChannel(1, 1)),
+                            ("helicity", HelicityChannel(0.5, -0.5))):
+        first = _general_table(scheme, 1, channel, 0, p1, p2)
+        want = first.copy()
+        first[...] = 7.0
+        assert _general_table(scheme, 1, channel, 0, p1, p2).tobytes() == want.tobytes()
+
+
+def test_frame_blocks_are_shared_and_read_only():
+    """A frame keeps the rest-frame block of each total spin j asked of it,
+    under 2j, made on the first table of that j: one table per label of j,
+    shared, so read-only."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    p1, p2 = kin.momenta([0.3, -0.2, 0.9])
+    key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
+    cgc_module._frame.cache_clear()
+    for j in (2, 0):
+        spin_orbit_general_table(FERMION_PAIR, j, SpinOrbitChannel(j, 0), 0, p1, p2)
+    *_, blocks = cgc_module._frame(FERMION_PAIR, "canonical", key)
+    assert sorted(blocks) == [0, 4]
+    for twice_j, block in blocks.items():
+        labels = len(coupling_channels(FERMION_PAIR, HalfInt(twice_j))) * (twice_j + 1)
+        assert block.shape == (labels, 2, 2)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0, 0] = 0.0
+    assert cgc_module._frame(FERMION_PAIR, "helicity", key)[3] == {}
+
+
+def test_interleaved_general_tables_equal_their_definition(rng):
+    """Tables of both schemes and every j asked for in any order at one
+    frame, each block made between them, equal their uncached definition
+    bit for bit, helicity channels with |mu| > j included; the frame is
+    computed once per boost convention."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    p1, p2 = kin.momenta(rng.normal(size=3))
+    alpha = random_sl2c(rng)
+    q1, q2 = apply_lorentz(alpha, p1), apply_lorentz(alpha, p2)
+    labels = _general_labels() + [("helicity", 0, HelicityChannel(0.5, -0.5), 0),
+                                  ("helicity", 1, HelicityChannel(-0.5, 0.5), 1)]
+    cgc_module._frame.cache_clear()
+    for i in rng.permutation(len(labels)):
+        got = _general_table(*labels[i], q1, q2)
+        assert got.tobytes() == _uncached_general_table(*labels[i], q1, q2).tobytes(), labels[i]
+    info = cgc_module._frame.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
 def test_frame_cache_tells_signed_zeros_apart():
     """Momenta that differ only in the sign of a zero component are two frames."""
     kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
@@ -673,11 +726,47 @@ def test_cached_frame_matrices_are_read_only():
     p1, p2 = kin.momenta([0.3, -0.2, 0.9])
     key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
     for convention in ("canonical", "helicity"):
-        _, _, kron = cgc_module._frame(FERMION_PAIR, convention, key)
+        _, _, kron, _ = cgc_module._frame(FERMION_PAIR, convention, key)
         assert kron.shape == (4, 4)
         assert not kron.flags.writeable
         with pytest.raises(ValueError):
             kron[0, 0] = 0.0
+
+
+def test_helicity_channels_are_components_of_the_spins_in_every_table():
+    """lam1 and lam2 must be components of j1 and j2: a half-integer lam1
+    for j1 = 1 (where the scalar once returned 0.4668) and one beyond j1
+    raise InvalidChannel from the scalar, its wrapper, the table and the
+    general-frame table alike, all through one check."""
+    spec = TwoParticleSpec(1.0, 1.0, 1, 0.5)
+    p1, p2 = Kinematics.for_spec(spec, PAIR_S).momenta([0.3, -0.2, 0.9])
+    for lam1, lam2 in ((0.5, 0.5), (2, 0.5), (1, 1.5)):
+        channel = HelicityChannel(lam1, lam2)
+        for call in (
+            lambda: helicity_com_scalar(spec, 1, channel, 0, 0.3, 0.2),
+            lambda: angular_helicity_com(spec, 1, lam1, lam2, 0, 0.3, 0.2),
+            lambda: helicity_com_table(spec, 1, channel, 0, 0.3, 0.2),
+            lambda: helicity_general_table(spec, 1, channel, 0, p1, p2),
+            lambda: angular_helicity_general(spec, 1, lam1, lam2, 0, 1, 0.5, p1, p2),
+        ):
+            with pytest.raises(InvalidChannel, match="components of spins 1 and 1/2"):
+                call()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_directions_must_be_finite(bad):
+    """A vector with a NaN or infinite component has no direction:
+    polar_angles, direction_rotation and helicity_to_wigner raise
+    ValueError, where they returned (0, 0), NaN angles or a NaN matrix."""
+    v = np.array([bad, 0.0, 1.0])
+    for call in (
+        lambda: polar_angles(v),
+        lambda: polar_angles(np.stack([np.array([0.0, 0.0, 1.0]), v])),
+        lambda: direction_rotation(v),
+        lambda: helicity_to_wigner(0.5, v),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_general_frame_off_shell_guard():

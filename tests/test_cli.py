@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import poincare_cgc.cgc as cgc_module
 import poincare_cgc.cli as cli_module
 import poincare_cgc.su2 as su2
 import poincare_cgc.verify as verify
@@ -167,20 +168,27 @@ def test_table_spin_limit_follows_the_scheme(capsys, scheme, largest, too_large)
                    "above the supported maximum 10\n")
 
 
-def test_table_builds_one_table_per_channel_and_component(capsys, monkeypatch):
-    """table --j 1 reads its 48 spin-orbit rows from 12 tables."""
-    real = cli_module.spin_orbit_com_table
+def _count_kernel_blocks(monkeypatch) -> list:
+    """The number of labels of each label kernel call, as calls are made."""
+    real = cgc_module._label_tables
     calls = []
 
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
+    def counted(layout, *args):
+        calls.append(len(layout.labels))
+        return real(layout, *args)
 
-    monkeypatch.setattr(cli_module, "spin_orbit_com_table", counted)
+    monkeypatch.setattr(cgc_module, "_label_tables", counted)
+    return calls
+
+
+def test_table_builds_one_table_per_channel_and_component(capsys, monkeypatch):
+    """table --j 1 reads its 48 spin-orbit rows from 12 tables, one label
+    kernel block of one table per (channel, chi)."""
+    calls = _count_kernel_blocks(monkeypatch)
     code, out, _ = run_cli(capsys, "table", "--j", "1")
     assert code == 0
     assert len(records_from_csv(out)) == 48
-    assert len(calls) == 12
+    assert calls == [12]
 
 
 def test_symbolic_check_names_available_tables(capsys):
@@ -386,19 +394,12 @@ def test_records_from_csv_rejects_an_unknown_header():
 
 def test_helicity_table_builds_one_table_per_channel_and_component(capsys, monkeypatch):
     """table --scheme helicity --j 1 reads its 12 rows from 12 tables, one
-    slot of each."""
-    real = cli_module.helicity_com_table
-    calls = []
-
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(cli_module, "helicity_com_table", counted)
+    slot of each, in one label kernel block."""
+    calls = _count_kernel_blocks(monkeypatch)
     code, out, _ = run_cli(capsys, "table", "--scheme", "helicity", "--j", "1")
     assert code == 0
     assert len(records_from_csv(out)) == 12
-    assert len(calls) == 12
+    assert calls == [12]
 
 
 def test_verify_builds_the_rotation_fixture_once(monkeypatch):

@@ -57,6 +57,22 @@ def test_non_finite_spins_fail_at_the_api_boundary():
         TwoParticleSpec(1, 1, float("inf"), 0.5)
 
 
+@pytest.mark.parametrize("text", ["0.5", " 1/2 ", "1", "3/2"])
+def test_strings_are_not_half_integers(text):
+    """A string is not a spin label, even one Fraction can read: HalfInt.of,
+    a pair's spins and a basis's j_max raise the half-integer ValueError,
+    and a HalfInt never equals a string."""
+    with pytest.raises(ValueError, match="is not a half-integer"):
+        HalfInt.of(text)
+    with pytest.raises(ValueError, match="is not a half-integer"):
+        TwoParticleSpec(1, 1, text, 0.5)
+    spec = TwoParticleSpec.fermion_pair(1.0)
+    with pytest.raises(ValueError, match="is not a half-integer"):
+        all_basis_states(build_grid(4, 8), spec, 9.0, text, "spin-orbit")
+    half = HalfInt.of(Fraction(text.strip()))
+    assert half != text and not half == text
+
+
 @pytest.mark.parametrize("twice", [3, np.int64(3), np.int8(3), True])
 def test_twice_is_stored_as_a_plain_int(twice):
     """Plain ints take the fast path; numpy integers and bools take the

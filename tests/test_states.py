@@ -48,16 +48,15 @@ from poincare_cgc.states import (
     _gauss_legendre,
     _harmonic_fit,
     _helicity_frames,
-    _helicity_wavefunction,
     _little_group_phase,
     _preimages,
     _sandwich,
 )
 import poincare_cgc.cgc as cgc_module
-import poincare_cgc.labels as labels_module
 import poincare_cgc.states as states_module
 import poincare_cgc.su2 as su2_module
-from poincare_cgc.cgc import spin_orbit_com_table
+from poincare_cgc.cgc import helicity_com_table, spin_orbit_com_table
+from poincare_cgc.halfint import component_index
 from poincare_cgc.lorentz import polar_angles, spinor_to_lorentz
 from poincare_cgc.su2 import _harmonic_table
 
@@ -67,6 +66,12 @@ PAIR_S = 9.0
 
 def fermion_states(grid, j_max, scheme):
     return all_basis_states(grid, FERMION_PAIR, PAIR_S, j_max, scheme)
+
+
+def _helicity_state_table(spec, j, channel, chi, theta, phi):
+    """A helicity basis state's amplitude table: the wavefunction, the
+    conjugate of the coefficient table helicity_com_table (Jacob and Wick)."""
+    return helicity_com_table(spec, j, channel, chi, theta, phi).conj()
 
 
 def test_build_grid_shape_and_weights():
@@ -224,7 +229,7 @@ def test_basis_amplitudes_equal_the_closed_forms_bit_for_bit(scheme):
     """all_basis_states reads its harmonics from one table per call; every
     amplitude array must still be exactly the per-state closed form."""
     grid = build_grid(16, 33)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
     states = fermion_states(grid, 6, scheme)
     assert len(states) == 194
     for st in states:
@@ -252,28 +257,59 @@ KERNEL_ANGLES = {
 }
 
 
+def _spin_orbit_products(spec, j, channel, chi, theta, phi):
+    """An orbital/spin table formed label by label: each cell weight times
+    its row of the channel's harmonics Y_{l l3} alone (su2._harmonic_rows)."""
+    theta, phi = su2_module._finite_angles(theta=theta, phi=phi)
+    rows = su2_module._harmonic_rows(int(channel.l), theta, phi)
+    cells = cgc_module._spin_orbit_cells(spec.j1, spec.j2, j, channel.l, channel.s, chi)
+    out = np.zeros(rows.shape[1:] + spec.spin_shape, dtype=complex)
+    for a, b, row, weight in cells:
+        out[..., a, b] = weight * rows[row]
+    return out
+
+
+def _helicity_products(spec, j, channel, chi, theta, phi):
+    """A helicity basis state's table formed label by label: the conjugate
+    of sqrt((2j+1)/4pi) e^{-i chi phi} d^j_{chi mu}(theta) e^{i mu phi} on
+    the channel's slot, with d^j_{chi mu} alone (su2._d_entry)."""
+    theta, phi = su2_module._finite_angles(theta=theta, phi=phi)
+    shape = np.broadcast(theta, phi).shape
+    mu = channel.mu
+    d = su2_module._d_entry(j.twice, chi.twice, mu.twice, theta)
+    norm = np.sqrt((j.twice + 1.0) / (4.0 * np.pi))
+    cell = norm * np.exp(-1j * float(chi) * phi) * d * np.exp(1j * float(mu) * phi) + np.zeros(shape)
+    out = np.zeros(shape + spec.spin_shape, dtype=complex)
+    out[..., component_index(spec.j1, channel.lam1), component_index(spec.j2, channel.lam2)] = cell
+    return out.conj()
+
+
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
 @pytest.mark.parametrize("angles", list(KERNEL_ANGLES))
 @pytest.mark.parametrize("spec, j_max", KERNEL_SPECS)
 def test_label_kernel_equals_the_closed_forms_byte_for_byte(spec, j_max, angles, scheme):
     """_label_tables evaluates each factor once and forms every label's
-    table from them. Each table, in the kernel's own block or in a
-    caller's (which takes the one-product path at array angles), has the
-    bytes of its per-label closed form (tobytes, so signed zeros count):
-    on grid axes, an aliased grid's included, on the phi = 0 rings, and
-    at scalar angles, where numpy's 0-d arithmetic rounds complex
-    products apart from its array loops."""
+    table from them. Each table, in the kernel's own block, in a caller's
+    (which takes the one-product path at array angles) and from the
+    per-label functions, which read the kernel too, has the bytes of its
+    closed form formed label by label (tobytes, so signed zeros count): on
+    grid axes, an aliased grid's included, on the phi = 0 rings, and at
+    scalar angles, where numpy's 0-d arithmetic rounds complex products
+    apart from its array loops."""
     theta, phi = KERNEL_ANGLES[angles]
-    layout = labels_module._basis_layout(spec, scheme, HalfInt.of(j_max))
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
-    tables = labels_module._label_tables(layout, theta, phi)
+    layout = cgc_module._basis_layout(spec, scheme, HalfInt.of(j_max))
+    products = _spin_orbit_products if scheme == "spin-orbit" else _helicity_products
+    per_label = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
+    tables = cgc_module._label_tables(layout, theta, phi)
     stacked = np.empty((len(tables),) + tables[0].shape, dtype=complex)
-    labels_module._label_tables(layout, theta, phi, stacked)
+    cgc_module._label_tables(layout, theta, phi, stacked)
     for (j, channel, chi), table, row in zip(layout.labels, tables, stacked):
-        want = fn(spec, j, channel, chi, theta, phi)
+        want = products(spec, j, channel, chi, theta, phi)
         assert table.shape == want.shape, (j, channel, chi)
         assert table.tobytes() == want.tobytes(), (j, channel, chi)
         assert row.tobytes() == want.tobytes(), (j, channel, chi)
+        got = per_label(spec, j, channel, chi, theta, phi)
+        assert got.tobytes() == want.tobytes(), (j, channel, chi)
 
 
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
@@ -363,7 +399,7 @@ def test_grid_tables_equal_node_by_node_evaluation(shape, scheme):
     node (grid.theta, grid.phi): the conversion is _sandwich with the
     frames built at the node arrays."""
     grid = build_grid(*shape)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
     f1, f2 = _helicity_frames(grid.theta, grid.phi, FERMION_PAIR.j1, FERMION_PAIR.j2)
     for st in fermion_states(grid, 3, scheme):
         want = fn(FERMION_PAIR, st.j, st.channel, st.component, grid.theta, grid.phi)
@@ -697,7 +733,7 @@ def test_grid_decompose_and_reconstruct_match_the_entry_formula(scheme, shape, r
     grids that alias components (10x6, 12x8) need nothing more (4.0e-15
     at worst measured there)."""
     grid = build_grid(*shape)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
     amps = rng.normal(size=(grid.size, 2, 2)) + 1j * rng.normal(size=(grid.size, 2, 2))
     psi = GridProductState(grid=grid, spec=FERMION_PAIR, amplitudes=amps, scheme=scheme)
     dec = decompose_product_state(psi, FERMION_PAIR, PAIR_S, 6, scheme)
@@ -731,7 +767,7 @@ def test_grid_coefficients_match_extended_overlaps(scheme, rng):
     psi = _grid_product_state(grid, scheme, rng)
     dec = decompose_product_state(psi, FERMION_PAIR, PAIR_S, 6, scheme)
     weighted = grid.weights.astype(np.longdouble)[:, None, None] * psi.amplitudes.astype(np.clongdouble)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
     for e in dec.entries:
         table = fn(FERMION_PAIR, e.j, e.channel, e.component, grid.theta, grid.phi)
         exact = np.sum(table.astype(np.clongdouble).conj() * weighted)
@@ -766,7 +802,7 @@ def test_delta_coefficients_are_per_label_sums(scheme, monkeypatch):
     slots = psi.coefficients
     if scheme == "helicity":
         slots = states_module._fixed_to_helicity_slots(FERMION_PAIR, psi.theta, psi.phi, slots)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_wavefunction
+    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
 
     def no_separation(*args):
         raise AssertionError("the delta branch separated the tables in phi")
