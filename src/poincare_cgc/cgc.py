@@ -19,7 +19,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -139,16 +139,20 @@ def enumerate_channels(spec: TwoParticleSpec, j, scheme: str = "spin-orbit") -> 
     descending. Helicity channels with |lam1 - lam2| > j are listed too;
     their coupling amplitudes vanish identically.
     """
-    j = HalfInt.of(j)
-    _check_scheme(scheme)
+    return _channels(spec.j1, spec.j2, HalfInt.of(j), _check_scheme(scheme))
+
+
+def coupling_channels(spec: TwoParticleSpec, j, scheme: str = "spin-orbit") -> list:
+    """Channels whose coupling amplitude is not identically zero."""
+    return _coupling_channels(spec.j1, spec.j2, HalfInt.of(j), _check_scheme(scheme))
+
+
+def _channels(j1, j2, j: HalfInt, scheme: str) -> list:
+    """:func:`enumerate_channels` of constituent spins j1 and j2."""
     if scheme == "helicity":
-        return [
-            HelicityChannel(l1, l2)
-            for l1 in components(spec.j1)
-            for l2 in components(spec.j2)
-        ]
+        return [HelicityChannel(l1, l2) for l1 in components(j1) for l2 in components(j2)]
     out = []
-    for s in hrange(abs(spec.j1 - spec.j2), spec.j1 + spec.j2):
+    for s in hrange(abs(j1 - j2), j1 + j2):
         lo, hi = abs(j - s), j + s
         if not lo.is_integer:
             continue
@@ -156,13 +160,9 @@ def enumerate_channels(spec: TwoParticleSpec, j, scheme: str = "spin-orbit") -> 
     return out
 
 
-def coupling_channels(spec: TwoParticleSpec, j, scheme: str = "spin-orbit") -> list:
-    """Channels whose coupling amplitude is not identically zero."""
-    j = HalfInt.of(j)
-    chans = enumerate_channels(spec, j, scheme)
-    if scheme == "helicity":
-        return [c for c in chans if abs(c.mu) <= j]
-    return chans
+def _coupling_channels(j1, j2, j: HalfInt, scheme: str) -> list:
+    """:func:`coupling_channels` of constituent spins j1 and j2."""
+    return [c for c in _channels(j1, j2, j, scheme) if scheme != "helicity" or abs(c.mu) <= j]
 
 
 def _exact_triangle(s, s1, s2) -> tuple[int, int]:
@@ -301,13 +301,6 @@ def discrete_symmetry_labels(l, s) -> tuple[int, int]:
     return (-1) ** (li + 1), (-1) ** (li + si)
 
 
-def _check_chi(j, chi) -> tuple[HalfInt, HalfInt]:
-    j, chi = HalfInt.of(j), HalfInt.of(chi)
-    if not compatible(j, chi):
-        raise ValueError(f"component {chi} is not valid for spin {j}")
-    return j, chi
-
-
 def spin_orbit_com_table(
     spec: TwoParticleSpec, j, channel: SpinOrbitChannel, chi, theta, phi
 ) -> np.ndarray:
@@ -366,9 +359,13 @@ def _check_top_spin(spec: TwoParticleSpec, j: HalfInt, scheme: str, given: str) 
         )
 
 
-def _spin_labels(spec: TwoParticleSpec, j: HalfInt, scheme: str) -> list[tuple]:
-    """(j, channel, chi) of every basis state of total spin j, in basis order."""
-    return [(j, channel, chi) for channel in coupling_channels(spec, j, scheme) for chi in components(j)]
+def _spin_labels(j1, j2, j: HalfInt, scheme: str) -> list[tuple]:
+    """(j, channel, chi) of every basis state of total spin j of constituent
+    spins j1 and j2 whose table is supported, in basis order: spin-orbit
+    channels with l or s above _MAX_J, whose tables raise, are left out
+    (below the top spin, :func:`_check_top_spin`, there are none)."""
+    return [(j, c, chi) for c in _coupling_channels(j1, j2, j, scheme)
+            if scheme == "helicity" or max(c.l, c.s) <= _MAX_J for chi in components(j)]
 
 
 def _basis_labels(spec: TwoParticleSpec, j_max: HalfInt, scheme: str) -> list[tuple]:
@@ -383,7 +380,7 @@ def _basis_labels(spec: TwoParticleSpec, j_max: HalfInt, scheme: str) -> list[tu
     j_values = [HalfInt(t) for t in range(start, j_max.twice + 1, 2)]
     if j_values:
         _check_top_spin(spec, j_values[-1], scheme, f"j_max={j_max}")
-    return [label for j in j_values for label in _spin_labels(spec, j, scheme)]
+    return [label for j in j_values for label in _spin_labels(spec.j1, spec.j2, j, scheme)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,11 +390,13 @@ class _Layout:
     Each populated spin slot of a label is a cell, cells[k] = (label, a, b),
     ordered by label: label n's are cells first[n]:first[n + 1]. A
     spin-orbit cell is weights[k] (from :func:`_spin_orbit_cells`) times
-    row rows[k], Y_{l l3}, of the harmonic table up to l_max. A helicity
+    row rows[k], Y_{l l3}, of the harmonic table of l_min ... l_max. A helicity
     label has one cell, its channel's slot (lam1, lam2), unless |mu| > j,
     with spins[k] = (2j, 2chi, 2mu), mu = lam1 - lam2, and d_slots
     describing the cells' d^j_{chi mu} (:func:`su2._d_entry_slots`).
-    twice_chi holds 2chi per label. Every array is read-only.
+    twice_chi holds 2chi per label. block_row is a one-label layout's row
+    among the labels of its j (:func:`_spin_layout`), None if |mu| > j.
+    Every array is read-only.
     """
 
     scheme: str
@@ -406,22 +405,25 @@ class _Layout:
     twice_chi: np.ndarray
     cells: np.ndarray
     first: np.ndarray
+    l_min: int = 0
     l_max: int = 0
     rows: np.ndarray | None = None
     weights: np.ndarray | None = None
     spins: np.ndarray | None = None
     d_slots: tuple = ()
+    block_row: int | None = None
 
 
 def _label_layout(j1, j2, scheme, labels) -> _Layout:
     """The layout of checked labels (:func:`poincare_cgc.states._check_label`,
     :func:`_one_label_layout`) of constituent spins j1 and j2."""
     if scheme == "spin-orbit":
-        found = [(n, a, b, int(c.l) ** 2 + row, weight) for n, (j, c, chi) in enumerate(labels)
+        degrees = [int(c.l) for _, c, _ in labels]
+        l_min, l_max = min(degrees, default=0), max(degrees, default=0)
+        found = [(n, a, b, int(c.l) ** 2 - l_min**2 + row, weight) for n, (j, c, chi) in enumerate(labels)
                  for a, b, row, weight in _spin_orbit_cells(j1, j2, j, c.l, c.s, chi)]
         fields = dict(rows=np.array([f[3] for f in found], dtype=int),
-                      weights=np.array([f[4] for f in found], dtype=complex),
-                      l_max=max((int(c.l) for _, c, _ in labels), default=0))
+                      weights=np.array([f[4] for f in found], dtype=complex), l_min=l_min, l_max=l_max)
     else:
         found = [(n, (j1.twice - c.lam1.twice) // 2, (j2.twice - c.lam2.twice) // 2)
                  for n, (j, c, _) in enumerate(labels) if abs(c.mu) <= j]
@@ -451,10 +453,9 @@ def _basis_layout(spec, scheme, j_max: HalfInt) -> _Layout:
 
 @functools.cache
 def _spin_layout(j1, j2, scheme, j: HalfInt) -> _Layout:
-    """The layout of every basis label of a checked total spin j
+    """The layout of the basis labels of a checked total spin j
     (:func:`_spin_labels`), memoised on the spins and j; read-only."""
-    # the channels depend on the spins alone, so unit masses stand in for the pair's
-    return _label_layout(j1, j2, scheme, _spin_labels(TwoParticleSpec(1.0, 1.0, j1, j2), j, scheme))
+    return _label_layout(j1, j2, scheme, _spin_labels(j1, j2, j, scheme))
 
 
 @functools.cache
@@ -465,24 +466,18 @@ def _one_label_layout(j1, j2, scheme, j, channel, chi) -> _Layout:
     components of j1 and j2 (InvalidChannel) and, unless |mu| > j, where
     the table is zero, mu a component of a supported j (ValueError).
     Memoised on the spins and the label; a label that raises is not cached."""
-    j, chi = _check_chi(j, chi)
+    j, chi = HalfInt.of(j), HalfInt.of(chi)
+    if not compatible(j, chi):
+        raise ValueError(f"component {chi} is not valid for spin {j}")
     if scheme == "helicity":
         if not (compatible(j1, channel.lam1) and compatible(j2, channel.lam2)):
             raise InvalidChannel(f"channel ({channel.label()}) needs components of spins {j1} and {j2}")
         if abs(channel.mu) <= j:
             component_index(j, channel.mu)
             _check_j(j)
-    return _label_layout(j1, j2, scheme, ((j, channel, chi),))
-
-
-@functools.cache
-def _block_row(j1, j2, scheme, j, channel, chi) -> tuple[int, int | None]:
-    """(2j, n) of a label checked by :func:`_one_label_layout`: twice its j,
-    and its row among the labels of that j (:func:`_spin_layout`), None for
-    a helicity channel with |mu| > j. Memoised as _one_label_layout is."""
-    label = _one_label_layout(j1, j2, scheme, j, channel, chi).labels[0]
-    labels = _spin_layout(j1, j2, scheme, label[0]).labels
-    return label[0].twice, labels.index(label) if label in labels else None
+    layout = _label_layout(j1, j2, scheme, ((j, channel, chi),))
+    label, labels = layout.labels[0], _spin_layout(j1, j2, scheme, j).labels
+    return replace(layout, block_row=labels.index(label) if label in labels else None)
 
 
 def _label_tables(layout, theta, phi, out=None):
@@ -503,13 +498,13 @@ def _label_tables(layout, theta, phi, out=None):
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     shape = np.broadcast(theta, phi).shape
-    if not layout.labels:
-        return np.empty((0,) + shape + layout.spin_shape, dtype=complex) if out is None else out
     one_product = out is not None and bool(shape)
-    operands, value, blank = _cell_operands(layout, theta, phi, shape)
+    operands, value = _cell_operands(layout, theta, phi, shape) if len(layout.cells) else ([], None)
     if out is None:
         out = np.empty((len(layout.labels),) + shape + layout.spin_shape, dtype=complex)
-    out[...] = blank
+    out[...] = _BLANK[layout.scheme]
+    if value is None:  # no cells: no labels, or only helicity channels with |mu| > j
+        return out
     if one_product:
         gathered = [table[index] for table, index in operands]
         # the operands broadcast against each other behind the cell axis
@@ -527,16 +522,16 @@ def _label_tables(layout, theta, phi, out=None):
     return out
 
 
-# what a helicity table holds outside its slot: conj(0 + 0j)
-_BLANK_HELICITY = complex(0.0, -0.0)
+# what a table holds outside its cells: a helicity table's is conj(0 + 0j)
+_BLANK = {"spin-orbit": 0.0, "helicity": complex(0.0, -0.0)}
 
 
-def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable, complex]:
-    """(operands, value, blank) of :func:`_label_tables` at float angles.
+def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable]:
+    """(operands, value) of :func:`_label_tables` at float angles, for cells.
 
     operands lists (table, index) pairs: the table holds one evaluated
     factor per row, and cell k reads its row index[k]. value maps a
-    cell's operands to its slot; blank fills the other slots.
+    cell's operands to its slot.
     Spin-orbit: the cell weight times Y_{l l3}, a row of one harmonic
     table.
     Helicity: conj(left d^j_{chi mu}(theta) e^{i mu phi} + 0), with
@@ -546,8 +541,8 @@ def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable, complex]:
     """
     own = np.arange(len(layout.cells))
     if layout.scheme == "spin-orbit":
-        rows = _harmonic_table(layout.l_max, theta, phi)
-        return [(layout.weights, own), (rows, layout.rows)], operator.mul, 0.0
+        rows = _harmonic_table(layout.l_max, theta, phi, layout.l_min)
+        return [(layout.weights, own), (rows, layout.rows)], operator.mul
     spins = layout.spins.tolist()
     # each distinct (2j, 2chi) and 2mu, numbered in order of first use
     pairs, mus = {}, {}
@@ -564,7 +559,7 @@ def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable, complex]:
         return np.conj(left * entry * wave + zero)
 
     tables = [np.array(lefts), entries, np.array(waves)]
-    return list(zip(tables, (left, own, wave))), value, _BLANK_HELICITY
+    return list(zip(tables, (left, own, wave))), value
 
 
 def _spin_tables(spec, scheme, j: HalfInt, theta, phi) -> tuple[tuple, np.ndarray]:
@@ -707,15 +702,16 @@ def _angular_general(spec, scheme, j, channel, chi, p1, p2):
     """A general-frame table: the label's rest-frame table at the frame's
     angles, its raveled spin slots turned by the frame's Kronecker matrix.
 
-    The rest-frame table is the label's row (:func:`_block_row`) of the
-    frame's read-only block of its j, kept under 2j and made on the first
-    table of that j (:func:`_spin_tables`); a helicity channel with
+    The rest-frame table is the label's block_row (:func:`_one_label_layout`)
+    of the frame's read-only block of its j, kept under 2j and made on the
+    first table of that j (:func:`_spin_tables`); a helicity channel with
     |mu| > j has no row, and a zero table.
     """
     convention = "canonical" if scheme == "spin-orbit" else "helicity"
     key = np.concatenate((p1.as_array(), p2.as_array())).tobytes()
     theta, phi, kron, blocks = _frame(spec, convention, key)
-    twice_j, n = _block_row(spec.j1, spec.j2, scheme, j, channel, chi)
+    layout = _one_label_layout(spec.j1, spec.j2, scheme, j, channel, chi)
+    twice_j, n = layout.labels[0][0].twice, layout.block_row
     if n is not None and twice_j not in blocks:
         blocks[twice_j] = _spin_tables(spec, scheme, HalfInt(twice_j), theta, phi)[1]
         blocks[twice_j].flags.writeable = False

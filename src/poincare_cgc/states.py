@@ -25,9 +25,9 @@ from .cgc import (
     HelicityChannel,
     SpinOrbitChannel,
     TwoParticleSpec,
+    _Layout,
     _basis_layout,
     _check_above_threshold,
-    _check_chi,
     _check_scheme,
     _label_table,
     _label_tables,
@@ -199,8 +199,7 @@ def build_com_basis_state(grid, spec, s, j, channel, component) -> ComBasisState
     scheme = next((k for k, kind in _CHANNEL_TYPES.items() if isinstance(channel, kind)), None)
     if scheme is None:
         raise InvalidChannel(f"not a channel label: {channel!r}")
-    label = _check_label(spec, scheme, j, channel, component)
-    return _basis_states(grid, spec, s, _one_label_layout(spec.j1, spec.j2, scheme, *label))[0]
+    return _basis_states(grid, spec, s, _check_label(spec, scheme, j, channel, component))[0]
 
 
 def all_basis_states(grid, spec, s, j_max, scheme) -> list[ComBasisState]:
@@ -228,14 +227,14 @@ def _basis_states(grid, spec, s, layout) -> list[ComBasisState]:
     ]
 
 
-def _check_label(spec, scheme, j, channel, chi) -> tuple:
-    """(j, channel, chi) as a basis label of the scheme: chi must be a
-    component of j (ValueError), and channel one of the channels that
-    couple to j (InvalidChannel)."""
-    j, chi = _check_chi(j, chi)
-    if channel not in coupling_channels(spec, j, scheme):
-        raise InvalidChannel(f"channel {channel.label()} does not couple to j={j}")
-    return j, channel, chi
+def _check_label(spec, scheme, j, channel, chi) -> _Layout:
+    """The layout of (j, channel, chi) as a basis label of the scheme: it
+    must pass :func:`_one_label_layout`, and channel must be one of the
+    channels that couple to j (InvalidChannel)."""
+    layout = _one_label_layout(spec.j1, spec.j2, scheme, j, channel, chi)
+    if channel not in coupling_channels(spec, layout.labels[0][0], scheme):
+        raise InvalidChannel(f"channel {channel.label()} does not couple to j={layout.labels[0][0]}")
+    return layout
 
 
 def _check_same_space(a: ComBasisState, b: ComBasisState) -> None:
@@ -936,7 +935,7 @@ def state_from_json(text: str, spec: TwoParticleSpec) -> ComBasisState:
         raise ValueError(f"state JSON field 'eta' must hold two labels, got {len(eta)}")
     channel = _CHANNEL_TYPES[scheme](*(_json_half("eta", x) for x in eta))
     j, chi = (_json_half(name, _json_field(data, name)) for name in ("j", "component"))
-    label = _check_label(spec, scheme, j, channel, chi)
+    label = _check_label(spec, scheme, j, channel, chi).labels[0]
     s = float(_json_field(data, "s"))
     pairs = _json_field(data, "amplitudes", list)
     try:

@@ -60,8 +60,8 @@ def _d_slots(tj) -> tuple:
     """:func:`_d_entry_slots` of every entry of d^j, the entry axes (m', m)
     trailing."""
     n, ms = tj + 1, range(tj, -tj - 1, -2)
-    pref, *slots = _d_entry_slots([(tj, tmp, tm) for tmp in ms for tm in ms])
-    return (pref.reshape(n, n), *(a.reshape(n, n, n) for a in slots))
+    pref, *slots, exponents = _d_entry_slots([(tj, tmp, tm) for tmp in ms for tm in ms])
+    return (pref.reshape(n, n), *(a.reshape(-1, n, n) for a in slots), exponents)
 
 
 def _d_entry(tj, tmp, tm, beta):
@@ -112,32 +112,36 @@ def wigner_d_small(j, beta):
 def _d_entry_slots(entries) -> tuple:
     """:func:`_d_slots` of a list of entries (2j, 2m', 2m) of d^j, of any
     j each: pref has one axis over the entries, and every entry's terms
-    fill as many slots as the largest 2j + 1, in order, with sign 0 after
-    its last term."""
-    shape = (max((tj + 1 for tj, _, _ in entries), default=1), len(entries))
+    fill as many slots as the longest sum has terms, in order, with sign 0
+    after its last term; exponents lists the powers of c and s they read."""
+    sums = [_d_terms(*entry) for entry in entries]
+    shape = (max((len(terms) for _, terms in sums), default=1), len(entries))
     e1, e2 = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
-    sign, den, pref = np.zeros(shape), np.ones(shape), np.empty(len(entries))
-    for k, entry in enumerate(entries):
-        pref[k], terms = _d_terms(*entry)
+    sign, den, pref = np.zeros(shape), np.ones(shape), np.array([weight for weight, _ in sums])
+    for k, (_, terms) in enumerate(sums):
         for slot, term in enumerate(terms):
             e1[slot, k], e2[slot, k], sign[slot, k], den[slot, k] = term
-    return pref, e1, e2, sign, den
+    held = sign != 0.0
+    return pref, e1, e2, sign, den, tuple(sorted(set(e[held].tolist())) for e in (e1, e2))
 
 
 def _d_sum(slots, beta):
     """The entries of d^j(beta) that slots (:func:`_d_slots`,
     :func:`_d_entry_slots`) describe, all summed at once, slot by slot.
-    Each power c**e is taken once and gathered, so every entry rounds as
-    its :func:`_d_entry` does (a zero sign adds a signed zero, which
-    leaves a sum as it is), whichever entries are summed with it."""
-    pref, e1, e2, sign, den = slots
+    Each power c**e that a term reads is taken once, as beta's shape, and
+    gathered (the others stay 0), so every entry rounds as its
+    :func:`_d_entry` does (a zero sign adds a signed zero, which leaves a
+    sum as it is), whichever entries are summed with it."""
+    pref, e1, e2, sign, den, exponents = slots
     beta = np.asarray(beta, dtype=float)
     c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    cp = np.stack([c**e for e in range(len(sign))], axis=-1)
-    sp = np.stack([s**e for e in range(len(sign))], axis=-1)
+    cp, sp = (np.zeros(beta.shape + (max(used, default=0) + 1,)) for used in exponents)
+    for base, table, used in ((c, cp, exponents[0]), (s, sp, exponents[1])):
+        for e in used:
+            table[..., e] = base**e
     total = np.zeros(beta.shape + pref.shape)
     for slot in range(len(sign)):
-        total = total + sign[slot] * cp[..., e1[slot]] * sp[..., e2[slot]] / den[slot]
+        total += sign[slot] * cp[..., e1[slot]] * sp[..., e2[slot]] / den[slot]
     return pref * total
 
 
@@ -395,24 +399,26 @@ def _harmonic_rows(l: int, theta, phi) -> np.ndarray:
     return _with_negative_orders(_harmonic_top(l, range(l, -1, -1), theta, phi))
 
 
-def _harmonic_table(l_max: int, theta, phi) -> np.ndarray:
-    """The rows of :func:`_harmonic_rows` for l = 0 ... l_max, stacked, bit for bit.
+def _harmonic_table(l_max: int, theta, phi, l_min: int = 0) -> np.ndarray:
+    """The rows of :func:`_harmonic_rows` for l = l_min ... l_max, stacked, bit for bit.
 
-    Row l**2 + l - m holds Y_{lm}. One Legendre sweep (:func:`_legendre`)
-    and one e^{i m phi} per order serve every degree, where l_max + 1 calls
-    of _harmonic_rows would run lpmv's recurrence once per (l, m).
+    Row l**2 - l_min**2 + l - m holds Y_{lm}. One degree is its
+    _harmonic_rows; over several, one Legendre sweep (:func:`_legendre`,
+    from degree 0) and one e^{i m phi} per order serve every degree.
     """
     _check_l(l_max)
+    if l_min == l_max:
+        return _harmonic_rows(l_max, theta, phi)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast(theta, phi).shape
     x = np.cos(theta)
     legendre = _legendre(l_max, x.reshape((1,) * (len(shape) - x.ndim) + x.shape))
     phase = np.exp(1j * np.arange(l_max + 1).reshape((-1,) + (1,) * len(shape)) * phi)
-    table = np.empty(((l_max + 1) ** 2,) + shape, dtype=complex)
-    for l in range(l_max + 1):
+    table = np.empty(((l_max + 1) ** 2 - l_min**2,) + shape, dtype=complex)
+    for l in range(l_min, l_max + 1):
         top = _top_rows(l, range(l, -1, -1), legendre[l, l::-1], phase[l::-1])
-        table[l * l : (l + 1) ** 2] = _with_negative_orders(top)
+        table[l * l - l_min**2 : (l + 1) ** 2 - l_min**2] = _with_negative_orders(top)
     return table
 
 

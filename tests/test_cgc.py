@@ -702,6 +702,33 @@ def test_interleaved_general_tables_equal_their_definition(rng):
     assert (info.misses, info.currsize) == (2, 2)
 
 
+def test_general_tables_at_the_top_spin(rng):
+    """At j = 10 the spin-orbit channels with l = 11 raise, as their
+    rest-frame tables do; every other label's general-frame table, and its
+    angular_*_general slot, has the bytes of its uncached definition,
+    although the frame's block of j holds only the supported labels."""
+    kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
+    p1, p2 = kin.momenta(rng.normal(size=3))
+    alpha = random_sl2c(rng)
+    q1, q2 = apply_lorentz(alpha, p1), apply_lorentz(alpha, p2)
+    for scheme in ("spin-orbit", "helicity"):
+        for channel in coupling_channels(FERMION_PAIR, 10, scheme):
+            for chi in (10, 0, -3):
+                if scheme == "spin-orbit" and channel.l > 10:
+                    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+                        _general_table(scheme, 10, channel, chi, q1, q2)
+                    continue
+                want = _uncached_general_table(scheme, 10, channel, chi, q1, q2)
+                got = _general_table(scheme, 10, channel, chi, q1, q2)
+                assert got.tobytes() == want.tobytes(), (channel, chi)
+    want = _uncached_general_table("spin-orbit", 10, SpinOrbitChannel(10, 0), 0, q1, q2)
+    got = angular_spin_orbit_general(FERMION_PAIR, 10, 10, 0, 0, 0.5, -0.5, q1, q2)
+    assert got == want[0, 1]
+    want = _uncached_general_table("helicity", 10, HelicityChannel(0.5, 0.5), 7, q1, q2)
+    got = angular_helicity_general(FERMION_PAIR, 10, 0.5, 0.5, 7, -0.5, 0.5, q1, q2)
+    assert got == want[1, 0]
+
+
 def test_frame_cache_tells_signed_zeros_apart():
     """Momenta that differ only in the sign of a zero component are two frames."""
     kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)

@@ -227,9 +227,11 @@ def test_gram_is_orthonormal_through_j2(scheme):
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
 def test_basis_amplitudes_equal_the_closed_forms_bit_for_bit(scheme):
     """all_basis_states reads its harmonics from one table per call; every
-    amplitude array must still be exactly the per-state closed form."""
+    amplitude array must still be exactly the per-state closed form, formed
+    label by label apart from the kernel (_spin_orbit_products,
+    _helicity_products)."""
     grid = build_grid(16, 33)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
+    fn = _spin_orbit_products if scheme == "spin-orbit" else _helicity_products
     states = fermion_states(grid, 6, scheme)
     assert len(states) == 194
     for st in states:
@@ -396,10 +398,11 @@ def test_grid_axes_broadcast_to_the_nodes(shape):
 def test_grid_tables_equal_node_by_node_evaluation(shape, scheme):
     """Basis tables and slot conversions are evaluated on the grid's axes;
     they must equal, bit for bit, the same functions evaluated at every
-    node (grid.theta, grid.phi): the conversion is _sandwich with the
-    frames built at the node arrays."""
+    node (grid.theta, grid.phi), formed label by label apart from the
+    kernel (_spin_orbit_products, _helicity_products): the conversion is
+    _sandwich with the frames built at the node arrays."""
     grid = build_grid(*shape)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
+    fn = _spin_orbit_products if scheme == "spin-orbit" else _helicity_products
     f1, f2 = _helicity_frames(grid.theta, grid.phi, FERMION_PAIR.j1, FERMION_PAIR.j2)
     for st in fermion_states(grid, 3, scheme):
         want = fn(FERMION_PAIR, st.j, st.channel, st.component, grid.theta, grid.phi)
@@ -797,12 +800,14 @@ def test_grid_decomposition_streams_its_tables(scheme, rng):
 def test_delta_coefficients_are_per_label_sums(scheme, monkeypatch):
     """A delta state's coefficients are per-label sums of conjugated
     amplitude times slots, bit for bit (the CLI's decompose output is
-    pinned to those bytes); the grid branch's separation is never taken."""
+    pinned to those bytes), with each table formed label by label apart
+    from the kernel (_spin_orbit_products, _helicity_products); the grid
+    branch's separation is never taken."""
     psi = bell_state("psi01", 0.9, 0.4)
     slots = psi.coefficients
     if scheme == "helicity":
         slots = states_module._fixed_to_helicity_slots(FERMION_PAIR, psi.theta, psi.phi, slots)
-    fn = spin_orbit_com_table if scheme == "spin-orbit" else _helicity_state_table
+    fn = _spin_orbit_products if scheme == "spin-orbit" else _helicity_products
 
     def no_separation(*args):
         raise AssertionError("the delta branch separated the tables in phi")

@@ -359,17 +359,18 @@ def test_legendre_sweep_is_lpmv_bit_for_bit(rng):
 
 
 def test_harmonic_table_stacks_the_harmonic_rows():
-    """_harmonic_table is the rows of _harmonic_rows for l = 0 ... l_max,
-    concatenated, bit for bit: at scalar angles (both poles and a signed
-    zero among them), at flat node angles and on the grid's axes."""
+    """_harmonic_table is the rows of _harmonic_rows for l = l_min ...
+    l_max, concatenated, bit for bit: at scalar angles (both poles and a
+    signed zero among them), at flat node angles and on the grid's axes,
+    with the lowest degrees left out or not."""
     grid = build_grid(16, 33)
     angles = [(grid.theta, grid.phi), grid.axes, (0.0, 0.3), (np.pi, -1.1), (0.7, -0.0)]
-    for l_max in (0, 1, 2, 3, 15):
+    for l_min, l_max in ((0, 0), (0, 1), (0, 2), (0, 3), (0, 15), (1, 2), (2, 3), (7, 15), (15, 15)):
         for theta, phi in angles:
-            want = np.concatenate([_harmonic_rows(l, theta, phi) for l in range(l_max + 1)])
-            got = _harmonic_table(l_max, theta, phi)
+            want = np.concatenate([_harmonic_rows(l, theta, phi) for l in range(l_min, l_max + 1)])
+            got = _harmonic_table(l_max, theta, phi, l_min)
             assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (l_max, np.shape(theta))
+            assert got.tobytes() == want.tobytes(), (l_min, l_max, np.shape(theta))
     with pytest.raises(InvalidOrbitalLabel, match="overflows"):
         _harmonic_table(86, 0.1, 0.1)
 
