@@ -527,7 +527,7 @@ _BLANK = {"spin-orbit": 0.0, "helicity": complex(0.0, -0.0)}
 
 
 def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable]:
-    """(operands, value) of :func:`_label_tables` at float angles, for cells.
+    """(operands, value) of :func:`_label_tables` at float angles, for a layout with cells.
 
     operands lists (table, index) pairs: the table holds one evaluated
     factor per row, and cell k reads its row index[k]. value maps a
