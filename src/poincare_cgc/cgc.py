@@ -395,7 +395,7 @@ class _Layout:
     with spins[k] = (2j, 2chi, 2mu), mu = lam1 - lam2, and d_slots
     describing the cells' d^j_{chi mu} (:func:`su2._d_entry_slots`).
     twice_chi holds 2chi per label. block_row is a one-label layout's row
-    among the labels of its j (:func:`_spin_layout`), None if |mu| > j.
+    among the labels of its j (:func:`_spin_labels`), None if |mu| > j.
     Every array is read-only.
     """
 
@@ -476,7 +476,7 @@ def _one_label_layout(j1, j2, scheme, j, channel, chi) -> _Layout:
             component_index(j, channel.mu)
             _check_j(j)
     layout = _label_layout(j1, j2, scheme, ((j, channel, chi),))
-    label, labels = layout.labels[0], _spin_layout(j1, j2, scheme, j).labels
+    label, labels = layout.labels[0], _spin_labels(j1, j2, j, scheme)
     return replace(layout, block_row=labels.index(label) if label in labels else None)
 
 

@@ -729,6 +729,21 @@ def test_general_tables_at_the_top_spin(rng):
     assert got == want[1, 0]
 
 
+def test_per_label_tables_build_no_block():
+    """A per-label table finds its row among the labels of its j without
+    laying them out: no block of j is built, which for spins (5, 5) at
+    j = 5 means about 2,000 labels' Clebsch-Gordan weights."""
+    spec = TwoParticleSpec(1.0, 1.0, 5, 5)
+    cgc_module._one_label_layout.cache_clear()
+    cgc_module._spin_layout.cache_clear()
+    for scheme in ("spin-orbit", "helicity"):
+        channel = coupling_channels(spec, 5, scheme)[3]
+        table_fn = spin_orbit_com_table if scheme == "spin-orbit" else helicity_com_table
+        table = table_fn(spec, 5, channel, 2, 0.3, 0.2)
+        assert table.shape == (11, 11)
+    assert cgc_module._spin_layout.cache_info().currsize == 0
+
+
 def test_frame_cache_tells_signed_zeros_apart():
     """Momenta that differ only in the sign of a zero component are two frames."""
     kin = Kinematics.for_spec(FERMION_PAIR, PAIR_S)
