@@ -35,8 +35,8 @@ from .lorentz import (
     standard_boost,
     wigner_rotation,
 )
-from .su2 import (_MAX_J, _check_j, _d_entry_slots, _d_sum, _finite_angles, _harmonic_table,
-                  _wigner_D, rep_matrix, su2_cgc)
+from .su2 import (_MAX_J, _cg_block, _check_j, _d_entry_slots, _d_sum, _finite_angles, _harmonic_table,
+                  _wigner_D, rep_matrix)
 
 SCHEMES = ("spin-orbit", "helicity")
 
@@ -329,22 +329,26 @@ def _spin_orbit_cells(j1, j2, j, l, s, chi) -> tuple:
     """Nonzero slots (a, b, l - l3, CG * CG * (-1)**chi) of an orbital/spin table.
 
     l - l3 is the row of Y_{l l3} among the degree-l rows of the harmonic
-    table. j and chi come checked; a channel not coupling to j raises.
+    table; both coefficients are read from blocks (:func:`su2._cg_block`).
+    chi comes checked; a channel not coupling to j raises, and so does the
+    first of j1, j2, s, l, j above the supported maximum.
     """
     if not (triangle_rule(j1, j2, s) and triangle_rule(l, s, j)):
         raise InvalidChannel(f"channel (l={l},s={s}) does not couple to spin {j}")
+    tj1, tj2, ts, tl, tj = (_check_j(spin).twice for spin in (j1, j2, s, l, j))
+    spin, orbit = _cg_block(tj1, tj2, ts).tolist(), _cg_block(tl, ts, tj).tolist()
     phase = _minus_one_to(chi)
     cells = []
-    for a, chi1 in enumerate(components(j1)):
-        for b, chi2 in enumerate(components(j2)):
-            s3 = chi1 + chi2
-            l3 = chi - s3
-            if abs(s3) > s or abs(l3) > l:
+    for a, row in enumerate(spin):
+        for b, spin_weight in enumerate(row):
+            ts3 = tj1 + tj2 - 2 * (a + b)
+            tl3 = chi.twice - ts3
+            if abs(ts3) > ts or abs(tl3) > tl:
                 continue
-            weight = su2_cgc(s, j1, j2, s3, chi1, chi2) * su2_cgc(j, l, s, chi, l3, s3)
+            weight = spin_weight * orbit[(tl - tl3) // 2][(ts - ts3) // 2]
             if weight == 0.0:
                 continue
-            cells.append((a, b, int(l - l3), weight * phase))
+            cells.append((a, b, (tl - tl3) // 2, weight * phase))
     return tuple(cells)
 
 

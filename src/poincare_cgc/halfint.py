@@ -7,9 +7,26 @@ is 3/2; use ``HalfInt.of(1.5)`` to construct from a value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
+
+
+def _comparison(op):
+    """The HalfInt comparison op of twice the values. Another HalfInt is
+    read as it is, any other value through HalfInt.of; one that is no
+    half-integer gives NotImplemented."""
+
+    def compare(self, other):
+        if isinstance(other, HalfInt):
+            return op(self.twice, other.twice)
+        try:
+            return op(self.twice, HalfInt.of(other).twice)
+        except (ValueError, TypeError):
+            return NotImplemented
+
+    return compare
 
 
 @dataclass(frozen=True)
@@ -77,31 +94,8 @@ class HalfInt:
     def __rsub__(self, other) -> "HalfInt":
         return HalfInt(HalfInt.of(other).twice - self.twice)
 
-    def _cmp_key(self, other):
-        try:
-            return HalfInt.of(other).twice
-        except (ValueError, TypeError):
-            return None
-
-    def __eq__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.twice == key
-
-    def __lt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.twice < key
-
-    def __le__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.twice <= key
-
-    def __gt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.twice > key
-
-    def __ge__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.twice >= key
+    __eq__, __lt__, __le__, __gt__, __ge__ = (
+        _comparison(op) for op in (operator.eq, operator.lt, operator.le, operator.gt, operator.ge))
 
     def __hash__(self):
         # consistent with floats/ints for mixed-key dict use

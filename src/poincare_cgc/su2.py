@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 from scipy.special import lpmv
 
 from .errors import InvalidOrbitalLabel, NotARotation
-from .halfint import HalfInt, compatible, components, triangle_rule
+from .halfint import HalfInt, compatible, component_index, components, triangle_rule
 from .lorentz import _as_matrix, _require, _rotation_matrix, require_su2
 
 _MAX_J = HalfInt(20)
@@ -206,8 +207,8 @@ def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:
 
     The coupled labels come first. Invalid couplings return 0.0: component
     sums that do not match, triangle-rule failures, components that exceed
-    or are incompatible with their spin. Spins must still be valid
-    half-integers (ValueError otherwise).
+    or are incompatible with their spin. Spins must be valid half-integers
+    up to the maximum (ValueError); a valid coupling reads :func:`_cg_block`.
     """
     j1, j2, j = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j)
     m1, m2, m = HalfInt.of(chi1), HalfInt.of(chi2), HalfInt.of(chi)
@@ -217,35 +218,38 @@ def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:
         return 0.0
     if m1 + m2 != m or not triangle_rule(j1, j2, j):
         return 0.0
-    tj1, tj2, tj = j1.twice, j2.twice, j.twice
-    tm1, tm2, tm = m1.twice, m2.twice, m.twice
-    pref = np.sqrt(
-        (tj + 1.0)
-        * _fact((tj + tj1 - tj2) // 2)
-        * _fact((tj - tj1 + tj2) // 2)
-        * _fact((tj1 + tj2 - tj) // 2)
-        / _fact((tj1 + tj2 + tj) // 2 + 1)
-        * _fact((tj + tm) // 2)
-        * _fact((tj - tm) // 2)
-        * _fact((tj1 - tm1) // 2)
-        * _fact((tj1 + tm1) // 2)
-        * _fact((tj2 - tm2) // 2)
-        * _fact((tj2 + tm2) // 2)
-    )
-    kmin = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
-    kmax = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        den = (
-            _fact(k)
-            * _fact((tj1 + tj2 - tj) // 2 - k)
-            * _fact((tj1 - tm1) // 2 - k)
-            * _fact((tj2 + tm2) // 2 - k)
-            * _fact((tj - tj2 + tm1) // 2 + k)
-            * _fact((tj - tj1 - tm2) // 2 + k)
-        )
-        total += (-1.0) ** k / den
-    return float(pref * total)
+    return float(_cg_block(j1.twice, j2.twice, j.twice)[component_index(j1, m1), component_index(j2, m2)])
+
+
+@functools.cache
+def _cg_block(tj1, tj2, tj) -> np.ndarray:
+    """<j1 m1 j2 m2 | j m1+m2> for m1 = j1 ... -j1 (rows) and m2 = j2 ... -j2
+    (columns), twice each spin as an int, (j1, j2, j) passing the triangle
+    rule; 0 where |m1 + m2| > j. Cached, so read-only.
+
+    The one place a Clebsch-Gordan coefficient is formed: Racah's sum of
+    every entry at once, in ascending k with 0 where an entry has no term
+    k, so each entry rounds as its own scalar sum does. Entries out of
+    range are masked before they index the factorials (a negative index
+    would wrap)."""
+    fact = np.array([_fact(n) for n in range((tj1 + tj2 + tj) // 2 + 2)])
+    tm1, tm2 = np.ogrid[tj1 : -tj1 - 1 : -2, tj2 : -tj2 - 1 : -2]
+    held = np.abs(tm1 + tm2) <= tj
+    tm, top = np.where(held, tm1 + tm2, 0), (tj1 + tj2 - tj) // 2
+    pref = np.sqrt((tj + 1.0) * fact[(tj + tj1 - tj2) // 2] * fact[(tj - tj1 + tj2) // 2] * fact[top]
+                   / fact[(tj1 + tj2 + tj) // 2 + 1] * fact[(tj + tm) // 2] * fact[(tj - tm) // 2]
+                   * fact[(tj1 - tm1) // 2] * fact[(tj1 + tm1) // 2]
+                   * fact[(tj2 - tm2) // 2] * fact[(tj2 + tm2) // 2])
+    total = np.zeros(tm.shape)
+    for k in range(top + 1):
+        args = np.broadcast_arrays(k, top - k, (tj1 - tm1) // 2 - k, (tj2 + tm2) // 2 - k,
+                                   (tj - tj2 + tm1) // 2 + k, (tj - tj1 - tm2) // 2 + k)
+        term = held & (np.min(args, axis=0) >= 0)
+        den = functools.reduce(operator.mul, (fact[np.where(term, n, 0)] for n in args))
+        total += np.where(term, (-1.0) ** k / den, 0.0)
+    block = np.where(held, pref * total, 0.0)
+    block.flags.writeable = False
+    return block
 
 
 def _check_l(l: int) -> None:

@@ -30,7 +30,7 @@ from .cgc import (
     spin_orbit_com_table,
     spin_orbit_general_table,
 )
-from .halfint import HalfInt, component_index, components, hrange
+from .halfint import HalfInt, component_index, components
 from .lorentz import (
     METRIC,
     FourMomentum,
@@ -58,6 +58,7 @@ from .states import (
     state_from_json,
     state_to_json,
 )
+from .su2 import _cg_block
 
 __all__ = ["CheckResult", "VerifyReport", "run", "LEVELS"]
 
@@ -274,31 +275,19 @@ def _check_rep_homomorphism() -> float:
 
 
 def _check_cgc_orthogonality() -> float:
-    # su2.su2_cgc is called through the module attribute on purpose: the
-    # mutation test patches that attribute and this check must notice.
+    """The coefficients of j1, j2 <= 2, rows (j, chi) against columns
+    (chi1, chi2), are orthogonal both ways. Only this check reads the blocks
+    through su2._cg_block, which the mutation test patches."""
     worst = 0.0
     for tj1 in range(5):
         for tj2 in range(5):
-            j1, j2 = HalfInt(tj1), HalfInt(tj2)
-            comps1, comps2 = components(j1), components(j2)
-            js = list(hrange(abs(j1 - j2), j1 + j2))
-            rows = []
-            for j in js:
-                for chi in components(j):
-                    rows.append(
-                        [
-                            su2.su2_cgc(j, j1, j2, chi, c1, c2)
-                            for c1 in comps1
-                            for c2 in comps2
-                        ]
-                    )
-            mat = np.array(rows)
-            gram = mat @ mat.T
-            worst = max(worst, float(np.abs(gram - np.eye(len(rows))).max()))
-            completeness = mat.T @ mat
-            worst = max(
-                worst, float(np.abs(completeness - np.eye(mat.shape[1])).max())
-            )
+            tm = np.add.outer(range(tj1, -tj1 - 1, -2), range(tj2, -tj2 - 1, -2))
+            # row (j, chi) keeps the entries of j's block with chi1 + chi2 = chi
+            mat = np.concatenate([np.where(tm == chi, su2._cg_block(tj1, tj2, tj), 0.0).reshape(1, -1)
+                                  for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+                                  for chi in range(tj, -tj - 1, -2)])
+            for product in (mat @ mat.T, mat.T @ mat):
+                worst = max(worst, float(np.abs(product - np.eye(len(product))).max()))
     return worst
 
 
@@ -622,61 +611,67 @@ def _phase_table_notes(rows) -> list:
     return notes
 
 
-def _structure_notes() -> list:
-    return [
-        (
-            "Gram normalization: the measured diagonal of the basis-state "
-            f"Gram matrix is {MEASURED_GRAM_DIAGONAL!r} in every channel of "
-            "both schemes; the value is measured by the gram checks, not "
-            "assumed."
-        ),
-        (
-            "helicity channels under boosts: no constant j-slot mixing "
-            "matrix reproduces boosted helicity amplitudes (best-fit "
-            "residual is order 0.3); the channel labels are frame-tied, so "
-            "only rotations act within a helicity channel."
-        ),
-    ] + _helicity_structure_notes()
-
-
-def _helicity_structure_notes() -> list:
-    """Measured spin-j structure of the helicity basis on a probe grid."""
-    grid = build_grid(12, 25)
-    helicity = all_basis_states(grid, _SPEC, _PAIR_S, 1, "helicity")
-    cross, blocks = _rotation_blocks(helicity, _su2(_quaternion(np.random.default_rng(114))))
+def _structure_notes(helicity) -> list:
+    """The notes on the basis structure, the last measured on the shared
+    :func:`_helicity_probe` under a seeded rotation."""
+    cross, blocks = _rotation_blocks(helicity[0], _su2(_quaternion(np.random.default_rng(114))))
     bare = max(float(np.abs(block - dj).max()) for _, dj, block in blocks)
-    spin_orbit = all_basis_states(grid, _SPEC, _PAIR_S, 1, "spin-orbit")
-    span = 0.0
-    for st in helicity:
-        conv = convert_slots_to_canonical(st)
-        rest = conv.amplitudes - sum(
-            inner_product(so, conv) * so.amplitudes for so in spin_orbit if so.j == st.j
-        )
-        norm2 = np.einsum("n,ncd->", grid.weights, np.abs(conv.amplitudes) ** 2)
-        rest2 = np.einsum("n,ncd->", grid.weights, np.abs(rest) ** 2)
-        span = max(span, float(np.sqrt(rest2 / norm2)))
     return [
-        (
-            "helicity channels under rotations: helicity basis states are the "
-            "Jacob-Wick spin-j states, with slots in the frames "
-            "R(phi, theta, -phi) and R(phi, theta, -phi) Ry(pi); a rotation "
-            "keeps every (j, lam1, lam2) block (largest cross-block overlap "
-            f"{cross:.3e} on the probe grid) and mixes its components by the "
-            f"bare D(u) (worst deviation {bare:.3e})."
-        ),
-        (
-            "scheme conversion: helicity basis states converted to canonical "
-            "spin slots lie in the span of the orbital/spin states with the "
-            f"same j (worst relative projection residual {span:.3e}); both "
-            "schemes are bases of the same spin-j blocks."
-        ),
+        "Gram normalization: the measured diagonal of the basis-state "
+        f"Gram matrix is {MEASURED_GRAM_DIAGONAL!r} in every channel of "
+        "both schemes; the value is measured by the gram checks, not "
+        "assumed.",
+        "helicity channels under boosts: no constant j-slot mixing "
+        "matrix reproduces boosted helicity amplitudes (best-fit "
+        "residual is order 0.3); the channel labels are frame-tied, so "
+        "only rotations act within a helicity channel.",
+        "helicity channels under rotations: helicity basis states are the "
+        "Jacob-Wick spin-j states, with slots in the frames "
+        "R(phi, theta, -phi) and R(phi, theta, -phi) Ry(pi); a rotation "
+        "keeps every (j, lam1, lam2) block (largest cross-block overlap "
+        f"{cross:.3e} on the probe grid) and mixes its components by the "
+        f"bare D(u) (worst deviation {bare:.3e}).",
     ]
 
 
-def _fast_checks(canonical, rotation) -> list:
-    """(name, check, tolerance) of the fast level; canonical and rotation
-    are the :func:`_canonical_identity_draws` and :func:`_rotation_fixture`
-    measurements that checks and notes share."""
+def _helicity_probe() -> tuple:
+    """(helicity, orbital/spin) basis states with j <= 1 on a 12x25 probe
+    grid; built once per :func:`run`."""
+    grid = build_grid(12, 25)
+    return tuple(all_basis_states(grid, _SPEC, _PAIR_S, 1, scheme) for scheme in ("helicity", "spin-orbit"))
+
+
+def _recoupling(so, hel) -> complex:
+    """Jacob and Wick's overlap of an orbital/spin state with a converted
+    helicity one of the same (j, chi), mu = lam1 - lam2: (-1)^(j2 - lam2)
+    i^(-2 chi) sqrt((2l+1)/(2j+1)) <l 0 s mu|j mu> <j1 lam1 j2 -lam2|s mu>."""
+    (l, s), (lam1, lam2), j = so.channel.eta, hel.channel.eta, so.j
+    tj1, tj2 = _SPEC.j1.twice, _SPEC.j2.twice
+    spin = _cg_block(tj1, tj2, s.twice)[(tj1 - lam1.twice) // 2, (tj2 + lam2.twice) // 2]
+    if spin == 0.0:  # as it is where |mu| > s, which has no column in the orbital block
+        return 0.0
+    orbit = _cg_block(l.twice, s.twice, j.twice)[int(l), (s.twice - lam1.twice + lam2.twice) // 2]
+    sign = -1.0 if (tj2 - lam2.twice) // 2 % 2 else 1.0
+    return sign * 1j ** -so.component.twice * math.sqrt((2 * int(l) + 1) / (j.twice + 1)) * orbit * spin
+
+
+def _check_recoupling(helicity, spin_orbit) -> float:
+    """Each overlap of an orbital/spin state with a helicity state in
+    canonical slots is :func:`_recoupling` for the same (j, chi), else 0."""
+    worst = 0.0
+    for hel in helicity:
+        conv = convert_slots_to_canonical(hel)
+        for so in spin_orbit:
+            want = _recoupling(so, hel) if (so.j, so.component) == (hel.j, hel.component) else 0.0
+            worst = max(worst, abs(complex(inner_product(so, conv)) - want))
+    return worst
+
+
+def _fast_checks(canonical, rotation, helicity) -> list:
+    """(name, check, tolerance) of the fast level; canonical, rotation and
+    helicity are the :func:`_canonical_identity_draws`,
+    :func:`_rotation_fixture` and :func:`_helicity_probe` measurements
+    that checks and notes share."""
     return [
         ("sl2c-homomorphism", _check_sl2c_homomorphism, 1e-10),
         ("metric-preservation", _check_metric_preservation, 1e-10),
@@ -700,6 +695,7 @@ def _fast_checks(canonical, rotation) -> list:
         ("bell-state-projection", _check_bell_projection, 1e-12),
         ("parseval-round-trip", _check_parseval, 1e-6),
         ("helicity-slot-round-trip", _check_helicity_roundtrip, 1e-12),
+        ("helicity-spin-orbit-recoupling", lambda: _check_recoupling(helicity[0], helicity[1]), 1e-12),
         ("json-round-trip", _check_json_roundtrip, 0.0),
     ]
 
@@ -729,7 +725,8 @@ def run(level: str = "fast") -> VerifyReport:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     canonical = _Shared(_canonical_identity_draws)
     rotation = _Shared(_rotation_fixture)
-    specs = _fast_checks(canonical, rotation)
+    helicity = _Shared(_helicity_probe)
+    specs = _fast_checks(canonical, rotation, helicity)
     if level == "full":
         specs.append(("gram-orthonormality-full", lambda: _check_gram(2, 32, 64), 1e-8))
     checks = tuple(_timed(name, fn, tol) for name, fn, tol in specs)
@@ -740,7 +737,7 @@ def run(level: str = "fast") -> VerifyReport:
         _bare_mixing_note(rotation[2]),
     ]
     notes.extend(_variant_notes())
-    notes.extend(_structure_notes())
+    notes.extend(_structure_notes(helicity))
     if level == "full":
         notes.extend(_phase_table_notes(phase_rows))
     return VerifyReport(level=level, checks=checks, notes=tuple(notes))

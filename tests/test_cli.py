@@ -258,7 +258,7 @@ def test_verify_fast_passes(capsys):
     fails = [line for line in lines if line.startswith("FAIL")]
     passes = [line for line in lines if line.startswith("PASS")]
     assert not fails
-    assert len(passes) == 23
+    assert len(passes) == 24
     for name in (
         "sl2c-homomorphism",
         "canonical-rotation-wigner-identity",
@@ -281,7 +281,7 @@ def test_verify_json_matches_the_text_report(capsys):
     report = json.loads(out)
     rows = [line.split() for line in text.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert [c["name"] for c in report["checks"]] == [row[1] for row in rows]
-    assert len(rows) == 24 and report["passed"] == report["total"] == 24
+    assert len(rows) == 25 and report["passed"] == report["total"] == 25
     assert report["level"] == "full"
     for check, row in zip(report["checks"], rows):
         assert f"{check['residual']:.3e}" == row[3]
@@ -308,16 +308,17 @@ def test_verify_catches_coupling_sign_mutation(capsys, monkeypatch):
     """A sign flip tied to both a row and a column label breaks the coupling
     orthogonality relations and must be reported by name. Flips conditioned
     on only one side are orthogonal relabelings that both relations absorb,
-    so the mutation couples chi1 < 0 with j = j1 + j2."""
-    real = su2.su2_cgc
+    so the mutation couples chi1 < 0 with j = j1 + j2. It flips the rows
+    chi1 < 0 of a copy of every such block of the coupling kernel."""
+    real = su2._cg_block
 
-    def flipped(j, j1, j2, chi, chi1, chi2):
-        val = real(j, j1, j2, chi, chi1, chi2)
-        if float(chi1) < 0.0 and float(j) == float(j1) + float(j2):
-            return -val
-        return val
+    def flipped(tj1, tj2, tj):
+        block = real(tj1, tj2, tj).copy()
+        if tj == tj1 + tj2:
+            block[np.arange(tj1, -tj1 - 1, -2) < 0] *= -1.0
+        return block
 
-    monkeypatch.setattr(su2, "su2_cgc", flipped)
+    monkeypatch.setattr(su2, "_cg_block", flipped)
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -333,7 +334,7 @@ def _verify_only(monkeypatch, name):
         verify, "_fast_checks", lambda *shared: [c for c in real(*shared) if c[0] == name]
     )
     monkeypatch.setattr(verify, "_rotation_fixture", lambda: (0.0, 0.0, 0.0))
-    monkeypatch.setattr(verify, "_structure_notes", lambda: [])
+    monkeypatch.setattr(verify, "_structure_notes", lambda helicity: [])
 
 
 def _fails(capsys, name):
@@ -416,6 +417,36 @@ def test_verify_builds_the_rotation_fixture_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_builds_the_helicity_probe_once(monkeypatch):
+    """The recoupling check and the helicity rotation note share one probe
+    basis per run."""
+    real = verify._helicity_probe
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(verify, "_helicity_probe", counted)
+    assert verify.run("fast").ok
+    assert len(calls) == 1
+
+
+def test_verify_catches_a_slot_conversion_that_conjugates(capsys, monkeypatch):
+    """Overlaps with conjugated converted states miss Jacob and Wick's
+    recoupling coefficients."""
+    real = verify.convert_slots_to_canonical
+
+    def conjugating(state):
+        converted = real(state)
+        return dataclasses.replace(converted, amplitudes=converted.amplitudes.conj())
+
+    _verify_only(monkeypatch, "helicity-spin-orbit-recoupling")
+    assert not _fails(capsys, "helicity-spin-orbit-recoupling")
+    monkeypatch.setattr(verify, "convert_slots_to_canonical", conjugating)
+    assert _fails(capsys, "helicity-spin-orbit-recoupling")
+
+
 def test_boosted_covariance_builds_each_table_once(monkeypatch):
     """10 draws x 4 channels x 3 components: one rest-frame table per
     (draw, channel, chi') and one boosted table per (draw, channel, chi)."""
@@ -445,10 +476,10 @@ def test_verify_measures_shared_draws_once(monkeypatch):
         monkeypatch.setattr(verify, name, counted)
     # leave out the expensive checks and notes; only the wiring is counted
     monkeypatch.setattr(verify, "_rotation_fixture", lambda: (0.0, 0.0, 0.0))
-    monkeypatch.setattr(verify, "_structure_notes", lambda: [])
+    monkeypatch.setattr(verify, "_structure_notes", lambda helicity: [])
     monkeypatch.setattr(
         verify, "_fast_checks",
-        lambda canonical, rotation: [("canonical", lambda: canonical[0], 1e-10)],
+        lambda canonical, rotation, helicity: [("canonical", lambda: canonical[0], 1e-10)],
     )
     report = verify.run("full")
     assert report.checks[0].passed

@@ -19,7 +19,9 @@ from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
 from poincare_cgc.halfint import HalfInt, components, hrange
 from poincare_cgc.states import build_grid
 from poincare_cgc.su2 import (
+    _cg_block,
     _d_entry,
+    _fact,
     _harmonic_rows,
     _harmonic_sum,
     _harmonic_table,
@@ -213,6 +215,61 @@ def test_su2_cgc_invalid_couplings_return_zero():
 def test_su2_cgc_rejects_negative_spin():
     with pytest.raises(ValueError):
         su2_cgc(1, -1, 1, 0, 0, 0)
+
+
+def _racah_sum(tj1, tj2, tj, tm1, tm2) -> float:
+    """<j1 m1 j2 m2 | j m1+m2> from Racah's factorial sum, one coefficient
+    at a time, twice each label as an int: the scalar loop the block kernel
+    replaced, kept as its bit oracle."""
+    tm = tm1 + tm2
+    pref = np.sqrt(
+        (tj + 1.0)
+        * _fact((tj + tj1 - tj2) // 2)
+        * _fact((tj - tj1 + tj2) // 2)
+        * _fact((tj1 + tj2 - tj) // 2)
+        / _fact((tj1 + tj2 + tj) // 2 + 1)
+        * _fact((tj + tm) // 2)
+        * _fact((tj - tm) // 2)
+        * _fact((tj1 - tm1) // 2)
+        * _fact((tj1 + tm1) // 2)
+        * _fact((tj2 - tm2) // 2)
+        * _fact((tj2 + tm2) // 2)
+    )
+    kmin = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
+    kmax = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = 0.0
+    for k in range(kmin, kmax + 1):
+        den = (
+            _fact(k)
+            * _fact((tj1 + tj2 - tj) // 2 - k)
+            * _fact((tj1 - tm1) // 2 - k)
+            * _fact((tj2 + tm2) // 2 - k)
+            * _fact((tj - tj2 + tm1) // 2 + k)
+            * _fact((tj - tj1 - tm2) // 2 + k)
+        )
+        total += (-1.0) ** k / den
+    return float(pref * total)
+
+
+def test_cg_block_equals_the_scalar_racah_sum_bit_for_bit():
+    """Every coupling with 2j1 + 2j2 <= 20 and 2j <= 20: each entry of the
+    block is the scalar sum's float, byte for byte, where |m1 + m2| <= j,
+    and 0 elsewhere (60,016 entries); the cached block is read-only."""
+    entries = 0
+    for tj1 in range(21):
+        for tj2 in range(21 - tj1):
+            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                block = _cg_block(tj1, tj2, tj)
+                assert block.shape == (tj1 + 1, tj2 + 1) and not block.flags.writeable
+                for (a, b), got in np.ndenumerate(block):
+                    tm1, tm2 = tj1 - 2 * a, tj2 - 2 * b
+                    if abs(tm1 + tm2) > tj:
+                        assert got == 0.0
+                    else:
+                        want = _racah_sum(tj1, tj2, tj, tm1, tm2)
+                        assert np.float64(want).tobytes() == got.tobytes(), (tj1, tj2, tj, a, b)
+                    entries += 1
+    assert entries == 60016
 
 
 def test_su2_cgc_orthogonality_relations():
