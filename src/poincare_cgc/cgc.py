@@ -396,8 +396,9 @@ class _Layout:
     spin-orbit cell is weights[k] (from :func:`_spin_orbit_cells`) times
     row rows[k], Y_{l l3}, of the harmonic table of l_min ... l_max. A helicity
     label has one cell, its channel's slot (lam1, lam2), unless |mu| > j,
-    with spins[k] = (2j, 2chi, 2mu), mu = lam1 - lam2, and d_slots
-    describing the cells' d^j_{chi mu} (:func:`su2._d_entry_slots`).
+    with mu = lam1 - lam2, d_slots describing the cells' d^j_{chi mu}
+    (:func:`su2._d_entry_slots`), and pairs and mus each distinct (2j, 2chi)
+    and 2mu in order of first use, cell k reading left[k] and wave[k].
     twice_chi holds 2chi per label. block_row is a one-label layout's row
     among the labels of its j (:func:`_spin_labels`), None if |mu| > j.
     Every array is read-only.
@@ -413,8 +414,11 @@ class _Layout:
     l_max: int = 0
     rows: np.ndarray | None = None
     weights: np.ndarray | None = None
-    spins: np.ndarray | None = None
     d_slots: tuple = ()
+    pairs: tuple = ()
+    mus: tuple = ()
+    left: np.ndarray | None = None
+    wave: np.ndarray | None = None
     block_row: int | None = None
 
 
@@ -432,8 +436,11 @@ def _label_layout(j1, j2, scheme, labels) -> _Layout:
         found = [(n, (j1.twice - c.lam1.twice) // 2, (j2.twice - c.lam2.twice) // 2)
                  for n, (j, c, _) in enumerate(labels) if abs(c.mu) <= j]
         spins = [(j.twice, chi.twice, c.mu.twice) for j, c, chi in labels if abs(c.mu) <= j]
-        fields = dict(spins=np.array(spins, dtype=int).reshape(-1, 3),
-                      d_slots=_d_entry_slots(spins))
+        pairs, mus = {}, {}
+        left = [pairs.setdefault((tj, tchi), len(pairs)) for tj, tchi, _ in spins]
+        wave = [mus.setdefault(tmu, len(mus)) for _, _, tmu in spins]
+        fields = dict(d_slots=_d_entry_slots(spins), pairs=tuple(pairs), mus=tuple(mus),
+                      left=np.array(left, dtype=int), wave=np.array(wave, dtype=int))
     cells = np.array([f[:3] for f in found], dtype=int).reshape(-1, 3)
     fields.update(twice_chi=np.array([chi.twice for _, _, chi in labels], dtype=int), cells=cells,
                   first=np.searchsorted(cells[:, 0], np.arange(len(labels) + 1)))
@@ -547,14 +554,9 @@ def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable]:
     if layout.scheme == "spin-orbit":
         rows = _harmonic_table(layout.l_max, theta, phi, layout.l_min)
         return [(layout.weights, own), (rows, layout.rows)], operator.mul
-    spins = layout.spins.tolist()
-    # each distinct (2j, 2chi) and 2mu, numbered in order of first use
-    pairs, mus = {}, {}
-    left = np.array([pairs.setdefault((tj, tchi), len(pairs)) for tj, tchi, _ in spins])
-    wave = np.array([mus.setdefault(tmu, len(mus)) for _, _, tmu in spins])
-    chi_waves = {tchi: np.exp(-1j * (tchi / 2.0) * phi) for _, tchi in pairs}
-    lefts = [np.sqrt((tj + 1.0) / (4.0 * np.pi)) * chi_waves[tchi] for tj, tchi in pairs]
-    waves = [np.exp(1j * (tmu / 2.0) * phi) for tmu in mus]
+    chi_waves = {tchi: np.exp(-1j * (tchi / 2.0) * phi) for _, tchi in layout.pairs}
+    lefts = [np.sqrt((tj + 1.0) / (4.0 * np.pi)) * chi_waves[tchi] for tj, tchi in layout.pairs]
+    waves = [np.exp(1j * (tmu / 2.0) * phi) for tmu in layout.mus]
     # the cells' entries of d^j leading, so each is as contiguous as _d_entry's
     entries = np.moveaxis(_d_sum(layout.d_slots, theta), -1, 0).copy()
     zero = np.zeros(shape)
@@ -563,7 +565,7 @@ def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable]:
         return np.conj(left * entry * wave + zero)
 
     tables = [np.array(lefts), entries, np.array(waves)]
-    return list(zip(tables, (left, own, wave))), value
+    return list(zip(tables, (layout.left, own, layout.wave))), value
 
 
 def _spin_tables(spec, scheme, j: HalfInt, theta, phi) -> tuple[tuple, np.ndarray]:

@@ -38,7 +38,7 @@ from .cgc import (
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalLabel
 from .halfint import HalfInt, components
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import (_MAX_L, _finite_angles, _harmonic_sum, _harmonic_table, _wigner_D, rep_matrix,
+from .su2 import (_MAX_L, _finite_angles, _harmonic_table, _rotated_harmonics, _wigner_D, euler_zyz,
                   wigner_d_small)
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
@@ -427,11 +427,12 @@ def _preimages(u, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
 
 
-def _spin_matrices(spec, u) -> np.ndarray:
+def _spin_matrices(spec, angles) -> np.ndarray:
     """D^{j1}(u) x D^{j2}(u), the Kronecker matrix that mixes raveled
-    fixed-axis spin slots; D^{j1}(u) serves both particles when j1 == j2."""
-    d1 = rep_matrix(spec.j1, u)
-    return np.kron(d1, d1 if spec.j2 == spec.j1 else rep_matrix(spec.j2, u))
+    fixed-axis spin slots, at euler_zyz(u[None]): rep_matrix's path, and
+    so its bytes. D^{j1}(u) serves both particles when j1 == j2."""
+    d1 = _wigner_D(spec.j1, *angles)[0]
+    return np.kron(d1, d1 if spec.j2 == spec.j1 else _wigner_D(spec.j2, *angles)[0])
 
 
 def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
@@ -450,14 +451,14 @@ def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     amp = _label_table(*labels, thp, php)
     if state.scheme == "spin-orbit":
         slots = amp.reshape(amp.shape[:-2] + (-1,))
-        return (slots @ _spin_matrices(state.spec, u).T).reshape(amp.shape)
+        return (slots @ _spin_matrices(state.spec, euler_zyz(u[None])).T).reshape(amp.shape)
     w = _little_group_phase(u, theta, phi, thp, php)
     d1, d2 = _zrot_diag(state.spec.j1, w), _zrot_diag(state.spec.j2, w.conj())
     return amp * d1[..., :, None] * d2[..., None, :]
 
 
-# entries per block of the tables that a loaded rotation evaluates
-# (_rotated_table's Legendre sweep, _harmonic_fit); on a 16x33 grid each is one block
+# entries per block of the waves _harmonic_fit gathers, 4x those of the polar rows
+# _harmonic_synthesis gathers; on a 16x33 grid each is one block
 _HARMONIC_BLOCK = 1 << 18
 
 
@@ -470,26 +471,25 @@ def _rotated_table(state: ComBasisState, u) -> np.ndarray:
     slots are not band-limited where the frames turn, since a cell
     e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south pole.
     A helicity table is therefore converted with the frames at the grid's
-    nodes first. The fit is summed at the preimage nodes order by order
-    (:func:`poincare_cgc.su2._harmonic_sum`) and its slots are mixed by the
-    constant D^{j1}(u) x D^{j2}(u); a helicity table is converted back with
-    the frames at the image nodes, which are the grid's own. Exact for
-    tables band-limited below the grid resolution, an approximation
-    otherwise. The preimage nodes are taken in blocks whose Legendre sweep
-    holds at most _HARMONIC_BLOCK entries, so the memory grows with the
-    number of nodes, not with n_theta**2 times it.
+    nodes first. The coefficients turn by D^l(u) degree by degree
+    (:func:`poincare_cgc.su2._rotated_harmonics`) and are summed on the
+    grid's own nodes (:func:`_harmonic_synthesis`); the slots are mixed by
+    the constant D^{j1}(u) x D^{j2}(u), and a helicity table is converted
+    back. Exact for tables band-limited below the grid resolution.
     """
     grid, spec, table = state.grid, state.spec, state.amplitudes
     if state.scheme == "helicity":
         f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, spec.j1, spec.j2)
-        table = _sandwich(f1, table, f2)
-    coeffs = _harmonic_fit(grid, table)
-    step = max(1, _HARMONIC_BLOCK // grid.n_theta**2)
-    slots = _harmonic_sum(coeffs, *_preimages(u, grid.theta, grid.phi), step)
-    mixed = (slots @ _spin_matrices(spec, u).T).reshape(table.shape)
+    # the converted helicity table and the node sums are temporaries, freed once read
+    coeffs = _harmonic_fit(grid, table if state.scheme == "spin-orbit" else _sandwich(f1, table, f2))
+    angles = euler_zyz(u[None])
+    coeffs = _rotated_harmonics(coeffs, *np.ravel(angles))
+    mixed = (_harmonic_synthesis(grid, coeffs) @ _spin_matrices(spec, angles).T).reshape(table.shape)
     if state.scheme == "spin-orbit":
         return mixed
-    return _sandwich(f1.conj().swapaxes(1, 2), mixed, f2.conj().swapaxes(1, 2))
+    # conj(f1)^T M conj(f2) as the conjugate of f1^T conj(M) f2, in place, so no frame is copied
+    back = _sandwich(f1.swapaxes(1, 2), np.conj(mixed, out=mixed), f2.swapaxes(1, 2))
+    return np.conj(back, out=back)
 
 
 def _sandwich(left, slots, right) -> np.ndarray:
@@ -551,6 +551,31 @@ def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
     ]).view(complex)
 
 
+def _harmonic_synthesis(grid: QuadratureGrid, coeffs) -> np.ndarray:
+    """sum_lm c_lm Y_lm at the grid's nodes, as (nodes, columns), for
+    coefficients in :func:`_harmonic_fit`'s rows: the fit's transpose. As
+    Y_{l,-m}(theta, 0) = (-1)^m Y_lm(theta, 0), the polar rows of each
+    order m >= 0 (:func:`_fit_tables`) take c_{l,m} and c_{l,-m} in one
+    batched matmul, in blocks of orders; one inverse DFT takes every ring."""
+    dft, rows, _ = _fit_tables(grid.n_theta, grid.n_phi)
+    top, m = grid.n_theta - 1, np.arange(grid.n_theta)
+    held = (m >= m[:, None])[:, None, :, None]
+    # the rows l**2 + l -+ m of c_{l,+-m}, per order m, sign and degree l (any row where l < m)
+    index = m * (m + 1) + np.array([[-1], [1]]) * m[:, None, None]
+    terms = coeffs.view(float)
+    # sums[i, +-, m] = sum_l Y_lm(theta_i, 0) c_{l,+-m}, ring-major for the DFT
+    sums = np.empty((grid.n_theta, 2, top + 1, terms.shape[1]))
+    step = max(1, _HARMONIC_BLOCK // (4 * (top + 1) * grid.n_theta))
+    for lo in range(0, top + 1, step):
+        block = slice(lo, lo + step)
+        polar = rows[index[block, 0]].transpose(0, 2, 1)[:, None]
+        np.matmul(polar, held[block] * terms[index[block]], out=sums[:, :, block].transpose(2, 1, 0, 3))
+    # e^{i m phi_k} and (-1)^m e^{-i m phi_k} (0 at m = 0) for m = 0 ... L, from the fit's DFT rows
+    waves = np.concatenate([dft[top::-1], (np.where(m % 2, -1.0, 1.0) * (m > 0))[:, None] * dft[top:]]).conj()
+    rings = waves.T @ sums.view(complex).reshape(grid.n_theta, len(waves), -1)
+    return rings.reshape(grid.size, -1)
+
+
 def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
     """Fixed-axis spin slots re-expressed in the helicity frames at (theta, phi).
 
@@ -564,9 +589,9 @@ def _fixed_to_helicity_slots(spec, theta, phi, slots) -> np.ndarray:
 def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     """Rotate a grid state.
 
-    Node directions map forward under the rotation; the new table is built
-    by evaluating the state at preimage nodes, and each particle's spin
-    slots are mixed by its little-group representation matrix.
+    Node directions map forward under the rotation; the new table holds
+    the state at the preimage nodes, and each particle's spin slots are
+    mixed by its little-group representation matrix.
 
     A closed-form state records u @ state.rotation and is evaluated once
     from its labels (:func:`_rotated`), so no interpolation error enters
@@ -576,7 +601,8 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     frames are single valued on SU(2), so the phases are continuous across
     the phi = 0 seam and need no choice of branch there.
 
-    A table is fit in fixed-axis slots, read at the preimage nodes and
+    A table is fit in fixed-axis slots, its coefficients turned by D^l(u)
+    degree by degree and summed on the grid's own nodes, and its slots
     mixed by the constant D^{j1}(u) x D^{j2}(u) in either scheme
     (:func:`_rotated_table`), exact for tables band-limited below the grid
     resolution, as a basis state is when j + j1 + j2 <= n_theta - 1.

@@ -426,92 +426,62 @@ def _harmonic_table(l_max: int, theta, phi, l_min: int = 0) -> np.ndarray:
     return table
 
 
-def _order_terms(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, norms, signs) by which :func:`_harmonic_sum` gathers its
-    coefficients order by order. rows[0][m, l] and rows[1][m, l] are the
-    rows l**2 + l - m and l**2 + l + m of Y_{l,m} and Y_{l,-m} in
-    :func:`_harmonic_table`'s order, norms[m, l] is N_lm, and signs[m] is
-    (-1)^m, 0 at m = 0, where there is no negative order. Entries with
-    l < m read row 0 with norm 0."""
-    m, l = np.ogrid[: l_max + 1, : l_max + 1]
-    held = l >= m
-    rows = np.stack([np.where(held, l * l + l - m, 0), np.where(held, l * l + l + m, 0)])
-    norms = np.zeros((l_max + 1, l_max + 1))
-    for degree in range(l_max + 1):
-        norms[: degree + 1, degree] = _norms(degree)
-    return rows, norms, np.where(m[:, 0] % 2, -1.0, 1.0) * (m[:, 0] > 0)
+@functools.cache
+def _quarter_turn(l: int) -> np.ndarray:
+    """Delta_l = d^l(pi/2), rows and columns m = l ... -l, once per degree;
+    read-only, since it is shared.
+
+    Built from Delta_{l-1} by coupling spin 1 to spin l - 1 at the top spin
+    l, as Risbo, J. Geodesy 70, 383 (1996) couples spin 1/2:
+    d^l_{m' m} = sum_{a,b} C^a_{m'} C^b_m d^1_{ab} d^{l-1}_{m'-a, m-b} with
+    C^a_m = <1 a, l-1 m-a | l m>. Each step sums products of factors of at
+    most 1, so Delta_85 is orthogonal to 2e-15, where the factorial sum of
+    :func:`wigner_d_small` stops at l = 10. The entries +-sqrt(1/2) of d^1
+    are taken inside the square root of C^0: rounded once and multiplied
+    in at every step, sqrt(1/2) drifted the orthogonality to 9e-15 at l = 85.
+    """
+    _check_l(l)
+    delta = np.ones((1, 1))
+    if l:
+        prev, inner = _quarter_turn(l - 1), 2 * l - 1
+        k = np.arange(l - 1, -l, -1.0)
+        # C^a for a = 1, 0, -1 (C^0 times sqrt(1/2)) over the components k of spin l - 1
+        coupling = np.sqrt(np.array([(l + k + 1) * (l + k), (l + k) * (l - k), (l - k + 1) * (l - k)])
+                           / (2.0 * l * inner))
+        delta = np.zeros((inner + 2, inner + 2))
+        # d^1(pi/2), its entries +-sqrt(1/2) taken into C^0
+        for a, row in enumerate(((0.5, -1.0, 0.5), (1.0, 0.0, -1.0), (0.5, 1.0, 0.5))):
+            for b, entry in enumerate(row):
+                delta[a : a + inner, b : b + inner] += entry * coupling[a][:, None] * coupling[b] * prev
+    delta.flags.writeable = False
+    return delta
 
 
-def _waves(l_max: int, phi) -> np.ndarray:
-    """e^{i m phi} for m = 0 ... l_max along a trailing axis, phi a 1-D
-    array. Order m is the product of the waves e^{i 2^k phi} of the bits
-    of m, each from one exp of an exact multiple of phi, so it carries at
-    most a few roundings more than the exp of m phi, where a running
-    product would carry m of them."""
-    waves = np.empty((l_max + 1,) + phi.shape, dtype=complex)
-    waves[0] = 1.0
-    power = 1
-    while power <= l_max:
-        width = min(power, l_max + 1 - power)
-        np.multiply(waves[:width], np.exp(1j * (power * phi)), out=waves[power : power + width])
-        power *= 2
-    return waves.T.copy()
+def _rotated_harmonics(coeffs, alpha, beta, gamma) -> np.ndarray:
+    """The coefficients of f(u^-1 n), for f(n) = sum_lm c_lm Y_lm(n) with
+    c_lm in the rows l**2 + l - m of :func:`_harmonic_table` (l <= l_max),
+    columns trailing, and u's Euler angles (:func:`euler_zyz`): c_l turns
+    by D^l(u) degree by degree.
 
-
-def _harmonic_sum(coeffs, theta, phi, step: int) -> np.ndarray:
-    """sum_lm c_lm Y_lm(theta_n, phi_n) at the 1-D angle arrays theta and
-    phi, as (nodes, columns), for coefficients c_lm in the rows l**2 + l -
-    m of :func:`_harmonic_table` (l <= l_max), columns trailing.
-
-    The harmonic table is never built; the sum runs order by order. With
-    P_l^m the real sweep (:func:`_legendre`) at x = cos theta, and
-    Y_{l,-m} = (-1)^m conj(Y_lm),
-
-        f(n) = sum_m e^{i m phi_n} sum_l N_lm P_l^m(x_n) c_{l,m}
-             + sum_{m>0} e^{-i m phi_n} sum_l (-1)^m N_lm P_l^m(x_n) c_{l,-m}
-             = sum_m cos(m phi_n) S+_m(n) + sin(m phi_n) S-_m(n),
-
-    where S+/-_m are the l-sums against N_lm (c_{l,m} +/- (-1)^m c_{l,-m}),
-    times i for S-. Those are real batched matmuls over m against the
-    coefficients viewed as floats, the norms folded in; the sum over m is
-    then one small matmul per node. The nodes are taken step (at least 2)
-    at a time, so the sweep holds (l_max + 1)**2 * step values, and the
-    orders in groups whose l-sums hold at most a quarter of that: the
-    sweep stays the one large buffer of a block. (With l-sums as large as
-    the sweep, malloc gave their memory back to the system after each
-    block and faulted it in again, which doubled a rotation's time on
-    16x33.) Every node rounds alike in any block of two nodes or more, so
-    a last block of one node, whose l-sums numpy would take as a
-    matrix-vector product, joins the block before it.
+    D^l(u) = E(alpha - pi/2) Delta_l^T E(beta) Delta_l E(gamma + pi/2), with
+    E(x) = diag(e^{-i m x}) and Delta_l = d^l(pi/2) (:func:`_quarter_turn`):
+    the turn about y is a turn about z between two quarter turns, as in
+    Trapani and Navaza, Acta Cryst. A62, 262 (2006). The angles enter as
+    phases only, and each degree takes two real matmuls against the
+    coefficients viewed as floats.
     """
     l_max = math.isqrt(len(coeffs)) - 1
-    _check_l(l_max)
-    rows, norms, signs = _order_terms(l_max)
-    ahead, behind = coeffs[rows[0]], signs[:, None, None] * coeffs[rows[1]]
-    folded = norms[..., None, None] * np.stack([ahead + behind, 1j * (ahead - behind)], axis=2)
-    # (m, l, 2 * 2 columns) floats: S+ then S-, each a real and an imaginary part per column
-    folded = folded.view(float).reshape(l_max + 1, l_max + 1, -1)
-    width = folded.shape[-1]
-    group = max(1, (l_max + 1) ** 2 // (4 * width))
-    out = np.zeros((theta.size, coeffs.shape[1]), dtype=complex)
-    starts = list(range(0, theta.size, max(step, 2)))
-    if len(starts) > 1 and starts[-1] == theta.size - 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [theta.size]):
-        block = slice(lo, hi)
-        legendre = _legendre(l_max, np.cos(theta[block])).transpose(1, 2, 0)
-        nodes = legendre.shape[1]
-        # (cos m phi, sin m phi) per node and order, the floats of e^{i m phi}
-        trig = _waves(l_max, phi[block]).view(float)
-        total = out[block].view(float)
-        sums = np.empty((nodes, group, width))
-        for m in range(0, l_max + 1, group):
-            k = min(group, l_max + 1 - m)
-            # sums[n, i] = (S+, S-) of order m + i at node n, written node-major
-            np.matmul(legendre[m : m + k], folded[m : m + k], out=sums[:, :k].transpose(1, 0, 2))
-            part = sums[:, :k].reshape(nodes, 2 * k, -1)
-            total += np.matmul(trig[:, None, 2 * m : 2 * (m + k)], part)[:, 0]
-    return out
+    # e^{-i m x} for m = l_max ... -l_max, then per row: row l**2 + l - m reads entry l_max - m
+    waves = np.exp(-1j * np.multiply.outer([gamma + 0.5 * np.pi, beta, alpha - 0.5 * np.pi],
+                                           np.arange(l_max, -l_max - 1, -1.0)))
+    degrees = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    first, middle, last = waves[:, l_max - degrees * (degrees + 1) + np.arange(degrees.size), None]
+    turned = (coeffs * first).view(float)
+    for l in range(l_max + 1):
+        rows, delta = slice(l * l, (l + 1) ** 2), _quarter_turn(l)
+        mid = (delta @ turned[rows]).view(complex) * middle[rows]
+        np.matmul(delta.T, mid.view(float), out=turned[rows])
+    return turned.view(complex) * last
 
 
 def spherical_harmonic(l, m, theta, phi):

@@ -945,12 +945,13 @@ def test_rotations_keep_their_bytes_with_a_cold_cache(rng):
     assert outputs() == cold
 
 
-def test_loaded_rotation_takes_two_legendre_sweeps_and_no_lpmv(monkeypatch, rng):
-    """The first loaded rotation on a grid size takes two _legendre sweeps:
+def test_loaded_rotation_takes_one_legendre_sweep_and_no_lpmv(monkeypatch, rng):
+    """The first loaded rotation on a grid size takes one _legendre sweep:
     the fit's polar rows at the n_theta polar nodes, which the grid-only
-    cache then keeps, and the sum at the N preimage nodes. Every later
-    rotation on that size takes the second alone. The sweep computes its
-    own top orders, so lpmv is never called."""
+    cache then keeps. Later rotations on that size take none, since the
+    coefficients turn in coefficient space and are summed on the grid's
+    own nodes from the same polar rows. The sweep computes its own top
+    orders, so lpmv is never called."""
     sweeps = []
     sweep = su2_module._legendre
 
@@ -973,19 +974,20 @@ def test_loaded_rotation_takes_two_legendre_sweeps_and_no_lpmv(monkeypatch, rng)
                 patch.setattr(su2_module, "_legendre", counted_sweep)
                 patch.setattr(su2_module, "lpmv", forbidden)
                 apply_rotation(loaded, u)
-            want = [grid.n_theta, grid.size] if first else [grid.size]
+            want = [grid.n_theta] if first else []
             assert sweeps == want, (scheme, sweeps)
             first = False
 
 
 def test_loaded_rotation_memory_is_linear_in_the_grid(rng):
-    """A loaded rotation evaluates its Legendre sweep and its fit in blocks
-    of at most _HARMONIC_BLOCK entries. On 48x97 one j = 1 state peaks at
-    7.3 MB (spin-orbit) and 8.1 MB (helicity) under tracemalloc with a
-    cold grid-only cache, which the first rotation on the grid builds
-    (6.1 and 6.4 MB warm), about 25 times its 0.30 MB amplitude array,
-    where the whole harmonic table at the preimage nodes took 275.6 MB.
-    The gap to the closed form is 3.7e-13 and 8.6e-13."""
+    """A loaded rotation evaluates no harmonic away from the grid, and its
+    fit and synthesis gather in blocks under _HARMONIC_BLOCK entries. On
+    48x97 one j = 1 state peaks at 6.0 MB (spin-orbit) and 6.8 MB
+    (helicity) under tracemalloc when the rotation builds every grid-only
+    table and the quarter turns (4.9 and 5.2 MB once they are cached),
+    about 20 times its 0.30 MB amplitude array, where the whole harmonic
+    table at the preimage nodes took 275.6 MB. The gap to the closed form
+    is 4.5e-13 and 9.9e-13."""
     grid = build_grid(48, 97)
     u = random_su2(rng)
     for label in ((1, SpinOrbitChannel(1, 1), 1), (1, HelicityChannel(0.5, -0.5), -1)):
@@ -1003,10 +1005,45 @@ def test_loaded_rotation_memory_is_linear_in_the_grid(rng):
         assert np.abs(gap).max() < 1e-10, label
 
 
+def test_loaded_rotation_on_the_top_grid(rng):
+    """On 86x173, the largest grid the fit accepts (l <= 85), each j <= 1
+    state of both schemes rotates as a table (closed_form False, as JSON
+    loads it) as from its closed form, within 1e-11 (measured at most
+    3.9e-13). The first rotation, which builds the fit's tables and every
+    quarter turn up to l = 85, peaks below 40 times its amplitude array
+    under tracemalloc, the rule of the 48x97 test (measured 16.7 MB
+    against 0.95 MB, all of it in building the fit's polar rows)."""
+    grid = build_grid(86, 173)
+    u = random_su2(rng)
+    states_module._fit_tables.cache_clear()
+    states_module._grid_frames.cache_clear()
+    su2_module._quarter_turn.cache_clear()
+    first = True
+    for scheme in ("spin-orbit", "helicity"):
+        for state in fermion_states(grid, 1, scheme):
+            table = dataclasses.replace(state, closed_form=False)
+            if first:
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    rotated = apply_rotation(table, u)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert peak < 40 * table.amplitudes.nbytes, peak
+                first = False
+            else:
+                rotated = apply_rotation(table, u)
+            gap = np.abs(rotated.amplitudes - apply_rotation(state, u).amplitudes).max()
+            assert gap <= 1e-11, (scheme, state.j, state.channel, state.component, gap)
+
+
 def test_loaded_rotation_blocks_keep_the_bits(monkeypatch, rng):
-    """On 24x49 the default budget takes 3 node blocks for the sweep at the
-    preimage nodes; 147 node blocks and 12 row blocks of the fit, or one
-    block of each, give the same bits."""
+    """No block is taken at the nodes, which are the grid's own, but the
+    fit sums its polar rows in blocks and the synthesis takes its orders
+    in blocks: on 24x49 the default budget takes one block of each; 12 row
+    blocks of the fit and 12 order blocks of the synthesis, or one block of
+    each, give the same bits."""
     grid = build_grid(24, 49)
     u = random_su2(rng)
     for scheme in ("spin-orbit", "helicity"):
