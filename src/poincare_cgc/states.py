@@ -38,8 +38,8 @@ from .cgc import (
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalLabel
 from .halfint import HalfInt, components
 from .lorentz import polar_angles, require_su2, spinor_to_lorentz
-from .su2 import (_MAX_L, _finite_angles, _harmonic_table, _rotated_harmonics, _wigner_D, euler_zyz,
-                  wigner_d_small)
+from . import su2
+from .su2 import _MAX_L, _finite_angles, _norms, _rotated_harmonics, _wigner_D, euler_zyz, wigner_d_small
 
 # Quadrature Gram diagonal of the basis states as built, measured once on
 # 32x64 and 64x128 grids (it agrees with unity at the 1e-14 level for both
@@ -457,25 +457,20 @@ def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     return amp * d1[..., :, None] * d2[..., None, :]
 
 
-# entries per block of the waves _harmonic_fit gathers, 4x those of the polar rows
-# _harmonic_synthesis gathers; on a 16x33 grid each is one block
-_HARMONIC_BLOCK = 1 << 18
-
-
 def _rotated_table(state: ComBasisState, u) -> np.ndarray:
     """A table's amplitudes on its grid, rotated by u, in one fixed-axis law
     for both schemes.
 
-    The table is projected onto scalar harmonics with l <= n_theta - 1
-    slot by slot (:func:`_harmonic_fit`), in fixed-axis slots: helicity
-    slots are not band-limited where the frames turn, since a cell
-    e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south pole.
-    A helicity table is therefore converted with the frames at the grid's
+    The table is projected slot by slot onto the scalar harmonics with
+    l <= L (:func:`_harmonic_fit`, :func:`_fit_tables`) in fixed-axis
+    slots: helicity slots are not band-limited where the frames turn, since
+    a cell e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south
+    pole, so a helicity table is converted with the frames at the grid's
     nodes first. The coefficients turn by D^l(u) degree by degree
     (:func:`poincare_cgc.su2._rotated_harmonics`) and are summed on the
     grid's own nodes (:func:`_harmonic_synthesis`); the slots are mixed by
     the constant D^{j1}(u) x D^{j2}(u), and a helicity table is converted
-    back. Exact for tables band-limited below the grid resolution.
+    back. Exact for tables band-limited to l <= L in fixed-axis slots.
     """
     grid, spec, table = state.grid, state.spec, state.amplitudes
     if state.scheme == "helicity":
@@ -507,72 +502,64 @@ def _sandwich(left, slots, right) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _fit_tables(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_tables(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid-only tables of :func:`_harmonic_fit` on the n_theta x n_phi
-    grid, once per size; read-only, since they are shared. With L =
-    n_theta - 1: the DFT matrix e^{-i m phi_k}, rows m = L ... -L; the
-    real polar rows Y_lm(theta, 0) at the polar nodes, from the complex
-    table; and, per polar row l**2 + l - m, the DFT row L - m that it meets."""
-    top = n_theta - 1
+    grid, once per size, read-only, up to the band L = min(n_theta - 1,
+    (n_phi - 1) // 2), past which orders would share DFT bins: the DFT
+    matrix e^{-i m phi_k}, rows m = L ... -L, and the real polar table
+    Y_lm(theta_i, 0) = N_lm P_l^m(cos theta_i) at [m, l, i] for m = 0 ... L
+    (0 where l < m), one Legendre sweep at the polar nodes scaled in place."""
+    top = min(n_theta - 1, (n_phi - 1) // 2)
     polar, azimuth = build_grid(n_theta, n_phi).axes
-    orders = np.arange(top, -top - 1, -1)
-    dft = np.exp(-1j * orders[:, None] * azimuth)
-    rows = np.ascontiguousarray(_harmonic_table(top, polar[:, 0], 0.0).real)
-    degrees = np.repeat(np.arange(top + 1), 2 * np.arange(top + 1) + 1)
-    meets = top - (degrees * (degrees + 1) - np.arange(degrees.size))
-    for array in (dft, rows, meets):
+    dft = np.exp(-1j * np.arange(top, -top - 1, -1)[:, None] * azimuth)
+    table = su2._legendre(top, np.cos(polar[:, 0]))
+    table *= np.array([np.pad(_norms(l), (0, top - l)) for l in range(top + 1)])[:, :, None]
+    for array in (dft, table):
         array.flags.writeable = False
-    return dft, rows, meets
+    return dft, table.transpose(1, 0, 2)
 
 
 def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
     """Quadrature coefficients conj(Y) (w A) of a grid table A on every Y_lm
-    with l <= n_theta - 1, row l**2 + l - m as in
-    :func:`poincare_cgc.su2._harmonic_table`.
+    with l <= L (:func:`_fit_tables`), as one dense array [L - m, l, column]
+    that holds 0 where l < |m|.
 
     Separated as in Driscoll and Healy, Adv. Appl. Math. 15, 202 (1994):
     Y_lm(theta, phi) = Y_lm(theta, 0) e^{i m phi} with Y_lm(theta, 0) real,
     so a DFT over phi per polar ring comes first, then a sum over the rings
-    with the polar rows; the (L+1)^2 x N table on the grid is never built.
-    The DFT matrix and the polar rows depend on the grid alone
-    (:func:`_fit_tables`).
+    with the polar table, one batched matmul per sign of m, since
+    Y_{l,-m}(theta, 0) = (-1)^m Y_lm(theta, 0); the (L+1)^2 x N table on
+    the grid is never built.
     """
-    dft, rows, meets = _fit_tables(grid.n_theta, grid.n_phi)
+    dft, polar = _fit_tables(grid.n_theta, grid.n_phi)
+    top = len(polar) - 1
     rings = grid.weights[:: grid.n_phi, None, None] * table.reshape(grid.n_theta, grid.n_phi, -1)
     # waves[L - m, i] = sum_k e^{-i m phi_k} (w A)[i, k], every ring in one matmul
-    waves = dft @ rings.transpose(1, 0, 2).reshape(grid.n_phi, -1)
-    waves = waves.reshape(len(dft), grid.n_theta, -1)
-    # the rows are summed in blocks, so the gathered waves stay under _HARMONIC_BLOCK entries
-    step = max(1, _HARMONIC_BLOCK // waves[0].size)
-    # the real rows meet the waves' real and imaginary parts alike, as floats
-    return np.concatenate([
-        np.einsum("ri,ris->rs", rows[r : r + step], waves[meets[r : r + step]].view(float))
-        for r in range(0, rows.shape[0], step)
-    ]).view(complex)
+    waves = (dft @ rings.transpose(1, 0, 2).reshape(grid.n_phi, -1)).reshape(len(dft), grid.n_theta, -1)
+    coeffs = np.empty((len(dft), top + 1, waves.shape[-1]), dtype=complex)
+    # the real table meets the waves' real and imaginary parts alike, as floats
+    np.matmul(polar, waves[top::-1].view(float), out=coeffs[top::-1].view(float))
+    # the orders m < 0 read the table of |m|, then odd |m| take the sign (-1)^m
+    np.matmul(polar[1:], waves[top + 1 :].view(float), out=coeffs[top + 1 :].view(float))
+    coeffs[top + 1 :: 2] *= -1.0
+    return coeffs
 
 
 def _harmonic_synthesis(grid: QuadratureGrid, coeffs) -> np.ndarray:
     """sum_lm c_lm Y_lm at the grid's nodes, as (nodes, columns), for
-    coefficients in :func:`_harmonic_fit`'s rows: the fit's transpose. As
-    Y_{l,-m}(theta, 0) = (-1)^m Y_lm(theta, 0), the polar rows of each
-    order m >= 0 (:func:`_fit_tables`) take c_{l,m} and c_{l,-m} in one
-    batched matmul, in blocks of orders; one inverse DFT takes every ring."""
-    dft, rows, _ = _fit_tables(grid.n_theta, grid.n_phi)
-    top, m = grid.n_theta - 1, np.arange(grid.n_theta)
-    held = (m >= m[:, None])[:, None, :, None]
-    # the rows l**2 + l -+ m of c_{l,+-m}, per order m, sign and degree l (any row where l < m)
-    index = m * (m + 1) + np.array([[-1], [1]]) * m[:, None, None]
+    coefficients laid out as :func:`_harmonic_fit`'s: the fit's transpose,
+    the same two batched matmuls over the polar table, then one inverse
+    DFT for every ring."""
+    dft, polar = _fit_tables(grid.n_theta, grid.n_phi)
+    top = len(polar) - 1
     terms = coeffs.view(float)
-    # sums[i, +-, m] = sum_l Y_lm(theta_i, 0) c_{l,+-m}, ring-major for the DFT
-    sums = np.empty((grid.n_theta, 2, top + 1, terms.shape[1]))
-    step = max(1, _HARMONIC_BLOCK // (4 * (top + 1) * grid.n_theta))
-    for lo in range(0, top + 1, step):
-        block = slice(lo, lo + step)
-        polar = rows[index[block, 0]].transpose(0, 2, 1)[:, None]
-        np.matmul(polar, held[block] * terms[index[block]], out=sums[:, :, block].transpose(2, 1, 0, 3))
-    # e^{i m phi_k} and (-1)^m e^{-i m phi_k} (0 at m = 0) for m = 0 ... L, from the fit's DFT rows
-    waves = np.concatenate([dft[top::-1], (np.where(m % 2, -1.0, 1.0) * (m > 0))[:, None] * dft[top:]]).conj()
-    rings = waves.T @ sums.view(complex).reshape(grid.n_theta, len(waves), -1)
+    # sums[i, L - m] = sum_l Y_lm(theta_i, 0) c_lm, ring-major for the inverse DFT
+    sums = np.empty((grid.n_theta, len(dft), terms.shape[-1]))
+    orders, rows = sums.transpose(1, 0, 2), polar.transpose(0, 2, 1)
+    np.matmul(rows, terms[top::-1], out=orders[top::-1])
+    np.matmul(rows[1:], terms[top + 1 :], out=orders[top + 1 :])
+    orders[top + 1 :: 2] *= -1.0
+    rings = dft.conj().T @ sums.view(complex)
     return rings.reshape(grid.size, -1)
 
 
@@ -604,15 +591,17 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
     A table is fit in fixed-axis slots, its coefficients turned by D^l(u)
     degree by degree and summed on the grid's own nodes, and its slots
     mixed by the constant D^{j1}(u) x D^{j2}(u) in either scheme
-    (:func:`_rotated_table`), exact for tables band-limited below the grid
-    resolution, as a basis state is when j + j1 + j2 <= n_theta - 1.
+    (:func:`_rotated_table`), exact for tables band-limited in fixed-axis
+    slots to l <= L = min(n_theta - 1, (n_phi - 1) // 2), the band both the
+    polar nodes and the azimuths resolve, as a basis state is when
+    j + j1 + j2 <= L.
 
     Only rotations are accepted: they preserve the fixed-s sphere the
-    states live on. Anything outside SU(2) raises NotARotation. A table's
-    fit reaches l = n_theta - 1 and Y_lm stops at l = 85, so a table on a
-    grid with n_theta above 86 raises InvalidOrbitalLabel before any
-    harmonic is evaluated. A table holding NaN or an infinity raises
-    ValueError, since the fit would spread it over every node.
+    states live on. Anything outside SU(2) raises NotARotation. Y_lm stops
+    at l = 85, so a table on a grid with n_theta above 86 raises
+    InvalidOrbitalLabel before any harmonic is evaluated. A table holding
+    NaN or an infinity raises ValueError, since the fit would spread it
+    over every node.
     """
     u = require_su2(u)
     grid = state.grid

@@ -459,9 +459,10 @@ def _quarter_turn(l: int) -> np.ndarray:
 
 def _rotated_harmonics(coeffs, alpha, beta, gamma) -> np.ndarray:
     """The coefficients of f(u^-1 n), for f(n) = sum_lm c_lm Y_lm(n) with
-    c_lm in the rows l**2 + l - m of :func:`_harmonic_table` (l <= l_max),
-    columns trailing, and u's Euler angles (:func:`euler_zyz`): c_l turns
-    by D^l(u) degree by degree.
+    c_lm at [l_max - m, l] of a dense (2 l_max + 1, l_max + 1, columns)
+    array, 0 where l < |m|, and u's Euler angles (:func:`euler_zyz`): c_l,
+    the slice [l_max - l : l_max + l + 1, l], turns by D^l(u) degree by
+    degree.
 
     D^l(u) = E(alpha - pi/2) Delta_l^T E(beta) Delta_l E(gamma + pi/2), with
     E(x) = diag(e^{-i m x}) and Delta_l = d^l(pi/2) (:func:`_quarter_turn`):
@@ -470,17 +471,15 @@ def _rotated_harmonics(coeffs, alpha, beta, gamma) -> np.ndarray:
     phases only, and each degree takes two real matmuls against the
     coefficients viewed as floats.
     """
-    l_max = math.isqrt(len(coeffs)) - 1
-    # e^{-i m x} for m = l_max ... -l_max, then per row: row l**2 + l - m reads entry l_max - m
-    waves = np.exp(-1j * np.multiply.outer([gamma + 0.5 * np.pi, beta, alpha - 0.5 * np.pi],
-                                           np.arange(l_max, -l_max - 1, -1.0)))
-    degrees = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    first, middle, last = waves[:, l_max - degrees * (degrees + 1) + np.arange(degrees.size), None]
+    l_max = coeffs.shape[1] - 1
+    # e^{-i m x} for m = l_max ... -l_max, along the orders' axis
+    first, middle, last = np.exp(-1j * np.multiply.outer([gamma + 0.5 * np.pi, beta, alpha - 0.5 * np.pi],
+                                                         np.arange(l_max, -l_max - 1, -1.0)))[..., None, None]
     turned = (coeffs * first).view(float)
     for l in range(l_max + 1):
-        rows, delta = slice(l * l, (l + 1) ** 2), _quarter_turn(l)
-        mid = (delta @ turned[rows]).view(complex) * middle[rows]
-        np.matmul(delta.T, mid.view(float), out=turned[rows])
+        rows, delta = slice(l_max - l, l_max + l + 1), _quarter_turn(l)
+        mid = (delta @ turned[rows, l]).view(complex) * middle[rows, 0]
+        np.matmul(delta.T, mid.view(float), out=turned[rows, l])
     return turned.view(complex) * last
 
 

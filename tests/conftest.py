@@ -1,5 +1,7 @@
 """Shared fixtures and random-object helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,26 @@ def random_sl2c(rng):
     """Generic group element: canonical boost times a rotation."""
     boost = canonical_boost(random_momentum(rng, 1.0, 3.0))
     return boost @ SpinorTransform(random_su2(rng))
+
+
+def _coefficient_index(l_max):
+    """The entry (L - m, l) of a dense coefficient array, the layout of
+    states._harmonic_fit, for each row l**2 + l - m of the harmonic table
+    with l <= l_max = L."""
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    return l_max - (l * (l + 1) - np.arange(l.size)), l
+
+
+def coefficient_rows(dense):
+    """Dense coefficients [L - m, l, ...] as the rows l**2 + l - m of the
+    harmonic table."""
+    return dense[_coefficient_index(dense.shape[1] - 1)]
+
+
+def dense_coefficients(rows):
+    """Coefficients in the rows l**2 + l - m of the harmonic table as the
+    dense array [L - m, l, ...], 0 where l < |m|."""
+    l_max = math.isqrt(len(rows)) - 1
+    dense = np.zeros((2 * l_max + 1, l_max + 1) + rows.shape[1:], dtype=rows.dtype)
+    dense[_coefficient_index(l_max)] = rows
+    return dense

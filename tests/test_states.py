@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from conftest import quaternion_su2, random_su2
+from conftest import coefficient_rows, quaternion_su2, random_su2
 
 from poincare_cgc import (
     GridMismatch,
@@ -904,9 +904,9 @@ def test_loaded_rotation_matches_closed_form_for_other_spins(spins, rng):
 
 
 def test_grid_only_tables_are_cached_read_only():
-    """The helicity frames at a grid's nodes and the fit's DFT matrix,
-    polar rows and row orders are built once per grid size (and spins) and
-    shared, so none of them can be written; the frames have the bytes of
+    """The helicity frames at a grid's nodes and the fit's DFT matrix and
+    polar table are built once per grid size (and spins) and shared, so
+    none of them can be written; the frames have the bytes of
     _helicity_frames at the grid's node arrays."""
     grid = build_grid(16, 33)
     spins = FERMION_PAIR.j1, FERMION_PAIR.j2
@@ -980,14 +980,13 @@ def test_loaded_rotation_takes_one_legendre_sweep_and_no_lpmv(monkeypatch, rng):
 
 
 def test_loaded_rotation_memory_is_linear_in_the_grid(rng):
-    """A loaded rotation evaluates no harmonic away from the grid, and its
-    fit and synthesis gather in blocks under _HARMONIC_BLOCK entries. On
-    48x97 one j = 1 state peaks at 6.0 MB (spin-orbit) and 6.8 MB
-    (helicity) under tracemalloc when the rotation builds every grid-only
-    table and the quarter turns (4.9 and 5.2 MB once they are cached),
-    about 20 times its 0.30 MB amplitude array, where the whole harmonic
-    table at the preimage nodes took 275.6 MB. The gap to the closed form
-    is 4.5e-13 and 9.9e-13."""
+    """A loaded rotation evaluates no harmonic away from the grid and
+    gathers no table. On 48x97 one j = 1 state peaks at 3.3 MB
+    (spin-orbit) and 4.6 MB (helicity) under tracemalloc when the rotation
+    builds every grid-only table and the quarter turns (1.0 and 1.8 MB once
+    they are cached), at most 15 times its 0.30 MB amplitude array, where
+    the whole harmonic table at the preimage nodes took 275.6 MB. The gap
+    to the closed form is 4.5e-13 and 9.9e-13."""
     grid = build_grid(48, 97)
     u = random_su2(rng)
     for label in ((1, SpinOrbitChannel(1, 1), 1), (1, HelicityChannel(0.5, -0.5), -1)):
@@ -1011,8 +1010,9 @@ def test_loaded_rotation_on_the_top_grid(rng):
     loads it) as from its closed form, within 1e-11 (measured at most
     3.9e-13). The first rotation, which builds the fit's tables and every
     quarter turn up to l = 85, peaks below 40 times its amplitude array
-    under tracemalloc, the rule of the 48x97 test (measured 16.7 MB
-    against 0.95 MB, all of it in building the fit's polar rows)."""
+    under tracemalloc, the rule of the 48x97 test (measured 15.8 MB
+    against 0.95 MB, most of it the quarter turns, 6.7 MB, and the fit's
+    polar table, 5.1 MB)."""
     grid = build_grid(86, 173)
     u = random_su2(rng)
     states_module._fit_tables.cache_clear()
@@ -1038,29 +1038,12 @@ def test_loaded_rotation_on_the_top_grid(rng):
             assert gap <= 1e-11, (scheme, state.j, state.channel, state.component, gap)
 
 
-def test_loaded_rotation_blocks_keep_the_bits(monkeypatch, rng):
-    """No block is taken at the nodes, which are the grid's own, but the
-    fit sums its polar rows in blocks and the synthesis takes its orders
-    in blocks: on 24x49 the default budget takes one block of each; 12 row
-    blocks of the fit and 12 order blocks of the synthesis, or one block of
-    each, give the same bits."""
-    grid = build_grid(24, 49)
-    u = random_su2(rng)
-    for scheme in ("spin-orbit", "helicity"):
-        for state in fermion_states(grid, 1, scheme)[:2]:
-            loaded = state_from_json(state_to_json(state), FERMION_PAIR)
-            rotated = apply_rotation(loaded, u).amplitudes
-            for block in (5000, 1 << 30):
-                monkeypatch.setattr(states_module, "_HARMONIC_BLOCK", block)
-                np.testing.assert_array_equal(apply_rotation(loaded, u).amplitudes, rotated)
-            monkeypatch.undo()
-
-
 def test_separable_fit_equals_the_dense_fit():
     """_harmonic_fit sums over phi ring by ring, then over theta with the
-    polar rows; the coefficients equal the dense fit conj(Y) (w A) with Y
-    the full harmonic table on the grid's nodes, for every j <= 1 state of
-    both schemes in fixed-axis slots (measured gap at most 9.4e-16)."""
+    polar table; the coefficients, read in the harmonic table's rows,
+    equal the dense fit conj(Y) (w A) with Y the full harmonic table on the
+    grid's nodes, for every j <= 1 state of both schemes in fixed-axis
+    slots (measured gap at most 9.4e-16)."""
     for shape in ((16, 33), (8, 17), (24, 49)):
         grid = build_grid(*shape)
         dense = _harmonic_table(grid.n_theta - 1, grid.theta, grid.phi).conj()
@@ -1069,8 +1052,39 @@ def test_separable_fit_equals_the_dense_fit():
                 fixed = state if scheme == "spin-orbit" else convert_slots_to_canonical(state)
                 table = fixed.amplitudes.reshape(grid.size, -1)
                 want = dense @ (grid.weights[:, None] * table)
-                gap = np.abs(_harmonic_fit(grid, table) - want).max()
+                gap = np.abs(coefficient_rows(_harmonic_fit(grid, table)) - want).max()
                 assert gap <= 1e-14, (shape, scheme, state.channel, state.component, gap)
+
+
+def test_loaded_rotation_on_a_coarse_azimuth_grid(rng):
+    """With n_phi < 2 n_theta - 1 the fit stops at L = (n_phi - 1) // 2,
+    past which orders would share DFT bins: on 16x8 (L = 3) every j <= 1
+    state of both schemes, band-limited at l <= j + 1, rotates as a table
+    as from its closed form within 1e-12 (measured 1.1e-15; 0.97 when the
+    fit reached l = 15)."""
+    grid = build_grid(16, 8)
+    assert len(states_module._fit_tables(16, 8)[1]) == 4
+    u = random_su2(rng)
+    for scheme in ("spin-orbit", "helicity"):
+        for state in fermion_states(grid, 1, scheme):
+            table = dataclasses.replace(state, closed_form=False)
+            gap = np.abs(apply_rotation(table, u).amplitudes - apply_rotation(state, u).amplitudes).max()
+            assert gap <= 1e-12, (scheme, state.j, state.channel, state.component, gap)
+
+
+@pytest.mark.parametrize("shape", [(8, 17), (16, 33), (86, 173)])
+def test_polar_table_is_the_real_harmonic_table_at_phi_0(shape):
+    """The fit's polar table, N_lm P_l^m(cos theta_i) at [m, l, i] for the
+    orders m >= 0, holds the real parts of _harmonic_table(L, polar nodes,
+    0.0) bit for bit, and 0 where l < m."""
+    dft, polar = states_module._fit_tables(*shape)
+    top = shape[0] - 1
+    want = _harmonic_table(top, build_grid(*shape).axes[0][:, 0], 0.0).real
+    assert polar.shape == (top + 1, top + 1, shape[0])
+    for m in range(top + 1):
+        rows = [l * l + l - m for l in range(m, top + 1)]
+        assert polar[m, m:].tobytes() == want[rows].tobytes(), m
+        assert not polar[m, :m].any()
 
 
 def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatch):
