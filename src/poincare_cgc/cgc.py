@@ -36,7 +36,7 @@ from .lorentz import (
     wigner_rotation,
 )
 from .su2 import (_MAX_J, _cg_block, _check_j, _d_entry_slots, _d_sum, _finite_angles, _harmonic_table,
-                  _wigner_D, rep_matrix)
+                  _slot_matrix, _wigner_D, euler_zyz)
 
 SCHEMES = ("spin-orbit", "helicity")
 
@@ -557,7 +557,7 @@ def _cell_operands(layout, theta, phi, shape) -> tuple[list, Callable]:
     chi_waves = {tchi: np.exp(-1j * (tchi / 2.0) * phi) for _, tchi in layout.pairs}
     lefts = [np.sqrt((tj + 1.0) / (4.0 * np.pi)) * chi_waves[tchi] for tj, tchi in layout.pairs]
     waves = [np.exp(1j * (tmu / 2.0) * phi) for tmu in layout.mus]
-    # the cells' entries of d^j leading, so each is as contiguous as _d_entry's
+    # the cells' entries of d^j leading, so each is contiguous, as an entry summed alone is
     entries = np.moveaxis(_d_sum(layout.d_slots, theta), -1, 0).copy()
     zero = np.zeros(shape)
 
@@ -683,8 +683,8 @@ def _frame(spec, convention, key) -> tuple:
     frame: above threshold in :func:`relative_direction`, then on the mass
     shell of spec; a bad pair raises on every call, as nothing is cached
     for it. theta and phi are the polar angles of the rest-frame relative
-    direction; the Kronecker matrix turns the raveled rest-frame spin slots
-    to the frame of the momenta, and is read-only because it is shared.
+    direction; the Kronecker matrix (:func:`su2._slot_matrix`) turns the
+    raveled rest-frame spin slots to the frame of the momenta; shared, so read-only.
     blocks, filled by :func:`_angular_general`, keeps the frame's rest-frame
     tables, so they go with it when it is evicted.
     """
@@ -695,11 +695,7 @@ def _frame(spec, convention, key) -> tuple:
         if abs(want - got) > 1e-6 * max(1.0, abs(want)):
             raise ValueError(f"{name} momentum is off shell for the pair spec: {got} vs {want}")
     w = inverse_com_wigner(p1 + p2, pair, convention).matrix
-    if spec.j1 == spec.j2:
-        d1, d2 = rep_matrix(spec.j1, w)
-    else:
-        d1, d2 = rep_matrix(spec.j1, w[0]), rep_matrix(spec.j2, w[1])
-    kron = np.kron(d1, d2)
+    kron = _slot_matrix(spec.j1, spec.j2, euler_zyz(w))
     kron.flags.writeable = False
     return theta, phi, kron, {}
 

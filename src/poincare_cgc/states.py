@@ -33,7 +33,6 @@ from .cgc import (
     _label_tables,
     _one_label_layout,
     com_normalization,
-    coupling_channels,
 )
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalLabel
 from .halfint import HalfInt, components
@@ -229,10 +228,10 @@ def _basis_states(grid, spec, s, layout) -> list[ComBasisState]:
 
 def _check_label(spec, scheme, j, channel, chi) -> _Layout:
     """The layout of (j, channel, chi) as a basis label of the scheme: it
-    must pass :func:`_one_label_layout`, and channel must be one of the
-    channels that couple to j (InvalidChannel)."""
+    must pass :func:`_one_label_layout` and have a block_row, which only a
+    helicity channel with |mu| > j lacks (InvalidChannel)."""
     layout = _one_label_layout(spec.j1, spec.j2, scheme, j, channel, chi)
-    if channel not in coupling_channels(spec, layout.labels[0][0], scheme):
+    if layout.block_row is None:
         raise InvalidChannel(f"channel {channel.label()} does not couple to j={layout.labels[0][0]}")
     return layout
 
@@ -427,22 +426,14 @@ def _preimages(u, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
 
 
-def _spin_matrices(spec, angles) -> np.ndarray:
-    """D^{j1}(u) x D^{j2}(u), the Kronecker matrix that mixes raveled
-    fixed-axis spin slots, at euler_zyz(u[None]): rep_matrix's path, and
-    so its bytes. D^{j1}(u) serves both particles when j1 == j2."""
-    d1 = _wigner_D(spec.j1, *angles)[0]
-    return np.kron(d1, d1 if spec.j2 == spec.j1 else _wigner_D(spec.j2, *angles)[0])
-
-
 def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     """Amplitude table at (theta, phi) of a closed-form state rotated by u
     (None: unrotated, the closed form of its labels).
 
     The rotated amplitude at direction n is the labels' closed form at the
     preimage u^-1 n, its spin slots mixed by the constant Kronecker matrix
-    of u (:func:`_spin_matrices`) in the spin-orbit scheme, and by one phase
-    per direction (:func:`_little_group_phase`) in the helicity scheme.
+    of u (:func:`su2._slot_matrix`) in the spin-orbit scheme, and by one
+    phase per direction (:func:`_little_group_phase`) in the helicity scheme.
     """
     labels = (state.spec, state.scheme, state.j, state.channel, state.component)
     if u is None:
@@ -450,8 +441,8 @@ def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
     thp, php = _preimages(u, theta, phi)
     amp = _label_table(*labels, thp, php)
     if state.scheme == "spin-orbit":
-        slots = amp.reshape(amp.shape[:-2] + (-1,))
-        return (slots @ _spin_matrices(state.spec, euler_zyz(u[None])).T).reshape(amp.shape)
+        mix = su2._slot_matrix(state.spec.j1, state.spec.j2, euler_zyz(u[None]))
+        return (amp.reshape(amp.shape[:-2] + (-1,)) @ mix.T).reshape(amp.shape)
     w = _little_group_phase(u, theta, phi, thp, php)
     d1, d2 = _zrot_diag(state.spec.j1, w), _zrot_diag(state.spec.j2, w.conj())
     return amp * d1[..., :, None] * d2[..., None, :]
@@ -479,7 +470,8 @@ def _rotated_table(state: ComBasisState, u) -> np.ndarray:
     coeffs = _harmonic_fit(grid, table if state.scheme == "spin-orbit" else _sandwich(f1, table, f2))
     angles = euler_zyz(u[None])
     coeffs = _rotated_harmonics(coeffs, *np.ravel(angles))
-    mixed = (_harmonic_synthesis(grid, coeffs) @ _spin_matrices(spec, angles).T).reshape(table.shape)
+    mix = su2._slot_matrix(spec.j1, spec.j2, angles)
+    mixed = (_harmonic_synthesis(grid, coeffs) @ mix.T).reshape(table.shape)
     if state.scheme == "spin-orbit":
         return mixed
     # conj(f1)^T M conj(f2) as the conjugate of f1^T conj(M) f2, in place, so no frame is copied
@@ -508,8 +500,13 @@ def _fit_tables(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     (n_phi - 1) // 2), past which orders would share DFT bins: the DFT
     matrix e^{-i m phi_k}, rows m = L ... -L, and the real polar table
     Y_lm(theta_i, 0) = N_lm P_l^m(cos theta_i) at [m, l, i] for m = 0 ... L
-    (0 where l < m), one Legendre sweep at the polar nodes scaled in place."""
+    (0 where l < m), one Legendre sweep at the polar nodes scaled in place;
+    a band past _MAX_L raises InvalidOrbitalLabel before the sweep."""
     top = min(n_theta - 1, (n_phi - 1) // 2)
+    if top > _MAX_L:
+        raise InvalidOrbitalLabel(
+            f"a table on a grid with n_theta = {n_theta}, n_phi = {n_phi} is fit up to the band "
+            f"L = min(n_theta - 1, (n_phi - 1) // 2) = {top}; the fit supports l <= {_MAX_L}")
     polar, azimuth = build_grid(n_theta, n_phi).axes
     dft = np.exp(-1j * np.arange(top, -top - 1, -1)[:, None] * azimuth)
     table = su2._legendre(top, np.cos(polar[:, 0]))
@@ -598,8 +595,8 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
 
     Only rotations are accepted: they preserve the fixed-s sphere the
     states live on. Anything outside SU(2) raises NotARotation. Y_lm stops
-    at l = 85, so a table on a grid with n_theta above 86 raises
-    InvalidOrbitalLabel before any harmonic is evaluated. A table holding
+    at l = 85, so a table whose band L passes 85 raises InvalidOrbitalLabel
+    (:func:`_fit_tables`) before any harmonic is evaluated. A table holding
     NaN or an infinity raises ValueError, since the fit would spread it
     over every node.
     """
@@ -609,11 +606,8 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
         u = u if state.rotation is None else u @ state.rotation
         amplitudes = _rotated(state, u, grid.theta, grid.phi)
         return dataclasses.replace(state, rotation=u, amplitudes=amplitudes)
-    if grid.n_theta - 1 > _MAX_L:
-        raise InvalidOrbitalLabel(
-            f"a table on a grid with n_theta = {grid.n_theta} is fit with harmonics up to "
-            f"l = {grid.n_theta - 1}; the fit supports l <= {_MAX_L}, i.e. n_theta <= {_MAX_L + 1}"
-        )
+    # the fit's band check, before the finite one; the tables it builds are cached for the fit
+    _fit_tables(grid.n_theta, grid.n_phi)
     _require_finite(state.amplitudes)
     return dataclasses.replace(state, amplitudes=_rotated_table(state, u))
 

@@ -14,9 +14,9 @@ import operator
 import numpy as np
 from scipy.special import lpmv
 
-from .errors import InvalidOrbitalLabel, NotARotation
+from .errors import InvalidOrbitalLabel
 from .halfint import HalfInt, compatible, component_index, components, triangle_rule
-from .lorentz import _as_matrix, _require, _rotation_matrix, require_su2
+from .lorentz import _as_matrix, require_su2
 
 _MAX_J = HalfInt(20)
 # the largest orbital label of Y_lm: (2l)! overflows a float beyond it
@@ -65,17 +65,6 @@ def _d_slots(tj) -> tuple:
     return (pref.reshape(n, n), *(a.reshape(-1, n, n) for a in slots), exponents)
 
 
-def _d_entry(tj, tmp, tm, beta):
-    """d^j_{m' m}(beta) of one entry from the factorial sum, vectorized over beta."""
-    pref, terms = _d_terms(tj, tmp, tm)
-    beta = np.asarray(beta, dtype=float)
-    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    total = np.zeros_like(beta)
-    for e1, e2, sign, den in terms:
-        total = total + sign * c**e1 * s**e2 / den
-    return pref * total
-
-
 # the largest |angle| accepted: below it no phase m phi with |m| <= 86 overflows
 _MAX_ANGLE = 1e300
 
@@ -102,8 +91,8 @@ def wigner_d_small(j, beta):
 
     Rows and columns run over m = +j ... -j. beta may be a scalar or an
     array; the matrix axes are the trailing two. All entries are summed at
-    once (:func:`_d_sum`), so every entry rounds as its :func:`_d_entry`
-    does. A beta that fails :func:`_finite_angles` raises ValueError.
+    once (:func:`_d_sum`), each rounding as its :func:`_d_terms` alone
+    would. A beta that fails :func:`_finite_angles` raises ValueError.
     """
     tj = _check_j(j).twice
     (beta,) = _finite_angles(beta=beta)
@@ -130,9 +119,9 @@ def _d_sum(slots, beta):
     """The entries of d^j(beta) that slots (:func:`_d_slots`,
     :func:`_d_entry_slots`) describe, all summed at once, slot by slot.
     Each power c**e that a term reads is taken once, as beta's shape, and
-    gathered (the others stay 0), so every entry rounds as its
-    :func:`_d_entry` does (a zero sign adds a signed zero, which leaves a
-    sum as it is), whichever entries are summed with it."""
+    gathered (the others stay 0), so every entry rounds as its own
+    :func:`_d_terms` summed alone does (a zero sign adds a signed zero,
+    which leaves a sum as it is), whichever entries are summed with it."""
     pref, e1, e2, sign, den, exponents = slots
     beta = np.asarray(beta, dtype=float)
     c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
@@ -150,8 +139,10 @@ def euler_zyz(u):
     """Euler angles (alpha, beta, gamma) with u = Rz(alpha) Ry(beta) Rz(gamma).
 
     beta lies in [0, pi] and gamma in [0, 2pi); alpha ranges over [0, 4pi)
-    so that the decomposition covers both sheets of SU(2) exactly. One u
-    gives three floats; a batch (..., 2, 2) gives three (...) arrays.
+    so that the decomposition covers both sheets of SU(2) exactly: off the
+    poles, u00 = e^{-i(alpha+gamma)/2} cos(beta/2) puts alpha on the other
+    sheet when cos(arg u00 + (alpha+gamma)/2) < 0. require_su2 is the one
+    check. One u gives three floats; a batch (..., 2, 2) three (...) arrays.
     """
     u = require_su2(u)
     top, bottom = u[..., 0, 0], u[..., 1, 0]
@@ -163,13 +154,10 @@ def euler_zyz(u):
     pole_top = abs_top < 1e-12
     pole = pole_top | (abs_bottom < 1e-12)
     at_pole = np.mod(np.where(pole_top, 2.0 * bottom, -2.0 * top), 4.0 * np.pi)
-    alpha = np.where(pole, at_pole, np.mod(-top + bottom, 2.0 * np.pi))
-    gamma = np.where(pole, 0.0, np.mod(-top - bottom, 2.0 * np.pi))
-    rebuilt = _rotation_matrix(beta, alpha) @ _rotation_matrix(0.0, gamma)
-    minus, plus = (np.abs(x).max(axis=(-2, -1)) for x in (rebuilt - u, rebuilt + u))
-    alpha = np.where(minus > plus, np.mod(alpha + 2.0 * np.pi, 4.0 * np.pi), alpha)
-    miss = np.minimum(minus, plus)
-    _require(miss <= 1e-9, NotARotation, "Euler factorization failed to reproduce the input")
+    alpha, gamma = np.mod(-top + bottom, 2.0 * np.pi), np.mod(-top - bottom, 2.0 * np.pi)
+    other = np.cos(top + 0.5 * (alpha + gamma)) < 0.0
+    alpha = np.where(pole, at_pole, np.where(other, np.mod(alpha + 2.0 * np.pi, 4.0 * np.pi), alpha))
+    gamma = np.where(pole, 0.0, gamma)
     if np.ndim(beta) == 0:
         return float(alpha), float(beta), float(gamma)
     return alpha, beta, gamma
@@ -200,6 +188,16 @@ def rep_matrix(j, u) -> np.ndarray:
     u = _as_matrix(u)
     d = _wigner_D(j, *euler_zyz(u.reshape((-1,) + u.shape[-2:])))
     return d.reshape(u.shape[:-2] + d.shape[-2:])
+
+
+def _slot_matrix(j1, j2, angles) -> np.ndarray:
+    """D^{j1}(u1) x D^{j2}(u2), which mixes raveled spin slots, at angles
+    = euler_zyz of the batch (u1, u2), or of (u,) for u1 = u2 = u, with
+    the bytes of np.kron(rep_matrix(j1, u1), rep_matrix(j2, u2)); D^{j1}
+    is built once when j1 == j2."""
+    d1 = _wigner_D(j1, *angles)
+    d2 = d1 if j2 == j1 else _wigner_D(j2, *angles)
+    return np.kron(d1[0], d2[-1])
 
 
 def su2_cgc(j, j1, j2, chi, chi1, chi2) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from poincare_cgc.lorentz import FourMomentum, SpinorTransform, canonical_boost
+from poincare_cgc.su2 import _d_terms
 
 
 @pytest.fixture
@@ -31,6 +32,17 @@ def random_su2(rng, n=1):
     """Haar-distributed SU(2) matrices from normalized quaternions."""
     u = quaternion_su2(rng.normal(size=(n, 4)))
     return u[0] if n == 1 else u
+
+
+def _d_entry(tj, tmp, tm, beta):
+    """d^j_{m' m}(beta) of one entry from the factorial sum, vectorized over beta."""
+    pref, terms = _d_terms(tj, tmp, tm)
+    beta = np.asarray(beta, dtype=float)
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    total = np.zeros_like(beta)
+    for e1, e2, sign, den in terms:
+        total = total + sign * c**e1 * s**e2 / den
+    return pref * total
 
 
 def random_momentum(rng, s=1.0, scale=10.0):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from conftest import coefficient_rows, quaternion_su2, random_su2
+from conftest import _d_entry, coefficient_rows, quaternion_su2, random_su2
 
 from poincare_cgc import (
     GridMismatch,
@@ -274,11 +274,11 @@ def _spin_orbit_products(spec, j, channel, chi, theta, phi):
 def _helicity_products(spec, j, channel, chi, theta, phi):
     """A helicity basis state's table formed label by label: the conjugate
     of sqrt((2j+1)/4pi) e^{-i chi phi} d^j_{chi mu}(theta) e^{i mu phi} on
-    the channel's slot, with d^j_{chi mu} alone (su2._d_entry)."""
+    the channel's slot, with d^j_{chi mu} alone (conftest._d_entry)."""
     theta, phi = su2_module._finite_angles(theta=theta, phi=phi)
     shape = np.broadcast(theta, phi).shape
     mu = channel.mu
-    d = su2_module._d_entry(j.twice, chi.twice, mu.twice, theta)
+    d = _d_entry(j.twice, chi.twice, mu.twice, theta)
     norm = np.sqrt((j.twice + 1.0) / (4.0 * np.pi))
     cell = norm * np.exp(-1j * float(chi) * phi) * d * np.exp(1j * float(mu) * phi) + np.zeros(shape)
     out = np.zeros(shape + spec.spin_shape, dtype=complex)
@@ -1106,6 +1106,52 @@ def test_loaded_rotation_on_too_fine_a_grid_fails_before_any_harmonic(monkeypatc
                 patch.setattr(su2_module, "_legendre", forbidden)
                 with pytest.raises(InvalidOrbitalLabel, match=rf"n_theta = {n_theta}.*l <= 85"):
                     apply_rotation(table, u)
+
+
+def test_loaded_rotation_limit_is_the_fit_band(rng):
+    """The loaded-table limit is the fit's band L = min(n_theta - 1,
+    (n_phi - 1) // 2), checked once, in _fit_tables, not a rule on
+    n_theta: on 90x9 (L = 4) every j <= 1 state of both schemes rotates
+    as a table as from its closed form within 1e-12 (measured 4.8e-14),
+    while 87x175 (L = 86) raises InvalidOrbitalLabel naming n_theta,
+    n_phi, L and the limit 85."""
+    grid = build_grid(90, 9)
+    u = random_su2(rng)
+    for scheme in ("spin-orbit", "helicity"):
+        for state in fermion_states(grid, 1, scheme):
+            table = dataclasses.replace(state, closed_form=False)
+            gap = np.abs(apply_rotation(table, u).amplitudes - apply_rotation(state, u).amplitudes).max()
+            assert gap <= 1e-12, (scheme, state.j, state.channel, state.component, gap)
+    state = build_com_basis_state(build_grid(87, 175), FERMION_PAIR, PAIR_S, 0, SpinOrbitChannel(0, 0), 0)
+    with pytest.raises(InvalidOrbitalLabel, match=r"n_theta = 87, n_phi = 175 .* L = .* = 86; .* l <= 85$"):
+        apply_rotation(dataclasses.replace(state, closed_form=False), u)
+
+
+def test_label_check_reads_the_layout_without_enumerating_channels(monkeypatch):
+    """_check_label takes its verdict from the layout's block_row, which
+    only a helicity channel with |mu| > j lacks, so build_com_basis_state
+    and state_from_json call no coupling_channels, and a |mu| > j label
+    still raises InvalidChannel with the message it raised when they did."""
+
+    def forbidden(*args):
+        raise AssertionError("coupling_channels was called")
+
+    grid = build_grid(4, 8)
+    payload = json.loads(state_to_json(
+        build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 0, HelicityChannel(0.5, 0.5), 0)))
+    message = r"^channel lam1=1/2,lam2=-1/2 does not couple to j=0$"
+    with monkeypatch.context() as patch:
+        patch.setattr(cgc_module, "coupling_channels", forbidden)
+        patch.setattr(states_module, "coupling_channels", forbidden, raising=False)
+        for scheme in ("spin-orbit", "helicity"):
+            for state in fermion_states(grid, 1, scheme):
+                built = build_com_basis_state(grid, FERMION_PAIR, PAIR_S, state.j, state.channel, state.component)
+                loaded = state_from_json(state_to_json(built), FERMION_PAIR)
+                assert (loaded.j, loaded.channel, loaded.component) == (state.j, state.channel, state.component)
+        with pytest.raises(InvalidChannel, match=message):
+            build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 0, HelicityChannel(0.5, -0.5), 0)
+        with pytest.raises(InvalidChannel, match=message):
+            state_from_json(json.dumps(dict(payload, eta=[0.5, -0.5])), FERMION_PAIR)
 
 
 def test_apply_rotation_rejects_non_rotations(rng):

@@ -15,21 +15,22 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import lpmv, sph_harm_y
 
-from conftest import coefficient_rows, dense_coefficients, quaternion_su2, random_su2
+from conftest import _d_entry, coefficient_rows, dense_coefficients, quaternion_su2, random_su2
 import poincare_cgc.cgc as cgc_module
 import poincare_cgc.su2 as su2_module
 from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
 from poincare_cgc.halfint import HalfInt, components, hrange
+from poincare_cgc.lorentz import _rotation_matrix, require_su2
 from poincare_cgc.states import _harmonic_synthesis, _preimages, build_grid
 from poincare_cgc.su2 import (
     _cg_block,
-    _d_entry,
     _fact,
     _harmonic_rows,
     _harmonic_table,
     _legendre,
     _quarter_turn,
     _rotated_harmonics,
+    _slot_matrix,
     euler_zyz,
     rep_matrix,
     spherical_harmonic,
@@ -92,12 +93,13 @@ def test_wigner_d_vectorizes_over_beta():
 
 
 def test_wigner_d_small_is_d_entry_bit_for_bit():
-    """wigner_d_small sums all entries at once and _d_entry one entry; the
-    golden helicity tables read _d_entry while the helicity frames,
-    rep_matrix and helicity decompose read wigner_d_small, so the two must
-    agree bit for bit: every entry for 2j <= 20, at scalar and array beta,
-    signed zeros, +-pi and 2 pi included. (A scalar and an array beta may
-    round apart by an ulp, so each is compared with its own kind.)"""
+    """wigner_d_small sums all entries at once and _d_entry, the tests'
+    one-entry oracle, a single entry's factorial sum alone; the helicity
+    frames, rep_matrix and the label kernel read the batched sums, so the
+    two must agree bit for bit: every entry for 2j <= 20, at scalar and
+    array beta, signed zeros, +-pi and 2 pi included. (A scalar and an
+    array beta may round apart by an ulp, so each is compared with its own
+    kind.)"""
     betas = np.array([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 0.3, 1.7, -2.9, 5.1])
     for tj in range(21):
         table = wigner_d_small(HalfInt(tj), betas)
@@ -129,6 +131,61 @@ def test_euler_zyz_reconstructs(rng):
 def test_euler_zyz_rejects_non_rotation():
     with pytest.raises(NotARotation):
         euler_zyz(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def _euler_by_rebuild(u):
+    """Euler angles as the library took them before its one sign test:
+    both sheets of alpha off the poles, the matrix rebuilt from each and
+    the nearer kept. The oracle of test_euler_zyz_sheet_rule_is_the_rebuild."""
+    u = require_su2(u)
+    top, bottom = u[..., 0, 0], u[..., 1, 0]
+    abs_top, abs_bottom = np.hypot(top.real, top.imag), np.hypot(bottom.real, bottom.imag)
+    beta = 2.0 * np.arctan2(abs_bottom, abs_top)
+    top, bottom = np.angle(top), np.angle(bottom)
+    pole_top = abs_top < 1e-12
+    pole = pole_top | (abs_bottom < 1e-12)
+    at_pole = np.mod(np.where(pole_top, 2.0 * bottom, -2.0 * top), 4.0 * np.pi)
+    alpha = np.where(pole, at_pole, np.mod(-top + bottom, 2.0 * np.pi))
+    gamma = np.where(pole, 0.0, np.mod(-top - bottom, 2.0 * np.pi))
+    rebuilt = _rotation_matrix(beta, alpha) @ _rotation_matrix(0.0, gamma)
+    minus, plus = (np.abs(x).max(axis=(-2, -1)) for x in (rebuilt - u, rebuilt + u))
+    alpha = np.where(minus > plus, np.mod(alpha + 2.0 * np.pi, 4.0 * np.pi), alpha)
+    assert (np.minimum(minus, plus) <= 1e-9).all()
+    return alpha, beta, gamma
+
+
+def test_euler_zyz_sheet_rule_is_the_rebuild(rng):
+    """euler_zyz picks alpha's sheet with one sign test, cos(arg u00 +
+    (alpha + gamma)/2) < 0 off the poles, where the factorization it
+    replaced rebuilt the matrix on both sheets and kept the nearer. Their
+    angles agree byte for byte on 10,000 Haar draws and on u and -u with
+    beta at 0 and pi, and 1e-13 and 1e-11 from each (one side of the pole
+    test each), as a batch and one by one."""
+    edges = []
+    for beta in (0.0, 1e-13, 1e-11, np.pi - 1e-11, np.pi - 1e-13, np.pi):
+        alpha, gamma = rng.uniform(0.0, 4.0 * np.pi, 50), rng.uniform(0.0, 2.0 * np.pi, 50)
+        edges.append(_rotation_matrix(beta, alpha) @ _rotation_matrix(0.0, gamma))
+    draws = np.concatenate([random_su2(rng, 10_000), *edges])
+    for u in (draws, -draws):
+        for got, want in zip(euler_zyz(u), _euler_by_rebuild(u)):
+            assert got.tobytes() == want.tobytes()
+        for one in u[-len(edges) * 50 :: 7]:
+            got, want = euler_zyz(one), _euler_by_rebuild(one)
+            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("j1, j2", [(0.5, 0.5), (1, 0.5), (1.5, 1)])
+def test_slot_matrix_is_the_kronecker_product_of_rep_matrices(j1, j2, rng):
+    """_slot_matrix, the one builder of D^{j1} x D^{j2}, has the bytes of
+    np.kron(rep_matrix(j1, u1), rep_matrix(j2, u2)), for one u in both
+    slots (the rotations) and for a pair (the general-frame Wigner
+    rotations)."""
+    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
+    for u1, u2 in random_su2(rng, 40).reshape(20, 2, 2, 2):
+        one = _slot_matrix(j1, j2, euler_zyz(u1[None]))
+        assert one.tobytes() == np.kron(rep_matrix(j1, u1), rep_matrix(j2, u1)).tobytes()
+        pair = _slot_matrix(j1, j2, euler_zyz(np.stack([u1, u2])))
+        assert pair.tobytes() == np.kron(rep_matrix(j1, u1), rep_matrix(j2, u2)).tobytes()
 
 
 def test_rep_matrix_is_double_cover_faithful(rng):
