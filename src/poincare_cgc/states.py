@@ -2,7 +2,7 @@
 
 Discretizes the closed-form angular amplitudes of :mod:`poincare_cgc.cgc`
 on a Gauss-Legendre x trapezoid product grid, takes quadrature inner
-products, applies rotations exactly through preimage evaluation, and
+products, rotates states through their harmonic coefficients, and
 decomposes spin-correlated product states into partial waves.
 
 All states live on a single slice of fixed pair invariant mass squared s;
@@ -35,8 +35,8 @@ from .cgc import (
     com_normalization,
 )
 from .errors import GridMismatch, GridTooCoarse, InvalidChannel, InvalidOrbitalLabel
-from .halfint import HalfInt, components
-from .lorentz import polar_angles, require_su2, spinor_to_lorentz
+from .halfint import HalfInt
+from .lorentz import require_su2
 from . import su2
 from .su2 import _MAX_L, _finite_angles, _norms, _rotated_harmonics, _wigner_D, euler_zyz, wigner_d_small
 
@@ -57,8 +57,8 @@ class QuadratureGrid:
 
     Gauss-Legendre nodes in cos(theta) crossed with a uniform trapezoid
     rule in phi, flattened in theta-major order. Weights sum to 4 pi and
-    the rule integrates products of spherical harmonics exactly up to
-    l = n_theta - 1 provided n_phi exceeds twice that degree.
+    the rule resolves the spherical harmonics up to its band
+    (:attr:`band`).
     """
 
     n_theta: int
@@ -70,6 +70,13 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.theta.size
+
+    @property
+    def band(self) -> int:
+        """L = min(n_theta - 1, (n_phi - 1) // 2): the Gauss-Legendre nodes
+        integrate products of harmonics exactly up to l = n_theta - 1, and
+        past (n_phi - 1) // 2 orders would share DFT bins with lower ones."""
+        return min(self.n_theta - 1, (self.n_phi - 1) // 2)
 
     @property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,10 +155,10 @@ class ComBasisState:
     the state can be evaluated exactly at any angles. Tables loaded from
     JSON or produced by slot conversion are not closed-form: their
     amplitudes are all they carry, and their rotation is None.
-    :func:`apply_rotation` evaluates a closed-form state from its labels,
-    and :func:`gram_matrix` reads only the phi = 0 ring and the component
-    of an unrotated one, so a caller that replaces amplitudes also clears
-    closed_form.
+    :func:`apply_rotation` turns a closed-form state's exact coefficients
+    from its labels, and :func:`gram_matrix` reads only the phi = 0 ring
+    and the component of an unrotated one, so a caller that replaces
+    amplitudes also clears closed_form.
     """
 
     grid: QuadratureGrid
@@ -179,7 +186,7 @@ class ComBasisState:
     @property
     def evaluator(self) -> Callable | None:
         """Map of angle arrays to the amplitude table, None for a table."""
-        return functools.partial(_rotated, self, self.rotation) if self.closed_form else None
+        return functools.partial(_evaluated, self) if self.closed_form else None
 
 
 def _require_finite(amplitudes) -> None:
@@ -366,7 +373,7 @@ def _helicity_frames(theta, phi, j1, j2):
 
 
 # entries kept by each cache of grid-only tables (_grid_frames, _fit_tables):
-# the grid sizes, and spins for the frames, of a few grids in use at once
+# the grid sizes, and spins for the frames or bands for the fit, of a few grids in use at once
 _GRID_CACHE_SIZE = 8
 
 
@@ -374,7 +381,7 @@ _GRID_CACHE_SIZE = 8
 def _grid_frames(n_theta: int, n_phi: int, j1: HalfInt, j2: HalfInt) -> tuple:
     """The helicity frames (:func:`_helicity_frames`) of spins j1 and j2 at
     the nodes of the n_theta x n_phi grid, as (N, 2j+1, 2j+1) arrays, for
-    loaded rotations and slot conversion; once per grid size and spins,
+    rotations and slot conversion; once per grid size and spins,
     read-only, with the bytes of the frames at the grid's node arrays."""
     frames = tuple(f.reshape((n_theta * n_phi,) + f.shape[2:])
                    for f in _helicity_frames(*build_grid(n_theta, n_phi).axes, j1, j2))
@@ -383,100 +390,83 @@ def _grid_frames(n_theta: int, n_phi: int, j1: HalfInt, j2: HalfInt) -> tuple:
     return frames
 
 
-def _zrot_diag(j, w):
-    """Diagonal of the spin-j representation of a z-axis rotation.
-
-    w is the upper-left entry of the SU(2) matrix; entry m of the result
-    is w**(2m) with components in descending order.
-    """
-    tw = np.array([m.twice for m in components(HalfInt.of(j))])
-    return np.power(np.asarray(w)[..., None], tw)
+def _fixed_axis_slots(grid: QuadratureGrid, j1, j2, table) -> np.ndarray:
+    """A helicity table's slots as fixed-axis components, by the frames at the grid's nodes."""
+    f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, j1, j2)
+    return _sandwich(f1, table, f2)
 
 
-def _little_group_phase(u, theta, phi, thp, php):
-    """Particle 1's helicity phase w = xi(n)^dagger u xi(n') at directions
-    n = (theta, phi) and their preimages n' = (thp, php) under u.
-
-    xi(n) = (cos theta/2, e^{i phi} sin theta/2) is the first column of the
-    spin-1/2 frame R(phi, theta, -phi) (:func:`_helicity_frames`), so
-    R(n)^-1 u R(n') = diag(w, conj(w)); particle 2's frame R(n) Ry(pi) swaps
-    that diagonal, so its phase is conj(w). The off-diagonal is checked, not
-    assumed, as twice |W10|, since |W01| = |W10| in SU(2).
-    """
-    a, b = np.cos(0.5 * thp), np.sin(0.5 * thp) * np.exp(1j * php)
-    v0, v1 = u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta) * np.exp(1j * phi)
-    off = 2.0 * float(np.max(np.abs(c * v1 - s * v0)))
-    if off > 1e-8:
-        raise ValueError(
-            f"little-group element is not a z-rotation (off-diagonal {off:.2e}); "
-            "the rotation does not map the given directions onto each other"
-        )
-    w = c * v0 + s.conj() * v1
-    return w / np.abs(w)
+@functools.cache
+def _label_coefficients(j1, j2, scheme, j, channel, chi) -> np.ndarray:
+    """The exact harmonic coefficients of a basis label's closed form in
+    fixed-axis slots, laid out as :func:`_harmonic_fit`'s at the band
+    B = j + j1 + j2; once per label, read-only. Every basis state of either
+    scheme is band-limited to l <= B in fixed-axis slots, so the fit on the
+    (B + 2) x (2B + 4) grid, whose band B + 1 integrates every product with
+    it exactly, reads them to roundoff; the degree B + 1 is cut."""
+    band = int(j + j1 + j2)
+    grid = build_grid(band + 2, 2 * band + 4)
+    table = _label_tables(_one_label_layout(j1, j2, scheme, j, channel, chi), *grid.axes)[0]
+    table = table.reshape((grid.size,) + table.shape[2:])
+    if scheme == "helicity":
+        table = _fixed_axis_slots(grid, j1, j2, table)
+    coeffs = _harmonic_fit(grid, table)[1:-1, :-1]
+    coeffs.flags.writeable = False
+    return coeffs
 
 
-def _preimages(u, theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Polar angles of the preimages u^-1 n of the directions n = (theta, phi)."""
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    st = np.sin(theta)
-    dirs = np.stack(
-        [st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi)], axis=-1
-    )
-    return polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
-
-
-def _rotated(state: ComBasisState, u, theta, phi) -> np.ndarray:
-    """Amplitude table at (theta, phi) of a closed-form state rotated by u
-    (None: unrotated, the closed form of its labels).
-
-    The rotated amplitude at direction n is the labels' closed form at the
-    preimage u^-1 n, its spin slots mixed by the constant Kronecker matrix
-    of u (:func:`su2._slot_matrix`) in the spin-orbit scheme, and by one
-    phase per direction (:func:`_little_group_phase`) in the helicity scheme.
-    """
-    labels = (state.spec, state.scheme, state.j, state.channel, state.component)
-    if u is None:
-        return _label_table(*labels, theta, phi)
-    thp, php = _preimages(u, theta, phi)
-    amp = _label_table(*labels, thp, php)
-    if state.scheme == "spin-orbit":
-        mix = su2._slot_matrix(state.spec.j1, state.spec.j2, euler_zyz(u[None]))
-        return (amp.reshape(amp.shape[:-2] + (-1,)) @ mix.T).reshape(amp.shape)
-    w = _little_group_phase(u, theta, phi, thp, php)
-    d1, d2 = _zrot_diag(state.spec.j1, w), _zrot_diag(state.spec.j2, w.conj())
-    return amp * d1[..., :, None] * d2[..., None, :]
+def _turned(state: ComBasisState, u) -> tuple[np.ndarray, np.ndarray]:
+    """A state's fixed-axis harmonic coefficients turned by u degree by
+    degree (:func:`poincare_cgc.su2._rotated_harmonics`), and the slot
+    matrix D^{j1}(u) x D^{j2}(u), from one euler_zyz. A closed form turns
+    its unrotated labels' coefficients, so u is its whole rotation; a table
+    is fit on its grid, a helicity one in fixed-axis slots, since helicity
+    slots are not band-limited where the frames turn (a cell
+    e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south pole)."""
+    spec, table = state.spec, state.amplitudes
+    if state.closed_form:
+        coeffs = _label_coefficients(spec.j1, spec.j2, state.scheme, state.j, state.channel, state.component)
+    else:
+        fixed = table if state.scheme == "spin-orbit" else _fixed_axis_slots(state.grid, spec.j1, spec.j2, table)
+        coeffs = _harmonic_fit(state.grid, fixed)
+    angles = euler_zyz(u[None])
+    return _rotated_harmonics(coeffs, *np.ravel(angles)), su2._slot_matrix(spec.j1, spec.j2, angles)
 
 
 def _rotated_table(state: ComBasisState, u) -> np.ndarray:
-    """A table's amplitudes on its grid, rotated by u, in one fixed-axis law
-    for both schemes.
-
-    The table is projected slot by slot onto the scalar harmonics with
-    l <= L (:func:`_harmonic_fit`, :func:`_fit_tables`) in fixed-axis
-    slots: helicity slots are not band-limited where the frames turn, since
-    a cell e^{2i chi phi} d^j_{chi,-chi}(theta) stays nonzero at the south
-    pole, so a helicity table is converted with the frames at the grid's
-    nodes first. The coefficients turn by D^l(u) degree by degree
-    (:func:`poincare_cgc.su2._rotated_harmonics`) and are summed on the
-    grid's own nodes (:func:`_harmonic_synthesis`); the slots are mixed by
-    the constant D^{j1}(u) x D^{j2}(u), and a helicity table is converted
-    back. Exact for tables band-limited to l <= L in fixed-axis slots.
-    """
-    grid, spec, table = state.grid, state.spec, state.amplitudes
-    if state.scheme == "helicity":
-        f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, spec.j1, spec.j2)
-    # the converted helicity table and the node sums are temporaries, freed once read
-    coeffs = _harmonic_fit(grid, table if state.scheme == "spin-orbit" else _sandwich(f1, table, f2))
-    angles = euler_zyz(u[None])
-    coeffs = _rotated_harmonics(coeffs, *np.ravel(angles))
-    mix = su2._slot_matrix(spec.j1, spec.j2, angles)
-    mixed = (_harmonic_synthesis(grid, coeffs) @ mix.T).reshape(table.shape)
+    """A state's amplitudes on its grid rotated by u, one law for closed
+    forms and tables of both schemes: the turned coefficients
+    (:func:`_turned`) summed on the grid's own nodes, the slots mixed, and
+    helicity slots converted back with the frames at the nodes."""
+    grid, spec = state.grid, state.spec
+    coeffs, mix = _turned(state, u)
+    mixed = (_harmonic_synthesis(grid, coeffs) @ mix.T).reshape(state.amplitudes.shape)
     if state.scheme == "spin-orbit":
         return mixed
+    f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, spec.j1, spec.j2)
     # conj(f1)^T M conj(f2) as the conjugate of f1^T conj(M) f2, in place, so no frame is copied
     back = _sandwich(f1.swapaxes(1, 2), np.conj(mixed, out=mixed), f2.swapaxes(1, 2))
     return np.conj(back, out=back)
+
+
+def _evaluated(state: ComBasisState, theta, phi) -> np.ndarray:
+    """Amplitude table at (theta, phi) of a closed-form state: the kernel of
+    its labels while unrotated, and once rotated its turned coefficients
+    (:func:`_turned`) summed against every Y_lm of their band at the
+    angles, the slots mixed and, in the helicity scheme, re-expressed in
+    the frames at the angles (:func:`_fixed_to_helicity_slots`). Angles
+    that fail :func:`_finite_angles` raise ValueError."""
+    if state.rotation is None:
+        return _label_table(state.spec, state.scheme, state.j, state.channel, state.component, theta, phi)
+    theta, phi = _finite_angles(theta=theta, phi=phi)
+    coeffs, mix = _turned(state, state.rotation)
+    band = coeffs.shape[1] - 1
+    rows = su2._harmonic_table(band, theta, phi)
+    # the rows l^2 ... l^2 + 2l hold Y_lm for m = l ... -l, as [band - l : band + l + 1, l] does
+    sums = sum(np.tensordot(rows[l * l : (l + 1) ** 2], coeffs[band - l : band + l + 1, l], axes=(0, 0))
+               for l in range(band + 1))
+    slots = (sums @ mix.T).reshape(sums.shape[:-1] + state.spec.spin_shape)
+    return slots if state.scheme == "spin-orbit" else _fixed_to_helicity_slots(state.spec, theta, phi, slots)
 
 
 def _sandwich(left, slots, right) -> np.ndarray:
@@ -494,15 +484,15 @@ def _sandwich(left, slots, right) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _fit_tables(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid-only tables of :func:`_harmonic_fit` on the n_theta x n_phi
-    grid, once per size, read-only, up to the band L = min(n_theta - 1,
-    (n_phi - 1) // 2), past which orders would share DFT bins: the DFT
-    matrix e^{-i m phi_k}, rows m = L ... -L, and the real polar table
+def _fit_tables(n_theta: int, n_phi: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid-only tables of :func:`_harmonic_fit` and
+    :func:`_harmonic_synthesis` on the n_theta x n_phi grid up to the band
+    L = top, once per size and band, read-only: the DFT matrix
+    e^{-i m phi_k}, rows m = L ... -L, and the real polar table
     Y_lm(theta_i, 0) = N_lm P_l^m(cos theta_i) at [m, l, i] for m = 0 ... L
-    (0 where l < m), one Legendre sweep at the polar nodes scaled in place;
-    a band past _MAX_L raises InvalidOrbitalLabel before the sweep."""
-    top = min(n_theta - 1, (n_phi - 1) // 2)
+    (0 where l < m), one Legendre sweep at the polar nodes scaled in place.
+    The fit reads them at the grid's band (:attr:`QuadratureGrid.band`); a
+    band past _MAX_L raises InvalidOrbitalLabel before the sweep."""
     if top > _MAX_L:
         raise InvalidOrbitalLabel(
             f"a table on a grid with n_theta = {n_theta}, n_phi = {n_phi} is fit up to the band "
@@ -518,8 +508,8 @@ def _fit_tables(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
     """Quadrature coefficients conj(Y) (w A) of a grid table A on every Y_lm
-    with l <= L (:func:`_fit_tables`), as one dense array [L - m, l, column]
-    that holds 0 where l < |m|.
+    with l <= L, the grid's band (:attr:`QuadratureGrid.band`), as one dense
+    array [L - m, l, column] that holds 0 where l < |m|.
 
     Separated as in Driscoll and Healy, Adv. Appl. Math. 15, 202 (1994):
     Y_lm(theta, phi) = Y_lm(theta, 0) e^{i m phi} with Y_lm(theta, 0) real,
@@ -528,8 +518,8 @@ def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
     Y_{l,-m}(theta, 0) = (-1)^m Y_lm(theta, 0); the (L+1)^2 x N table on
     the grid is never built.
     """
-    dft, polar = _fit_tables(grid.n_theta, grid.n_phi)
-    top = len(polar) - 1
+    top = grid.band
+    dft, polar = _fit_tables(grid.n_theta, grid.n_phi, top)
     rings = grid.weights[:: grid.n_phi, None, None] * table.reshape(grid.n_theta, grid.n_phi, -1)
     # waves[L - m, i] = sum_k e^{-i m phi_k} (w A)[i, k], every ring in one matmul
     waves = (dft @ rings.transpose(1, 0, 2).reshape(grid.n_phi, -1)).reshape(len(dft), grid.n_theta, -1)
@@ -544,11 +534,13 @@ def _harmonic_fit(grid: QuadratureGrid, table) -> np.ndarray:
 
 def _harmonic_synthesis(grid: QuadratureGrid, coeffs) -> np.ndarray:
     """sum_lm c_lm Y_lm at the grid's nodes, as (nodes, columns), for
-    coefficients laid out as :func:`_harmonic_fit`'s: the fit's transpose,
-    the same two batched matmuls over the polar table, then one inverse
-    DFT for every ring."""
-    dft, polar = _fit_tables(grid.n_theta, grid.n_phi)
-    top = len(polar) - 1
+    coefficients laid out as :func:`_harmonic_fit`'s at the band their
+    shape gives: the fit's transpose, then one inverse DFT for every ring.
+    A band within the grid's slices the grid's own tables; one past it, or
+    a grid past _MAX_L, reads tables at the band itself."""
+    top, band = coeffs.shape[1] - 1, grid.band
+    dft, polar = _fit_tables(grid.n_theta, grid.n_phi, band if top <= band <= _MAX_L else top)
+    dft, polar = dft[len(polar) - 1 - top : len(polar) + top], polar[: top + 1, : top + 1]
     terms = coeffs.view(float)
     # sums[i, L - m] = sum_l Y_lm(theta_i, 0) c_lm, ring-major for the inverse DFT
     sums = np.empty((grid.n_theta, len(dft), terms.shape[-1]))
@@ -575,39 +567,31 @@ def apply_rotation(state: ComBasisState, u) -> ComBasisState:
 
     Node directions map forward under the rotation; the new table holds
     the state at the preimage nodes, and each particle's spin slots are
-    mixed by its little-group representation matrix.
+    mixed by its representation matrix. Every state rotates by one law
+    (:func:`_rotated_table`): its harmonic coefficients in fixed-axis slots
+    turn by D^l(u) and are summed on the grid's own nodes, the slots are
+    mixed by the constant D^{j1}(u) x D^{j2}(u), and helicity slots are
+    converted back with the frames at the nodes.
 
-    A closed-form state records u @ state.rotation and is evaluated once
-    from its labels (:func:`_rotated`), so no interpolation error enters
-    and rotations compose: u then v equals v @ u. Its helicity
-    little-group elements are taken between the Jacob-Wick frames of
-    :func:`_helicity_frames` at each node and at its preimage. Those
-    frames are single valued on SU(2), so the phases are continuous across
-    the phi = 0 seam and need no choice of branch there.
-
-    A table is fit in fixed-axis slots, its coefficients turned by D^l(u)
-    degree by degree and summed on the grid's own nodes, and its slots
-    mixed by the constant D^{j1}(u) x D^{j2}(u) in either scheme
-    (:func:`_rotated_table`), exact for tables band-limited in fixed-axis
-    slots to l <= L = min(n_theta - 1, (n_phi - 1) // 2), the band both the
-    polar nodes and the azimuths resolve, as a basis state is when
-    j + j1 + j2 <= L.
+    A closed-form state records u @ state.rotation and turns its labels'
+    exact coefficients (l <= j + j1 + j2) by that product, so it is exact
+    on any grid and u then v equals v @ u bit for bit. A table is fit up to
+    its grid's band L (:attr:`QuadratureGrid.band`), exact for tables
+    band-limited to l <= L in fixed-axis slots.
 
     Only rotations are accepted: they preserve the fixed-s sphere the
     states live on. Anything outside SU(2) raises NotARotation. Y_lm stops
-    at l = 85, so a table whose band L passes 85 raises InvalidOrbitalLabel
-    (:func:`_fit_tables`) before any harmonic is evaluated. A table holding
-    NaN or an infinity raises ValueError, since the fit would spread it
-    over every node.
+    at l = 85, so a table whose grid's band L passes 85 raises
+    InvalidOrbitalLabel (:func:`_fit_tables`) before any harmonic is
+    evaluated. A table holding NaN or an infinity raises ValueError, since
+    the fit would spread it over every node.
     """
     u = require_su2(u)
-    grid = state.grid
     if state.closed_form:
         u = u if state.rotation is None else u @ state.rotation
-        amplitudes = _rotated(state, u, grid.theta, grid.phi)
-        return dataclasses.replace(state, rotation=u, amplitudes=amplitudes)
+        return dataclasses.replace(state, rotation=u, amplitudes=_rotated_table(state, u))
     # the fit's band check, before the finite one; the tables it builds are cached for the fit
-    _fit_tables(grid.n_theta, grid.n_phi)
+    _fit_tables(state.grid.n_theta, state.grid.n_phi, state.grid.band)
     _require_finite(state.amplitudes)
     return dataclasses.replace(state, amplitudes=_rotated_table(state, u))
 
@@ -624,9 +608,7 @@ def convert_slots_to_canonical(state: ComBasisState) -> ComBasisState:
     """
     if state.scheme != "helicity":
         raise ValueError("slot conversion applies to helicity-scheme states")
-    grid, spec = state.grid, state.spec
-    f1, f2 = _grid_frames(grid.n_theta, grid.n_phi, spec.j1, spec.j2)
-    amps = _sandwich(f1, state.amplitudes, f2)
+    amps = _fixed_axis_slots(state.grid, state.spec.j1, state.spec.j2, state.amplitudes)
     return dataclasses.replace(
         state, scheme="spin-orbit", amplitudes=amps, rotation=None, closed_form=False
     )

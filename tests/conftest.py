@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poincare_cgc.lorentz import FourMomentum, SpinorTransform, canonical_boost
+from poincare_cgc.lorentz import FourMomentum, SpinorTransform, canonical_boost, polar_angles, spinor_to_lorentz
 from poincare_cgc.su2 import _d_terms
 
 
@@ -43,6 +43,16 @@ def _d_entry(tj, tmp, tm, beta):
     for e1, e2, sign, den in terms:
         total = total + sign * c**e1 * s**e2 / den
     return pref * total
+
+
+def _preimages(u, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Polar angles of the preimages u^-1 n of the directions n = (theta, phi)."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    dirs = np.stack(
+        [st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi)], axis=-1
+    )
+    return polar_angles(dirs @ spinor_to_lorentz(u)[1:, 1:])
 
 
 def random_momentum(rng, s=1.0, scale=10.0):

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from conftest import _d_entry, coefficient_rows, quaternion_su2, random_su2
+from conftest import _d_entry, _preimages, coefficient_rows, quaternion_su2, random_su2
 
 from poincare_cgc import (
     GridMismatch,
@@ -48,8 +49,6 @@ from poincare_cgc.states import (
     _gauss_legendre,
     _harmonic_fit,
     _helicity_frames,
-    _little_group_phase,
-    _preimages,
     _sandwich,
 )
 import poincare_cgc.cgc as cgc_module
@@ -914,8 +913,8 @@ def test_grid_only_tables_are_cached_read_only():
     assert states_module._grid_frames(16, 33, HalfInt(1), HalfInt(1)) is frames
     for cached, want in zip(frames, _helicity_frames(grid.theta, grid.phi, *spins)):
         assert cached.tobytes() == want.tobytes()
-    tables = states_module._fit_tables(grid.n_theta, grid.n_phi)
-    assert states_module._fit_tables(grid.n_theta, grid.n_phi) is tables
+    tables = states_module._fit_tables(grid.n_theta, grid.n_phi, grid.band)
+    assert states_module._fit_tables(grid.n_theta, grid.n_phi, grid.band) is tables
     for array in (*frames, *tables):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -977,6 +976,33 @@ def test_loaded_rotation_takes_one_legendre_sweep_and_no_lpmv(monkeypatch, rng):
             want = [grid.n_theta] if first else []
             assert sweeps == want, (scheme, sweeps)
             first = False
+
+
+def test_closed_form_rotation_reads_the_grid_tables(monkeypatch, rng):
+    """A closed form whose band fits inside its grid's synthesizes from the
+    grid's own tables, sliced: rotating every j <= 1 state of both schemes
+    on 16x33 with the caches cleared takes one Legendre sweep at the 16
+    polar nodes, which a loaded rotation then reads, and one per label
+    band B = 1, 2 for the labels' fits on their (B + 2)-node grids."""
+    sweeps = []
+    sweep = su2_module._legendre
+
+    def counted_sweep(l_max, x):
+        sweeps.append(np.size(x))
+        return sweep(l_max, x)
+
+    grid = build_grid(16, 33)
+    u = random_su2(rng)
+    states = fermion_states(grid, 1, "spin-orbit") + fermion_states(grid, 1, "helicity")
+    states_module._fit_tables.cache_clear()
+    states_module._label_coefficients.cache_clear()
+    monkeypatch.setattr(su2_module, "_legendre", counted_sweep)
+    for state in states:
+        apply_rotation(state, u)
+    assert sorted(sweeps) == [3, 4, grid.n_theta]
+    sweeps.clear()
+    apply_rotation(state_from_json(state_to_json(state), FERMION_PAIR), u)
+    assert sweeps == []
 
 
 def test_loaded_rotation_memory_is_linear_in_the_grid(rng):
@@ -1063,7 +1089,7 @@ def test_loaded_rotation_on_a_coarse_azimuth_grid(rng):
     as from its closed form within 1e-12 (measured 1.1e-15; 0.97 when the
     fit reached l = 15)."""
     grid = build_grid(16, 8)
-    assert len(states_module._fit_tables(16, 8)[1]) == 4
+    assert grid.band == 3
     u = random_su2(rng)
     for scheme in ("spin-orbit", "helicity"):
         for state in fermion_states(grid, 1, scheme):
@@ -1077,8 +1103,8 @@ def test_polar_table_is_the_real_harmonic_table_at_phi_0(shape):
     """The fit's polar table, N_lm P_l^m(cos theta_i) at [m, l, i] for the
     orders m >= 0, holds the real parts of _harmonic_table(L, polar nodes,
     0.0) bit for bit, and 0 where l < m."""
-    dft, polar = states_module._fit_tables(*shape)
     top = shape[0] - 1
+    dft, polar = states_module._fit_tables(*shape, top)
     want = _harmonic_table(top, build_grid(*shape).axes[0][:, 0], 0.0).real
     assert polar.shape == (top + 1, top + 1, shape[0])
     for m in range(top + 1):
@@ -1114,7 +1140,8 @@ def test_loaded_rotation_limit_is_the_fit_band(rng):
     n_theta: on 90x9 (L = 4) every j <= 1 state of both schemes rotates
     as a table as from its closed form within 1e-12 (measured 4.8e-14),
     while 87x175 (L = 86) raises InvalidOrbitalLabel naming n_theta,
-    n_phi, L and the limit 85."""
+    n_phi, L and the limit 85 for a table; a closed form still rotates
+    there, by the preimage law within 1e-13."""
     grid = build_grid(90, 9)
     u = random_su2(rng)
     for scheme in ("spin-orbit", "helicity"):
@@ -1125,6 +1152,9 @@ def test_loaded_rotation_limit_is_the_fit_band(rng):
     state = build_com_basis_state(build_grid(87, 175), FERMION_PAIR, PAIR_S, 0, SpinOrbitChannel(0, 0), 0)
     with pytest.raises(InvalidOrbitalLabel, match=r"n_theta = 87, n_phi = 175 .* L = .* = 86; .* l <= 85$"):
         apply_rotation(dataclasses.replace(state, closed_form=False), u)
+    # a closed form there synthesizes at its own band, below the limit, so it rotates
+    want = _preimage_law(state, u, state.grid.theta, state.grid.phi)
+    assert np.abs(apply_rotation(state, u).amplitudes - want).max() <= 1e-13
 
 
 def test_label_check_reads_the_layout_without_enumerating_channels(monkeypatch):
@@ -1298,9 +1328,10 @@ def test_helicity_rotation_structure(rng):
     h0 = build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 0, HelicityChannel(0.5, 0.5), 0)
     h1 = build_com_basis_state(grid, FERMION_PAIR, PAIR_S, 1, HelicityChannel(0.5, 0.5), 0)
     r1 = apply_rotation(h1, u)
-    # slots other than (+1/2, +1/2) stay exactly empty
-    assert np.abs(r1.amplitudes[:, 0, 1]).max() == 0.0
-    assert np.abs(r1.amplitudes[:, 1, :]).max() == 0.0
+    # slots other than (+1/2, +1/2) stay empty, to the roundoff of the
+    # harmonic synthesis and the frames' back-conversion
+    assert np.abs(r1.amplitudes[:, 0, 1]).max() <= 1e-15
+    assert np.abs(r1.amplitudes[:, 1, :]).max() <= 1e-15
     # norm and total spin survive: the rotated j=1 state stays orthogonal to j=0
     assert abs(complex(inner_product(r1, r1)) - complex(inner_product(h1, h1))) < 1e-12
     assert abs(complex(inner_product(h0, r1))) < 1e-8
@@ -1308,28 +1339,68 @@ def test_helicity_rotation_structure(rng):
     assert np.abs(r0.amplitudes - h0.amplitudes).max() < 1e-12
 
 
-def test_little_group_phase_is_the_frames_upper_left_entry(rng):
-    """The phase law of closed-form helicity rotations: at the 16x33 nodes,
-    at both poles and on both sides of the phi = 0 seam, the phase taken
-    from the spinors xi(n) equals the upper-left entry of R(n)^-1 u R(n')
-    with particle 1's spin-1/2 Jacob-Wick frames, and its conjugate equals
-    that entry with particle 2's frames, within 1e-15. A rotation that does
-    not map the preimages onto the images raises ValueError."""
-    grid = build_grid(16, 33)
+def _preimage_law(state, u, theta, phi):
+    """The closed-form state's rotation by u at the directions n = (theta,
+    phi) by the law of preimages: the label kernel at u^-1 n, its slots
+    mixed by D^{j1}(u) x D^{j2}(u) in the spin-orbit scheme and, in the
+    helicity scheme, by the diagonals of f(n)^dagger D(u) f(n') with each
+    particle's frames of _helicity_frames at n and at its preimage n'."""
+    spec = state.spec
+    thp, php = _preimages(u, theta, phi)
+    amp = state.evaluator(thp, php)
+    if state.scheme == "spin-orbit":
+        mix = su2_module._slot_matrix(spec.j1, spec.j2, su2_module.euler_zyz(u[None]))
+        return (amp.reshape(amp.shape[:-2] + (-1,)) @ mix.T).reshape(amp.shape)
+    spins = spec.j1, spec.j2
+    d1, d2 = (np.diagonal(f.conj().swapaxes(-1, -2) @ rep_matrix(j, u) @ f_pre, axis1=-2, axis2=-1)
+              for j, f, f_pre in zip(spins, _helicity_frames(theta, phi, *spins),
+                                     _helicity_frames(thp, php, *spins)))
+    return amp * d1[..., :, None] * d2[..., None, :]
+
+
+def test_closed_form_rotation_is_the_preimage_law(rng):
+    """Closed forms rotate by turning their exact harmonic coefficients; the
+    result is the preimage law (_preimage_law) within 1e-13 for every
+    j <= 2 state of both schemes and spins (1/2, 1/2) and (1, 1/2), on
+    16x33 and on 2x5, whose band 1 lies below every state's j + j1 + j2.
+    The rotated evaluator meets the same law within 1e-13 at both poles
+    and on both sides of the phi = 0 seam."""
     edges = np.array([0.0, 1.0, np.pi - 1.0, np.pi])
     seam = np.array([0.0, -0.0, 2.0 * np.pi - 1e-12, 1e-12])
-    theta = np.concatenate((grid.theta, np.repeat([0.0, np.pi], 4), np.tile(edges, 4)))
-    phi = np.concatenate((grid.phi, np.tile([0.0, 1.0, 3.0, 5.0], 2), np.repeat(seam, 4)))
-    half = HalfInt(1)
-    for u in random_su2(rng, 4):
-        thp, php = _preimages(u, theta, phi)
-        w = _little_group_phase(u, theta, phi, thp, php)
-        for frame_img, frame_pre, want in zip(_helicity_frames(theta, phi, half, half),
-                                              _helicity_frames(thp, php, half, half), (w, w.conj())):
-            entry = (frame_img.conj().swapaxes(-1, -2) @ u @ frame_pre)[:, 0, 0]
-            assert np.abs(want - entry).max() <= 1e-15
-        with pytest.raises(ValueError, match="not a z-rotation"):
-            _little_group_phase(u, theta, phi, theta, phi)
+    theta = np.concatenate((np.repeat([0.0, np.pi], 4), np.tile(edges, 4)))
+    phi = np.concatenate((np.tile([0.0, 1.0, 3.0, 5.0], 2), np.repeat(seam, 4)))
+    for spec in (FERMION_PAIR, TwoParticleSpec(1.0, 2.0, 1, 0.5)):
+        for shape in ((16, 33), (2, 5)):
+            grid = build_grid(*shape)
+            for scheme in ("spin-orbit", "helicity"):
+                for state in all_basis_states(grid, spec, PAIR_S, 2, scheme):
+                    u = random_su2(rng)
+                    rotated = apply_rotation(state, u)
+                    label = (spec.j1, shape, scheme, state.j, state.channel, state.component)
+                    want = _preimage_law(state, u, grid.theta, grid.phi)
+                    assert np.abs(rotated.amplitudes - want).max() <= 1e-13, label
+                    want = _preimage_law(state, u, theta, phi)
+                    assert np.abs(rotated.evaluator(theta, phi) - want).max() <= 1e-13, label
+
+
+@pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
+def test_evaluator_checks_its_angles(scheme, rng):
+    """Unrotated and rotated closed-form states alike raise ValueError naming
+    the angle at theta = NaN, phi = inf and |phi| = 1e301, scalar or in an
+    array, and warn of nothing on the way."""
+    grid = build_grid(8, 17)
+    u = random_su2(rng)
+    bad = ((np.nan, 0.5, "theta"), (0.5, np.inf, "phi"), (0.5, 1e301, "phi"), (0.5, -1e301, "phi"))
+    states = [state for state in fermion_states(grid, 1, scheme) if state.j == HalfInt.of(1)]
+    assert len(states) == 12
+    for state in states:
+        for st in (state, apply_rotation(state, u)):
+            for theta, phi, name in bad:
+                for angles in ((theta, phi), (np.array([0.3, theta]), np.array([0.2, phi]))):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with pytest.raises(ValueError, match=f"angle {name} must be finite"):
+                            st.evaluator(*angles)
 
 
 def test_conversion_commutes_with_rotation(rng):
@@ -1851,8 +1922,11 @@ def test_states_survive_a_pickle_round_trip(rng):
 
 @pytest.mark.parametrize("scheme", ["spin-orbit", "helicity"])
 def test_rotations_compose_bit_for_bit(scheme, rng):
-    """A closed-form state keeps the composed rotation and is evaluated
-    once from its labels, so u then v is the rotation by v @ u exactly."""
+    """A closed-form state keeps the composed rotation and turns its labels'
+    coefficients by it once, so u then v is the rotation by v @ u exactly.
+    The evaluator sums the same turned coefficients against the harmonics
+    at the angles, a different sum from the grid's synthesis, so it meets
+    the table within 1e-14."""
     grid = build_grid(12, 25)
     u, v = random_su2(rng), random_su2(rng)
     for state in fermion_states(grid, 2, scheme):
@@ -1860,8 +1934,8 @@ def test_rotations_compose_bit_for_bit(scheme, rng):
         once = apply_rotation(state, v @ u)
         np.testing.assert_array_equal(twice.amplitudes, once.amplitudes)
         np.testing.assert_array_equal(twice.rotation, v @ u)
-        np.testing.assert_array_equal(
-            twice.evaluator(grid.theta, grid.phi), once.amplitudes
+        np.testing.assert_allclose(
+            twice.evaluator(grid.theta, grid.phi), once.amplitudes, rtol=0.0, atol=1e-14
         )
 
 

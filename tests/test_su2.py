@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import lpmv, sph_harm_y
 
-from conftest import _d_entry, coefficient_rows, dense_coefficients, quaternion_su2, random_su2
+from conftest import _d_entry, _preimages, coefficient_rows, dense_coefficients, quaternion_su2, random_su2
 import poincare_cgc.cgc as cgc_module
 import poincare_cgc.su2 as su2_module
 from poincare_cgc.errors import InvalidOrbitalLabel, NotARotation
 from poincare_cgc.halfint import HalfInt, components, hrange
 from poincare_cgc.lorentz import _rotation_matrix, require_su2
-from poincare_cgc.states import _harmonic_synthesis, _preimages, build_grid
+from poincare_cgc.states import _harmonic_synthesis, build_grid
 from poincare_cgc.su2 import (
     _cg_block,
     _fact,
